@@ -6,7 +6,7 @@ algebras.
 """
 
 from .groups import (BaumslagSolitar, Cyclic, DirectProduct, FreeAbelian,
-                     FreeGroup, Group, ball, g_mul, group_from_spec,
+                     FreeGroup, Group, group_from_spec,
                      set_product, translate_set)
 from .rings import (IntegerModRing, IntegerRing, MatrixRing, ProductRing,
                     RankCertificate, RationalRing, Ring, RingMatrix,
@@ -19,18 +19,17 @@ from .monoids import (MnklParams, cnk_generating_number, cnk_leq,
 from .amenability import (FolnerWitness, InjectionWitness, SubsetPredicate,
                           bs_X, bs_X0, bs_example_check, expansion_profile,
                           find_two_to_one_injection, folner_search,
-                          rosenblatt_find, verify_equidecomposition,
-                          whole_group)
+                          rosenblatt_find, whole_group)
 from .translation import (CoeffFn, CompressionInput, TranslationRing,
                           collapse_matrices, compress_certificate,
                           finite_group_iso, right_translation_iso, tr_entry,
-                          tr_mul, tr_transpose)
+                          tr_transpose)
 from .graded import (CrossedProductRing, CrossedSystem,
                      endo_graded_construction, group_ring,
                      group_ring_augmentation, psi_embedding_check,
                      strong_grading_check, verify_crossed_system)
 from .special_algebras import (LeavittRing, WeylRing, leavitt_matrix_units,
                                leavitt_rank_certificate, weyl_component_basis,
-                               weyl_coordinates, weyl_normalize, weyl_phi0)
+                               weyl_coordinates, weyl_phi0)
 
 __version__ = "0.1.0"

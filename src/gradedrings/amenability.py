@@ -1,6 +1,6 @@
 """Folner-condition search, truncated paradoxical decompositions via
-bipartite matching, equidecomposition checking, and the Baumslag-Solitar
-witnesses for one-sided amenability.
+bipartite matching, and the Baumslag-Solitar witnesses for one-sided
+amenability.
 
 All counting comparisons are exact (Fraction); a negative search outcome is
 a value carrying the evidence, never an exception.
@@ -8,23 +8,37 @@ a value carrying the evidence, never an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .groups import BaumslagSolitar, Group, set_product
+from .report import Report, VerificationError
 
 
 class SubsetPredicate:
-    """A decidable subset X of a group."""
+    """A decidable subset X of a group.
 
-    def __init__(self, group: Group, contains: Callable, name: str):
+    name is the display form; key identifies the set and defaults to name.
+    Subsets whose name does not determine them, such as finite ones named
+    by their size, pass a key that does.
+    """
+
+    def __init__(self, group: Group, contains: Callable, name: str, key=None):
         self.group = group
         self._contains = contains
         self.name = name
+        self.key = name if key is None else key
 
     def __contains__(self, x):
         return self._contains(x)
+
+    def __eq__(self, other):
+        return (isinstance(other, SubsetPredicate) and other.group == self.group
+                and other.key == self.key)
+
+    def __hash__(self):
+        return hash((self.group, self.key))
 
     def __repr__(self):
         return f"SubsetPredicate({self.group.name}, {self.name})"
@@ -36,7 +50,8 @@ def whole_group(group: Group) -> SubsetPredicate:
 
 def finite_subset(group: Group, elements: Iterable) -> SubsetPredicate:
     elems = set(elements)
-    return SubsetPredicate(group, lambda x: x in elems, f"finite({len(elems)})")
+    return SubsetPredicate(group, lambda x: x in elems, f"finite({len(elems)})",
+                           key=frozenset(elems))
 
 
 def bs_X(group: BaumslagSolitar) -> SubsetPredicate:
@@ -103,7 +118,8 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
         ratios.append((idx, kf_count, f_count, ratio))
         if f_count and kf_count < (1 + eps) * f_count:
             w = FolnerWitness(K=K, eps=eps, F=F, kf_count=kf_count, f_count=f_count)
-            assert _recount(group, X, w) == (kf_count, f_count)
+            if _recount(group, X, w) != (kf_count, f_count):
+                raise VerificationError("Folner witness failed its recount")
             return w
     return FolnerFailure(eps=eps, r_max=r_max, ratios=ratios)
 
@@ -193,7 +209,7 @@ def find_two_to_one_injection(group: Group, V: Sequence, W: Sequence,
                                    alpha=alpha, beta=beta)
         ok, msg = verify_injection_witness(group, witness)
         if not ok:
-            raise AssertionError(f"matching produced an invalid witness: {msg}")
+            raise VerificationError(f"matching produced an invalid witness: {msg}")
         return witness
 
     # Hall violator: left vertices reachable by alternating paths from an
@@ -214,7 +230,8 @@ def find_two_to_one_injection(group: Group, V: Sequence, W: Sequence,
     A = [V[i] for i in A_idx]
     nbhd = sorted({wi for i in A_idx for wi in adj[i]})
     result = Infeasible(violating_set=A, neighborhood=[W[i] for i in nbhd])
-    assert len(result.neighborhood) < 2 * len(A), "Hall certificate inconsistent"
+    if not len(result.neighborhood) < 2 * len(A):
+        raise VerificationError("Hall certificate inconsistent")
     return result
 
 
@@ -253,65 +270,23 @@ def verify_hall_violation(group: Group, V, W, K, A) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# equidecomposition
-
-
-@dataclass
-class EquidecompositionWitness:
-    pieces: list       # list of sets
-    translators: list  # same length
-
-
-def verify_equidecomposition(group: Group, w: EquidecompositionWitness,
-                             A: Iterable, B: Iterable) -> bool:
-    """Pieces partition A and their translates partition B, exactly."""
-    A = set(A)
-    B = set(B)
-    if len(w.pieces) != len(w.translators):
-        return False
-    seen = set()
-    for piece in w.pieces:
-        piece = set(piece)
-        if piece & seen:
-            return False
-        seen |= piece
-    if seen != A:
-        return False
-    seen = set()
-    for piece, g in zip(w.pieces, w.translators):
-        moved = {group.mul(g, p) for p in piece}
-        if moved & seen:
-            return False
-        seen |= moved
-    return seen == B
-
-
-# ---------------------------------------------------------------------------
 # Baumslag-Solitar example witnesses
 
 
 @dataclass
-class BSCheckReport:
+class BSCheckReport(Report):
     k: int
     radius: int
     subset_ok: bool
     disjoint_ok: bool
     b_shift_ok: bool
-    counts: dict = field(default_factory=dict)
+    counts: dict  # sizes of the ball and of its parts in X and X0
 
-    @property
-    def ok(self):
-        return self.subset_ok and self.disjoint_ok and self.b_shift_ok
-
-    def lines(self):
-        c = self.counts
-        return [
-            f"X0 and aX0 inside X (|X0 cap ball| = {c.get('x0', 0)}): "
-            f"{'pass' if self.subset_ok else 'FAIL'}",
-            f"X0 disjoint from aX0: {'pass' if self.disjoint_ok else 'FAIL'}",
-            f"b maps X into X0 (and b-preimages of X0 lie in X): "
-            f"{'pass' if self.b_shift_ok else 'FAIL'}",
-        ]
+    CHECKS = (
+        ("subset_ok", "X0 and aX0 inside X (|X0 cap ball| = {self.counts[x0]})"),
+        ("disjoint_ok", "X0 disjoint from aX0"),
+        ("b_shift_ok", "b maps X into X0 (and b-preimages of X0 lie in X)"),
+    )
 
 
 def bs_example_check(k: int, r: int, max_radius: int = 8) -> BSCheckReport:
@@ -373,9 +348,10 @@ def rosenblatt_find(k: int, u_tuple: Sequence, v_tuple: Sequence) -> RosenblattR
             g = (f, 0)
             res = RosenblattResult(g=g, u_count=cu.get(f, 0), v_count=cv.get(f, 0))
             uc, vc = _rosenblatt_recount(G, g, u_tuple, v_tuple)
-            assert (uc, vc) == (res.u_count, res.v_count) and uc < vc
+            if (uc, vc) != (res.u_count, res.v_count) or not uc < vc:
+                raise VerificationError("separating translate failed its recount")
             return res
-    raise AssertionError("pigeonhole failed; tuples malformed")
+    raise VerificationError("pigeonhole failed; tuples malformed")
 
 
 def _rosenblatt_recount(G: BaumslagSolitar, g, u_tuple, v_tuple):

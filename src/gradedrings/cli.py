@@ -25,6 +25,7 @@ from .graded import (CrossedProductRing, endo_graded_construction,
                      verify_crossed_system)
 from .groups import Group, group_from_spec
 from .monoids import MnklParams, cnk_leq, cnk_normalize, mnkl_leq
+from .report import Report, VerificationError
 from .rings import (IntegerModRing, block_down_certificate,
                     block_up_certificate, extend_certificate, hom_certificate,
                     opposite_certificate, product_certificate,
@@ -93,6 +94,12 @@ def _emit(args, lines: list, payload: dict) -> None:
             print(line)
 
 
+def _emit_report(args, rep: Report, **payload) -> int:
+    """Print a report's lines, or its verdict and payload as JSON."""
+    _emit(args, rep.lines(), {"verdict": "pass" if rep.ok else "fail", **payload})
+    return 0 if rep.ok else 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -138,7 +145,8 @@ def _cmd_paradox(args) -> int:
         if args.out:
             dump_json(data, args.out)
         return 0
-    assert verify_hall_violation(G, V, W, K, res.violating_set)
+    if not verify_hall_violation(G, V, W, K, res.violating_set):
+        raise VerificationError("Hall violator failed its recount")
     lines = [
         "infeasible: Hall condition fails",
         "A = {" + "; ".join(s(x) for x in res.violating_set) + "}",
@@ -162,9 +170,7 @@ def _cmd_collapse(args) -> int:
               {"verdict": "infeasible"})
         return 1
     out = collapse_matrices(G, res, R)
-    _emit(args, out.lines(), {"verdict": "pass" if out.ok else "fail",
-                              "uncovered": len(out.uncovered)})
-    return 0 if out.ok else 1
+    return _emit_report(args, out, uncovered=len(out.uncovered))
 
 
 def _cmd_compress(args) -> int:
@@ -200,7 +206,8 @@ def _load_cert(path: str):
 
 def _cert_emit(args, cert) -> int:
     v = verify_certificate(cert)
-    assert v
+    if not v:
+        raise VerificationError(f"certificate invalid at {v.position}")
     if args.out:
         dump_json(certificate_to_json(cert), args.out)
     _emit(args, [f"certificate ({cert.n}, {cert.m}) over {cert.ring.name}: "
@@ -343,9 +350,7 @@ def _cmd_crossed(args) -> int:
     if "samples" in cfg:
         samples = [R.element_from_str(s) for s in cfg["samples"]]
     rep = verify_crossed_system(cs, samples)
-    _emit(args, rep.lines(), {"verdict": "pass" if rep.ok else "fail",
-                              "failures": rep.failures})
-    return 0 if rep.ok else 1
+    return _emit_report(args, rep, failures=rep.failures)
 
 
 def _omega_table(G: Group, R, table: dict) -> dict:
@@ -361,9 +366,7 @@ def _cmd_endo_graded(args) -> int:
     G = group_from_spec(args.group)
     S = ring_from_spec(args.ring)
     _, rep = endo_graded_construction(S, G, args.n, args.l)
-    _emit(args, rep.lines(), {"verdict": "pass" if rep.ok else "fail",
-                              "failures": rep.failures})
-    return 0 if rep.ok else 1
+    return _emit_report(args, rep, failures=rep.failures)
 
 
 def _cmd_psi(args) -> int:
@@ -373,10 +376,8 @@ def _cmd_psi(args) -> int:
     samples = [ring.element_from_str(s) for s in _split_semi(args.samples)]
     rep = psi_embedding_check(ring, samples, window=args.window,
                               component_window=args.component_window)
-    _emit(args, rep.lines(), {"verdict": "pass" if rep.ok else "fail",
-                              "pairs_checked": rep.pairs_checked,
-                              "failures": rep.failures})
-    return 0 if rep.ok else 1
+    return _emit_report(args, rep, pairs_checked=rep.pairs_checked,
+                        failures=rep.failures)
 
 
 def _cmd_normalize(args) -> int:
@@ -407,8 +408,7 @@ def _algebra_from_spec(spec: str):
 
 def _cmd_bs_check(args) -> int:
     rep = bs_example_check(args.k, args.r, max_radius=max(args.r, DEFAULT_RMAX))
-    _emit(args, rep.lines(), {"verdict": "pass" if rep.ok else "fail"})
-    return 0 if rep.ok else 1
+    return _emit_report(args, rep)
 
 
 def _cmd_rosenblatt(args) -> int:
@@ -502,7 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="*")
     p.add_argument("--target", type=int)
     p.add_argument("--up", type=int)
-    p.add_argument("--down", action="store_true")
     p.add_argument("--map")
     p.add_argument("--out")
 

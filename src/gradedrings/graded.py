@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .groups import Group
-from .rings import MatrixRing, Ring, RingMatrix, mat_mul
+from .report import Report, VerificationError
+from .rings import MatrixRing, Ring, RingMatrix, SparseRing, mat_mul
 from .special_algebras import WeylRing, weyl_component_basis, weyl_coordinates
 
 
@@ -71,7 +72,7 @@ def twisted_system(group: Group, ring: Ring, omega: dict,
 
 
 @dataclass
-class CrossedSystemReport:
+class CrossedSystemReport(Report):
     cond1_ok: bool   # g.(h.r) = w(g,h) ((gh).r) w(g,h)^-1
     cond2_ok: bool   # cocycle identity
     cond3_ok: bool   # normalization w(g,1) = w(1,g) = 1, identity acts trivially
@@ -79,21 +80,11 @@ class CrossedSystemReport:
     central_ok: Optional[bool]  # sampled centrality for trivial-sigma systems
     failures: list = field(default_factory=list)
 
-    @property
-    def ok(self):
-        return (self.cond1_ok and self.cond2_ok and self.cond3_ok
-                and self.units_ok and self.central_ok is not False)
-
-    def lines(self):
-        flags = [("conjugation condition (i)", self.cond1_ok),
-                 ("cocycle condition (ii)", self.cond2_ok),
-                 ("normalization (iii)", self.cond3_ok),
-                 ("omega values are units", self.units_ok)]
-        out = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in flags]
-        if self.central_ok is not None:
-            out.append(f"omega centrality (sampled): "
-                       f"{'pass' if self.central_ok else 'FAIL'}")
-        return out + self.failures
+    CHECKS = (("cond1_ok", "conjugation condition (i)"),
+              ("cond2_ok", "cocycle condition (ii)"),
+              ("cond3_ok", "normalization (iii)"),
+              ("units_ok", "omega values are units"),
+              ("central_ok", "omega centrality (sampled)"))
 
 
 def verify_crossed_system(cs: CrossedSystem,
@@ -145,7 +136,7 @@ def verify_crossed_system(cs: CrossedSystem,
     return rep
 
 
-class CrossedProductRing(Ring):
+class CrossedProductRing(SparseRing):
     """Formal sums {g: r_g} multiplied by (r g)(s h) = r (g.s) w(g,h) (gh).
 
     The crossed system is verified at construction time.
@@ -160,6 +151,7 @@ class CrossedProductRing(Ring):
         self.cs = cs
         self.group = cs.group
         self.base = cs.ring
+        self.unit_key = cs.group.identity()
         kind = ("group ring" if cs.is_group_ring
                 else "skew" if cs.trivial_omega
                 else "twisted" if cs.trivial_sigma else "crossed")
@@ -181,23 +173,7 @@ class CrossedProductRing(Ring):
 
     def term(self, r, g) -> dict:
         self.group.check_element(g)
-        return self._canon({g: r})
-
-    def zero(self):
-        return {}
-
-    def one(self):
-        return {self.group.identity(): self.base.one()}
-
-    def add(self, a, b):
-        out = dict(a)
-        S = self.base
-        for g, r in b.items():
-            out[g] = S.add(out[g], r) if g in out else r
-        return self._canon(out)
-
-    def neg(self, a):
-        return {g: self.base.neg(r) for g, r in a.items()}
+        return self.normalize({g: r})
 
     def mul(self, a, b):
         S, cs = self.base, self.cs
@@ -207,18 +183,9 @@ class CrossedProductRing(Ring):
                 gh = self.group.mul(g, h)
                 val = S.mul(S.mul(rg, cs.act(g, rh)), cs.w(g, h))
                 out[gh] = S.add(out[gh], val) if gh in out else val
-        return self._canon(out)
+        return self.normalize(out)
 
-    def eq(self, a, b):
-        a, b = self._canon(dict(a)), self._canon(dict(b))
-        if set(a) != set(b):
-            return False
-        return all(self.base.eq(a[g], b[g]) for g in a)
-
-    def from_int(self, n):
-        return self._canon({self.group.identity(): self.base.from_int(n)})
-
-    def _canon(self, terms):
+    def normalize(self, terms):
         return {g: r for g, r in terms.items() if not self.base.is_zero(r)}
 
     def element_to_str(self, a):
@@ -350,7 +317,7 @@ class EndoGraded:
 
 
 @dataclass
-class EndoGradedReport:
+class EndoGradedReport(Report):
     dimension_ok: bool
     partition_ok: bool
     closure_ok: bool
@@ -358,21 +325,15 @@ class EndoGradedReport:
     strong: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
-    @property
-    def ok(self):
-        return (self.dimension_ok and self.partition_ok and self.closure_ok
-                and self.t1_diagonal_ok and all(v.found for v in self.strong))
+    CHECKS = (("dimension_ok", "total rank equals n*l"),
+              ("partition_ok", "components partition the matrix units"),
+              ("closure_ok", "grading closure T_g T_h in T_gh"),
+              ("t1_diagonal_ok", "identity component is block diagonal"))
 
-    def lines(self):
-        flags = [("total rank equals n*l", self.dimension_ok),
-                 ("components partition the matrix units", self.partition_ok),
-                 ("grading closure T_g T_h in T_gh", self.closure_ok),
-                 ("identity component is block diagonal", self.t1_diagonal_ok)]
-        out = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in flags]
-        for v in self.strong:
-            out.append(f"strong grading at {v.g}: "
-                       + (f"pass ({v.witness})" if v.found else "FAIL"))
-        return out + self.failures
+    def _extra(self):
+        return [(f"strong grading at {v.g}: "
+                 + (f"pass ({v.witness})" if v.found else "FAIL"), v.found)
+                for v in self.strong]
 
 
 def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
@@ -449,25 +410,16 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
 
 
 @dataclass
-class PsiReport:
+class PsiReport(Report):
     unital_ok: bool
     additive_ok: bool
     multiplicative_ok: bool
     pairs_checked: int
     failures: list = field(default_factory=list)
 
-    @property
-    def ok(self):
-        return self.unital_ok and self.additive_ok and self.multiplicative_ok
-
-    def lines(self):
-        return [
-            f"unitality (Psi of 1 is the identity): "
-            f"{'pass' if self.unital_ok else 'FAIL'}",
-            f"additivity on samples: {'pass' if self.additive_ok else 'FAIL'}",
-            f"multiplicativity on {self.pairs_checked} pairs: "
-            f"{'pass' if self.multiplicative_ok else 'FAIL'}",
-        ] + self.failures
+    CHECKS = (("unital_ok", "unitality (Psi of 1 is the identity)"),
+              ("additive_ok", "additivity on samples"),
+              ("multiplicative_ok", "multiplicativity on {self.pairs_checked} pairs"))
 
 
 def _weyl_rank(ring: WeylRing, x: int) -> int:
@@ -492,7 +444,8 @@ def _homogeneous_parts(ring: WeylRing, elem: dict) -> dict:
 def _block_matrix(ring: WeylRing, part: dict, d: int, x: int, y: int):
     """Coordinate matrix of left multiplication by a degree-d element, as a
     map from component y to component x = d + y, over the degree-0 subring."""
-    assert x == d + y
+    if x != d + y:
+        raise VerificationError(f"block ({x}, {y}) is not of degree {d}")
     cols = []
     for v in _weyl_basis_elems(ring, y):
         cols.append(weyl_coordinates(ring, ring.mul(part, v), x))

@@ -389,17 +389,6 @@ class DirectProduct(Group):
         return out
 
 
-def g_mul(group: Group, x, y):
-    """Canonical-form product of two elements of the same group."""
-    group.check_element(x)
-    group.check_element(y)
-    return group.mul(x, y)
-
-
-def ball(group: Group, r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> list:
-    return group.ball(r, max_radius=max_radius)
-
-
 def translate_set(group: Group, g, A: Iterable) -> set:
     """Left translate gA."""
     group.check_element(g)

@@ -4,7 +4,8 @@ A rank certificate is a pair of matrices (A: m x n, B: n x m) over a ring
 with A*B = I_m, witnessing a module epimorphism R^n -> R^m.  When n < m the
 certificate witnesses bounded generating number.  All arithmetic is exact;
 presented rings (Leavitt, Weyl, crossed products) plug in through the same
-Ring interface and keep their own normal forms.
+Ring interface, share the SparseRing representation, and keep their own
+product rules and normal forms.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+from .report import VerificationError
 
 
 class Ring:
@@ -61,6 +64,64 @@ class Ring:
 
     def __repr__(self):
         return self.name
+
+
+def _add_term(terms: dict, key, coeff, S: Ring):
+    """Add coeff to the coefficient of key in place, dropping a zero sum."""
+    cur = terms.get(key)
+    if cur is None:
+        if not S.is_zero(coeff):
+            terms[key] = coeff
+        return
+    s = S.add(cur, coeff)
+    if S.is_zero(s):
+        del terms[key]
+    else:
+        terms[key] = s
+
+
+class SparseRing(Ring):
+    """A ring whose elements are finite sums stored as dicts mapping a key
+    (a basis monomial, or a group element) to a nonzero coefficient in the
+    base ring.
+
+    Subclasses set base and unit_key (the key of 1) and supply the product
+    rule mul.  normalize returns the canonical dict of an element; the
+    default returns its argument, for rings whose operations only ever
+    build canonical dicts, and subclasses with a rewriting or a cleanup
+    step override it.
+    """
+
+    base: Ring
+    unit_key: object
+
+    def zero(self):
+        return {}
+
+    def one(self):
+        return {self.unit_key: self.base.one()}
+
+    def scalar(self, c):
+        return {} if self.base.is_zero(c) else {self.unit_key: c}
+
+    def from_int(self, n):
+        return self.scalar(self.base.from_int(n))
+
+    def add(self, a, b):
+        out = dict(a)
+        for key, c in b.items():
+            _add_term(out, key, c, self.base)
+        return out
+
+    def neg(self, a):
+        return {k: self.base.neg(c) for k, c in a.items()}
+
+    def normalize(self, terms: dict) -> dict:
+        return terms
+
+    def eq(self, a, b):
+        a, b = self.normalize(a), self.normalize(b)
+        return a.keys() == b.keys() and all(self.base.eq(a[k], b[k]) for k in a)
 
 
 class IntegerRing(Ring):
@@ -479,7 +540,7 @@ def extend_certificate(cert: RankCertificate, target_m: int) -> RankCertificate:
         m_cur += 1
     out = RankCertificate(R, n, m_cur, A_cur, B_cur)
     if not verify_certificate(out):
-        raise AssertionError("extended certificate failed re-verification")
+        raise VerificationError("extended certificate failed re-verification")
     return out
 
 
@@ -508,7 +569,7 @@ def opposite_certificate(cert: RankCertificate) -> RankCertificate:
     B2 = cert.A.transpose().reinterpret(op)
     out = RankCertificate(op, cert.n, cert.m, A2, B2)
     if not verify_certificate(out):
-        raise AssertionError("opposite certificate failed re-verification")
+        raise VerificationError("opposite certificate failed re-verification")
     return out
 
 
@@ -523,7 +584,7 @@ def block_down_certificate(cert: RankCertificate) -> RankCertificate:
     B2 = _flatten_blocks(cert.B, base, s)
     out = RankCertificate(base, cert.n * s, cert.m * s, A2, B2)
     if not verify_certificate(out):
-        raise AssertionError("flattened certificate failed re-verification")
+        raise VerificationError("flattened certificate failed re-verification")
     return out
 
 
@@ -553,7 +614,7 @@ def block_up_certificate(cert: RankCertificate, s: int) -> RankCertificate:
     B2 = _group_blocks(cert.B, mring)
     out = RankCertificate(mring, cert.n // s, cert.m // s, A2, B2)
     if not verify_certificate(out):
-        raise AssertionError("blocked certificate failed re-verification")
+        raise VerificationError("blocked certificate failed re-verification")
     return out
 
 
@@ -597,7 +658,7 @@ def product_certificate(certs: Sequence[RankCertificate]) -> RankCertificate:
                    [tuple(c.B.entries[i] for c in shaped) for i in range(b * (b + 1))])
     out = RankCertificate(prod, b, b + 1, A, B)
     if not verify_certificate(out):
-        raise AssertionError("product certificate failed re-verification")
+        raise VerificationError("product certificate failed re-verification")
     return out
 
 
@@ -610,7 +671,7 @@ def truncate_certificate(cert: RankCertificate) -> RankCertificate:
     B2 = RingMatrix.from_rows(R, [row[:m2] for row in cert.B.to_rows()])
     out = RankCertificate(R, cert.n, m2, A2, B2)
     if not verify_certificate(out):
-        raise AssertionError("truncated certificate failed re-verification")
+        raise VerificationError("truncated certificate failed re-verification")
     return out
 
 
@@ -629,7 +690,7 @@ def _reshape_to(cert: RankCertificate, b: int) -> RankCertificate:
     B2 = RingMatrix.from_rows(R, B2rows)
     out = RankCertificate(R, b, b + 1, A2, B2)
     if not verify_certificate(out):
-        raise AssertionError("reshaped certificate failed re-verification")
+        raise VerificationError("reshaped certificate failed re-verification")
     return out
 
 

@@ -20,26 +20,48 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .rings import IntegerRing, RankCertificate, Ring, RingMatrix, verify_certificate
+from .report import Report, VerificationError
+from .rings import (IntegerRing, RankCertificate, Ring, RingMatrix, SparseRing,
+                    _add_term, verify_certificate)
 
 _Z = IntegerRing()
 
 
-def _add_term(terms: dict, key, coeff, S: Ring):
-    cur = terms.get(key)
-    if cur is None:
-        if not S.is_zero(coeff):
-            terms[key] = coeff
-        return
-    s = S.add(cur, coeff)
-    if S.is_zero(s):
-        del terms[key]
-    else:
-        terms[key] = s
+class _MonomialAlgebra(SparseRing):
+    """Text form shared by the Leavitt and Weyl algebras, whose keys are
+    basis monomials printed as words in the generators.  Subclasses give
+    _factors(key), the printed factors of a monomial; _parse_factor(token);
+    and degree_terms(a), the set of degrees of the monomials of a."""
+
+    def is_homogeneous(self, a, deg: int) -> bool:
+        return self.degree_terms(a) <= {deg}
+
+    def element_to_str(self, a) -> str:
+        a = self.normalize(a)
+        if not a:
+            return "0"
+        S = self.base
+        parts = []
+        for key in sorted(a, key=lambda k: (len(self._factors(k)), k)):
+            c = a[key]
+            factors = self._factors(key)
+            cstr = S.element_to_str(c)
+            if not factors:
+                parts.append(cstr)
+            elif S.eq(c, S.one()):
+                parts.append(" ".join(factors))
+            else:
+                parts.append(cstr + " " + " ".join(factors))
+        return " + ".join(parts)
+
+    def element_from_str(self, s: str):
+        return _parse_sum(s, self._parse_factor, self)
 
 
-class LeavittRing(Ring):
+class LeavittRing(_MonomialAlgebra):
     """L(1,n) over a base ring S (default Z)."""
+
+    unit_key = ((), ())
 
     def __init__(self, n: int, base: Optional[Ring] = None):
         if n < 2:
@@ -54,14 +76,6 @@ class LeavittRing(Ring):
 
     def __hash__(self):
         return hash(("Leavitt", self.n, hash(self.base)))
-
-    # ring interface -------------------------------------------------------
-
-    def zero(self):
-        return {}
-
-    def one(self):
-        return {((), ()): self.base.one()}
 
     def monomial(self, alpha: Sequence[int], beta: Sequence[int], coeff=None):
         for i in tuple(alpha) + tuple(beta):
@@ -78,15 +92,6 @@ class LeavittRing(Ring):
         """e_i*"""
         return self.monomial((), (i,))
 
-    def add(self, a, b):
-        out = dict(a)
-        for key, c in b.items():
-            _add_term(out, key, c, self.base)
-        return out
-
-    def neg(self, a):
-        return {k: self.base.neg(c) for k, c in a.items()}
-
     def mul(self, a, b):
         S = self.base
         out = {}
@@ -101,19 +106,6 @@ class LeavittRing(Ring):
                     if b1[:len(a2)] == a2:
                         _add_term(out, (a1, b2 + b1[len(a2):]), c, S)
         return self.normalize(out)
-
-    def eq(self, a, b):
-        a = self.normalize(a)
-        b = self.normalize(b)
-        if set(a) != set(b):
-            return False
-        return all(self.base.eq(a[k], b[k]) for k in a)
-
-    def from_int(self, k):
-        c = self.base.from_int(k)
-        return {} if self.base.is_zero(c) else {((), ()): c}
-
-    # normal form ----------------------------------------------------------
 
     def normalize(self, terms: dict) -> dict:
         """Rewrite until no monomial has alpha and beta both ending in e_n."""
@@ -135,49 +127,16 @@ class LeavittRing(Ring):
     def degree_terms(self, a) -> set:
         return {len(alpha) - len(beta) for alpha, beta in a}
 
-    def is_homogeneous(self, a, deg: int) -> bool:
-        return self.degree_terms(a) <= {deg}
-
-    # text form ------------------------------------------------------------
-
-    def _term_key(self, key):
+    def _factors(self, key) -> list:
         alpha, beta = key
-        return (len(alpha) + len(beta), alpha, beta)
-
-    def element_to_str(self, a) -> str:
-        a = self.normalize(a)
-        if not a:
-            return "0"
-        parts = []
-        for alpha, beta in sorted(a, key=self._term_key):
-            c = a[(alpha, beta)]
-            factors = [f"e{i}" for i in alpha] + [f"e{i}'" for i in reversed(beta)]
-            cstr = self.base.element_to_str(c)
-            if not factors:
-                parts.append(cstr)
-            elif self.base.eq(c, self.base.one()):
-                parts.append(" ".join(factors))
-            else:
-                parts.append(cstr + " " + " ".join(factors))
-        return " + ".join(parts)
-
-    def element_from_str(self, s: str):
-        return _parse_sum(s, self._parse_factor, self)
+        return [f"e{i}" for i in alpha] + [f"e{i}'" for i in reversed(beta)]
 
     def _parse_factor(self, tok: str):
         m = re.fullmatch(r"e(\d+)(')?", tok)
         if m:
             i = int(m.group(1))
             return self.gen_star(i) if m.group(2) else self.gen(i)
-        return self.from_scalar_str(tok)
-
-    def from_scalar_str(self, tok):
-        c = self.base.element_from_str(tok)
-        return {} if self.base.is_zero(c) else {((), ()): c}
-
-
-def leavitt_normalize(ring: LeavittRing, element) -> dict:
-    return ring.normalize(element)
+        return self.scalar(self.base.element_from_str(tok))
 
 
 def leavitt_rank_certificate(n: int, base: Optional[Ring] = None) -> RankCertificate:
@@ -192,7 +151,7 @@ def leavitt_rank_certificate(n: int, base: Optional[Ring] = None) -> RankCertifi
     cert = RankCertificate(L, 1, n, A, B)
     v = verify_certificate(cert)
     if not v or not v.bgn:
-        raise AssertionError("Leavitt certificate failed verification")
+        raise VerificationError("Leavitt certificate failed verification")
     return cert
 
 
@@ -205,26 +164,20 @@ def leavitt_iso_check(n: int, base: Optional[Ring] = None) -> bool:
     return L.eq(acc, L.one())
 
 
-class MatrixUnitReport:
+class MatrixUnitReport(Report):
+    CHECKS = (
+        ("product_law_ok", "product law (eps_ij eps_km = delta_jk eps_im)"),
+        ("sum_identity_ok", "sum identity (sum eps_ii = 1)"),
+        ("degrees_ok", "all units homogeneous of degree 0"),
+        ("chain_ok", "chain containment span_l in span_{{l+1}}"),
+    )
+
     def __init__(self):
         self.product_law_ok = True
         self.sum_identity_ok = True
         self.degrees_ok = True
         self.chain_ok = True
         self.failures: list[str] = []
-
-    @property
-    def ok(self):
-        return (self.product_law_ok and self.sum_identity_ok
-                and self.degrees_ok and self.chain_ok)
-
-    def lines(self):
-        return [
-            f"product law (eps_ij eps_km = delta_jk eps_im): {'pass' if self.product_law_ok else 'FAIL'}",
-            f"sum identity (sum eps_ii = 1): {'pass' if self.sum_identity_ok else 'FAIL'}",
-            f"all units homogeneous of degree 0: {'pass' if self.degrees_ok else 'FAIL'}",
-            f"chain containment span_l in span_{{l+1}}: {'pass' if self.chain_ok else 'FAIL'}",
-        ] + self.failures
 
 
 def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
@@ -289,13 +242,15 @@ def _words(n: int, l: int) -> list[tuple]:
 # Generalized Weyl algebras
 
 
-class WeylRing(Ring):
+class WeylRing(_MonomialAlgebra):
     """S-algebra on x_1..x_n, y with y x_i = a_i x_i y + b_i.
 
     Z-graded by deg(x_i) = 1, deg(y) = -1; basis monomials are x-words
     followed by a power of y.  Each a_i must be a unit of S with its inverse
     supplied (needed when solving for coordinates in the y^m components).
     """
+
+    unit_key = ((), 0)
 
     def __init__(self, a: Sequence, b: Sequence, base: Optional[Ring] = None,
                  a_inv: Optional[Sequence] = None):
@@ -336,12 +291,6 @@ class WeylRing(Ring):
     def __hash__(self):
         return hash(("Weyl", self.n, hash(self.base)))
 
-    def zero(self):
-        return {}
-
-    def one(self):
-        return {((), 0): self.base.one()}
-
     def x(self, i):
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range")
@@ -349,18 +298,6 @@ class WeylRing(Ring):
 
     def y(self):
         return {((), 1): self.base.one()}
-
-    def scalar(self, c):
-        return {} if self.base.is_zero(c) else {((), 0): c}
-
-    def add(self, a, b):
-        out = dict(a)
-        for key, c in b.items():
-            _add_term(out, key, c, self.base)
-        return out
-
-    def neg(self, a):
-        return {k: self.base.neg(c) for k, c in a.items()}
 
     def mul(self, a, b):
         S = self.base
@@ -402,38 +339,12 @@ class WeylRing(Ring):
         _add_term(out, (w[1:], 0), self.b[i - 1], S)
         return out
 
-    def eq(self, a, b):
-        if set(a) != set(b):
-            return False
-        return all(self.base.eq(a[k], b[k]) for k in a)
-
-    def from_int(self, k):
-        return self.scalar(self.base.from_int(k))
-
     def degree_terms(self, a) -> set:
         return {len(w) - l for w, l in a}
 
-    def is_homogeneous(self, a, deg: int) -> bool:
-        return self.degree_terms(a) <= {deg}
-
-    def element_to_str(self, a) -> str:
-        if not a:
-            return "0"
-        parts = []
-        for w, l in sorted(a, key=lambda k: (len(k[0]) + k[1], k[0], k[1])):
-            c = a[(w, l)]
-            factors = [f"x{i}" for i in w] + ["y"] * l
-            cstr = self.base.element_to_str(c)
-            if not factors:
-                parts.append(cstr)
-            elif self.base.eq(c, self.base.one()):
-                parts.append(" ".join(factors))
-            else:
-                parts.append(cstr + " " + " ".join(factors))
-        return " + ".join(parts)
-
-    def element_from_str(self, s: str):
-        return _parse_sum(s, self._parse_factor, self)
+    def _factors(self, key) -> list:
+        w, l = key
+        return [f"x{i}" for i in w] + ["y"] * l
 
     def _parse_factor(self, tok: str):
         if tok == "y":
@@ -444,14 +355,6 @@ class WeylRing(Ring):
         if tok == "x" and self.n == 1:
             return self.x(1)
         return self.scalar(self.base.element_from_str(tok))
-
-
-def weyl_normalize(ring: WeylRing, element) -> dict:
-    """Weyl elements are kept normalized; re-normalizing is the identity."""
-    out = {}
-    for key, c in element.items():
-        _add_term(out, key, c, ring.base)
-    return out
 
 
 def weyl_phi0(ring: WeylRing, r) -> object:
@@ -523,7 +426,8 @@ def weyl_coordinates(ring: WeylRing, elem: dict, m: int) -> list:
         recon = ring.zero()
         for w, q in zip(_words(ring.n, m), out):
             recon = ring.add(recon, ring.mul({(w, 0): S.one()}, q))
-        assert ring.eq(recon, elem), "coordinate reconstruction failed"
+        if not ring.eq(recon, elem):
+            raise VerificationError("coordinate reconstruction failed")
         return out
     q = -m
     ypow = {((), q): S.one()}
@@ -542,7 +446,8 @@ def weyl_coordinates(ring: WeylRing, elem: dict, m: int) -> list:
         piece = {(w, len(w)): S.mul(lead_inv, c)}
         coord = ring.add(coord, piece)
         work = ring.add(work, ring.neg(ring.mul(ypow, piece)))
-    assert ring.eq(ring.mul(ypow, coord), elem), "division reconstruction failed"
+    if not ring.eq(ring.mul(ypow, coord), elem):
+        raise VerificationError("division reconstruction failed")
     return [coord]
 
 

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .amenability import InjectionWitness, SubsetPredicate, verify_injection_witness
 from .groups import Group
+from .report import Report, VerificationError
 from .rings import (RankCertificate, Ring, RingMatrix, mat_mul,
                     verify_certificate)
 
@@ -58,10 +59,10 @@ class TranslationRing(Ring):
 
     def __eq__(self, other):
         return (isinstance(other, TranslationRing) and other.group == self.group
-                and other.base == self.base and other.X.name == self.X.name)
+                and other.base == self.base and other.X == self.X)
 
     def __hash__(self):
-        return hash(("T", hash(self.group), self.X.name, hash(self.base)))
+        return hash(("T", hash(self.X), hash(self.base)))
 
     # construction ----------------------------------------------------------
 
@@ -170,14 +171,6 @@ def tr_entry(tring: TranslationRing, M: dict, x, y):
     return f(x) if f is not None else tring.base.zero()
 
 
-def tr_add(tring: TranslationRing, M: dict, N: dict) -> dict:
-    return tring.add(M, N)
-
-
-def tr_mul(tring: TranslationRing, M: dict, N: dict) -> dict:
-    return tring.mul(M, N)
-
-
 def tr_transpose(tring: TranslationRing, M: dict) -> dict:
     """Entry swap: the term (g, f) becomes (g^-1, x -> f(gx))."""
     G, S = tring.group, tring.base
@@ -206,7 +199,7 @@ def tr_mul_oracle_entry(tring: TranslationRing, M: dict, N: dict, x, y):
 
 
 @dataclass
-class FiniteGroupIsoReport:
+class FiniteGroupIsoReport(Report):
     group_name: str
     ring_name: str
     shift_mult_ok: bool       # A_g A_h = A_{gh}
@@ -216,19 +209,11 @@ class FiniteGroupIsoReport:
     bijective_ok: bool        # {D_{delta_x} A_g} hits every matrix unit once
     failures: list = field(default_factory=list)
 
-    @property
-    def ok(self):
-        return (self.shift_mult_ok and self.diag_mult_ok and self.action_ok
-                and self.unital_ok and self.bijective_ok)
-
-    def lines(self):
-        flags = [("shift multiplicativity", self.shift_mult_ok),
-                 ("diagonal multiplicativity", self.diag_mult_ok),
-                 ("conjugation action law", self.action_ok),
-                 ("unitality", self.unital_ok),
-                 ("bijectivity (matrix-unit count)", self.bijective_ok)]
-        return [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in flags] \
-            + self.failures
+    CHECKS = (("shift_mult_ok", "shift multiplicativity"),
+              ("diag_mult_ok", "diagonal multiplicativity"),
+              ("action_ok", "conjugation action law"),
+              ("unital_ok", "unitality"),
+              ("bijective_ok", "bijectivity (matrix-unit count)"))
 
 
 def finite_group_iso(group: Group, ring: Ring, bound: int = 12) -> FiniteGroupIsoReport:
@@ -309,7 +294,7 @@ def finite_group_iso(group: Group, ring: Ring, bound: int = 12) -> FiniteGroupIs
 
 
 @dataclass
-class CollapseResult:
+class CollapseResult(Report):
     M: RingMatrix
     N: RingMatrix
     mmt_ok: bool
@@ -319,18 +304,12 @@ class CollapseResult:
     projection_ok: bool
     uncovered: list  # elements of W outside Im alpha union Im beta
 
-    @property
-    def ok(self):
-        return (self.mmt_ok and self.nnt_ok and self.mnt_ok and self.nmt_ok
-                and self.projection_ok)
+    CHECKS = (("mmt_ok", "M M^t = I"), ("nnt_ok", "N N^t = I"),
+              ("mnt_ok", "M N^t = 0"), ("nmt_ok", "N M^t = 0"),
+              ("projection_ok", "M^t M + N^t N = projection onto the images"))
 
-    def lines(self):
-        flags = [("M M^t = I", self.mmt_ok), ("N N^t = I", self.nnt_ok),
-                 ("M N^t = 0", self.mnt_ok), ("N M^t = 0", self.nmt_ok),
-                 ("M^t M + N^t N = projection onto the images", self.projection_ok)]
-        out = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in flags]
-        out.append(f"uncovered targets: {len(self.uncovered)}")
-        return out
+    def _extra(self):
+        return [(f"uncovered targets: {len(self.uncovered)}", None)]
 
 
 def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> CollapseResult:
@@ -464,7 +443,7 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
     out = RankCertificate(S, n * len(U), m * len(F_X), A_star, B_star)
     v = verify_certificate(out)
     if not v or not v.bgn:
-        raise AssertionError("compressed certificate failed re-verification")
+        raise VerificationError("compressed certificate failed re-verification")
     return CompressionResult(certificate=out, U=U, F_X=F_X,
                              counts=(n * len(U), m * len(F_X)))
 
@@ -493,19 +472,10 @@ class RightTranslationRing(TranslationRing):
         return out
 
 
-def rtr_entry(rring: RightTranslationRing, M: dict, x, y):
-    """Right-propagation entry rule: f(x) when y = x g."""
-    G = rring.group
-    if x not in rring.X or y not in rring.X:
-        raise ValueError("entry indices must lie in X")
-    g = G.mul(G.inv(x), y)
-    f = M.get(g)
-    return f(x) if f is not None else rring.base.zero()
-
-
 def inverted_subset(X: SubsetPredicate) -> SubsetPredicate:
     G = X.group
-    return SubsetPredicate(G, lambda p: G.inv(p) in X, f"{X.name}^-1")
+    return SubsetPredicate(G, lambda p: G.inv(p) in X, f"{X.name}^-1",
+                           key=("inverse", X.key))
 
 
 def right_translation_iso(rring: RightTranslationRing, M: dict):

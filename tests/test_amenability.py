@@ -1,6 +1,12 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import gradedrings
 
 from gradedrings.amenability import (FolnerFailure, FolnerWitness, Infeasible,
                                      InjectionWitness, bs_X, bs_X0,
@@ -108,6 +114,32 @@ def test_rosenblatt_requires_smaller_u():
     G = BaumslagSolitar(2)
     with pytest.raises(ValueError):
         rosenblatt_find(2, (G.identity(),), (G.identity(),))
+
+
+def test_folner_recount_mismatch_raises_under_optimize():
+    """The recount that guards a Folner witness is not an assert, so it
+    still runs under python -O."""
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from gradedrings import amenability
+        from gradedrings.groups import FreeAbelian
+        from gradedrings.report import VerificationError
+        assert not __debug__
+        amenability._recount = lambda group, X, w: (-1, -1)
+        Z = FreeAbelian(1)
+        try:
+            amenability.folner_search(Z, amenability.whole_group(Z), Z.ball(1),
+                                      Fraction(1, 2), 8)
+        except VerificationError:
+            print("raised")
+        else:
+            print("returned")
+    """)
+    src = str(Path(gradedrings.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.strip() == "raised", proc.stderr
 
 
 def test_finite_subset_predicate():

@@ -1,7 +1,8 @@
 import pytest
 
 from gradedrings.amenability import (InjectionWitness, bs_X,
-                                     find_two_to_one_injection, whole_group)
+                                     find_two_to_one_injection, finite_subset,
+                                     whole_group)
 from gradedrings.groups import (BaumslagSolitar, Cyclic, DirectProduct,
                                 FreeAbelian, FreeGroup)
 from gradedrings.rings import (IntegerModRing, IntegerRing, RankCertificate,
@@ -12,7 +13,7 @@ from gradedrings.translation import (CoeffFn, CompressionInput,
                                      collapse_matrices, compress_certificate,
                                      finite_group_iso, right_translation_iso,
                                      right_translation_iso_check, tr_entry,
-                                     tr_mul, tr_mul_oracle_entry, tr_transpose)
+                                     tr_mul_oracle_entry, tr_transpose)
 
 Z = IntegerRing()
 
@@ -42,11 +43,22 @@ def test_mul_matches_convolution_oracle():
     G, T = _zring()
     M = T.add(T.term((1,), T.fn(1, {(0,): 3})), T.diag(T.fn(2)))
     N = T.add(T.term((-1,), T.fn(4)), T.term((2,), T.fn(1, {(1,): -2})))
-    P = tr_mul(T, M, N)
+    P = T.mul(M, N)
     for x in range(-3, 4):
         for y in range(-3, 4):
             assert tr_entry(T, P, (x,), (y,)) == \
                 tr_mul_oracle_entry(T, M, N, (x,), (y,))
+
+
+def test_ring_equality_follows_the_subset_not_its_name():
+    G = FreeAbelian(1)
+    T01 = TranslationRing(G, finite_subset(G, [(0,), (1,)]), Z)
+    T56 = TranslationRing(G, finite_subset(G, [(5,), (6,)]), Z)
+    T10 = TranslationRing(G, finite_subset(G, [(1,), (0,)]), Z)
+    assert T01.X.name == T56.X.name == "finite(2)"
+    assert T01 != T56 and len({T01, T56}) == 2
+    assert T01 == T10 and hash(T01) == hash(T10)
+    assert TranslationRing(G, whole_group(G), Z) == _zring()[1]
 
 
 def test_transpose_is_entry_swap():
