@@ -22,14 +22,13 @@ from .monoids import (MnklParams, cnk_generating_number, cnk_leq,
                       mnkl_homomorphisms_well_defined, mnkl_vector)
 from .report import VerificationError
 from .rings import (IntegerModRing, IntegerRing, MatrixRing, RankCertificate,
-                    RingMatrix, truncate_certificate, block_down_certificate,
+                    RingMatrix, _checked, block_down_certificate,
                     block_up_certificate, extend_certificate, hom_certificate,
                     opposite_certificate, product_certificate,
-                    verify_certificate)
+                    truncate_certificate, verify_certificate)
 from .special_algebras import (LeavittRing, WeylRing, leavitt_iso_check,
                                leavitt_matrix_units, leavitt_rank_certificate,
-                               weyl_component_basis, weyl_phi0,
-                               weyl_phi0_multiplicative)
+                               weyl_component_basis, weyl_phi0_multiplicative)
 from .translation import (CompressionInput, TranslationRing, collapse_matrices,
                           compress_certificate, finite_group_iso)
 
@@ -390,11 +389,8 @@ def _stack_twice(cert: RankCertificate) -> RankCertificate:
     B = RingMatrix.from_rows(R, [
         [cert.B[0, 0], R.zero(), cert.B[0, 1], R.zero()],
         [R.zero(), cert.B[0, 0], R.zero(), cert.B[0, 1]]])
-    out = RankCertificate(R, 2, 4, A, B)
-    v = verify_certificate(out)
-    if not (v and v.bgn):
-        raise VerificationError("stacked certificate failed re-verification")
-    return out
+    return _checked(RankCertificate(R, 2, 4, A, B),
+                    "stacked certificate failed re-verification", need_bgn=True)
 
 
 def check_endo_graded() -> CriterionResult:
@@ -424,6 +420,3 @@ ALL_CHECKS = [
     ("endo-graded", check_endo_graded),
 ]
 
-
-def run_all():
-    return [fn() for _, fn in ALL_CHECKS]

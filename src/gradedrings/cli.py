@@ -23,7 +23,7 @@ from .amenability import (FolnerWitness, InjectionWitness, bs_X, bs_X0,
 from .graded import (CrossedProductRing, endo_graded_construction,
                      group_ring_system, psi_embedding_check, twisted_system,
                      verify_crossed_system)
-from .groups import Group, group_from_spec
+from .groups import Group, group_from_spec, split_top_level
 from .monoids import MnklParams, cnk_leq, cnk_normalize, mnkl_leq
 from .report import Report, VerificationError
 from .rings import (IntegerModRing, block_down_certificate,
@@ -33,8 +33,7 @@ from .rings import (IntegerModRing, block_down_certificate,
 from .serialize import (certificate_from_json, certificate_to_json, dump_json,
                         folner_witness_to_json, injection_witness_to_json,
                         load_json, ring_from_spec,
-                        translation_certificate_from_json,
-                        translation_certificate_to_json)
+                        translation_certificate_from_json)
 from .special_algebras import LeavittRing, WeylRing
 from .translation import CompressionInput, collapse_matrices, compress_certificate
 
@@ -57,23 +56,7 @@ def _parse_set(group: Group, text: str, r_hint: int = DEFAULT_RMAX) -> list:
         return group.ball(r, max_radius=max(r, r_hint))
     if text.startswith("{") and text.endswith("}"):
         text = text[1:-1]
-    return [group.element_from_str(p) for p in _split_semi(text)]
-
-
-def _split_semi(text: str) -> list:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == ";" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    return [group.element_from_str(p) for p in split_top_level(text, ";")]
 
 
 def _subset(group: Group, name: str):
@@ -356,7 +339,7 @@ def _cmd_crossed(args) -> int:
 def _omega_table(G: Group, R, table: dict) -> dict:
     out = {}
     for key, val in table.items():
-        g_s, h_s = _split_semi(key)
+        g_s, h_s = split_top_level(key, ";")
         out[(G.element_from_str(g_s), G.element_from_str(h_s))] = \
             R.element_from_str(val)
     return out
@@ -373,7 +356,8 @@ def _cmd_psi(args) -> int:
     a = [int(v) for v in args.a.split(",")]
     b = [int(v) for v in args.b.split(",")]
     ring = WeylRing(a, b)
-    samples = [ring.element_from_str(s) for s in _split_semi(args.samples)]
+    samples = [ring.element_from_str(s)
+               for s in split_top_level(args.samples, ";")]
     rep = psi_embedding_check(ring, samples, window=args.window,
                               component_window=args.component_window)
     return _emit_report(args, rep, pairs_checked=rep.pairs_checked,
@@ -414,8 +398,8 @@ def _cmd_bs_check(args) -> int:
 def _cmd_rosenblatt(args) -> int:
     from .groups import BaumslagSolitar
     G = BaumslagSolitar(args.k)
-    u = tuple(G.element_from_str(s) for s in _split_semi(args.u))
-    v = tuple(G.element_from_str(s) for s in _split_semi(args.v))
+    u = tuple(G.element_from_str(s) for s in split_top_level(args.u, ";"))
+    v = tuple(G.element_from_str(s) for s in split_top_level(args.v, ";"))
     res = rosenblatt_find(args.k, u, v)
     _emit(args, [
         f"g = {G.element_to_str(res.g)}",

@@ -38,11 +38,6 @@ class CrossedSystem:
             return r
         return self.sigma[g][0](r)
 
-    def act_inv(self, g, r):
-        if self.sigma is None:
-            return r
-        return self.sigma[g][1](r)
-
     def w(self, g, h):
         if self.omega is None:
             return self.ring.one()

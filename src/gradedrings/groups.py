@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_MAX_RADIUS = 8
 
@@ -410,21 +410,23 @@ _SPEC_RE_ZD = re.compile(r"Z\^(\d+)")
 def group_from_spec(spec: str) -> Group:
     """Parse group names like "F2", "Z", "Z^3", "BS(1,2)", "C(4)", "C2xC2"."""
     spec = spec.strip()
-    parts = _split_product(spec)
+    parts = split_top_level(spec, "x")
     factors = [_atom_from_spec(p) for p in parts]
     if len(factors) == 1:
         return factors[0]
     return DirectProduct(factors)
 
 
-def _split_product(spec: str) -> list[str]:
+def split_top_level(text: str, sep: str) -> list[str]:
+    """Split text at each sep outside brackets; strip the parts and drop
+    empty ones."""
     parts, depth, cur = [], 0, []
-    for ch in spec:
-        if ch == "(":
+    for ch in text:
+        if ch in "([":
             depth += 1
-        elif ch == ")":
+        elif ch in ")]":
             depth -= 1
-        if ch == "x" and depth == 0:
+        if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:

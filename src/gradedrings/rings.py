@@ -3,9 +3,9 @@
 A rank certificate is a pair of matrices (A: m x n, B: n x m) over a ring
 with A*B = I_m, witnessing a module epimorphism R^n -> R^m.  When n < m the
 certificate witnesses bounded generating number.  All arithmetic is exact;
-presented rings (Leavitt, Weyl, crossed products) plug in through the same
-Ring interface, share the SparseRing representation, and keep their own
-product rules and normal forms.
+presented rings (Leavitt, Weyl, crossed products, translation rings) plug in
+through the same Ring interface, share the SparseRing representation, and
+keep their own product rules and normal forms.
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ class SparseRing(Ring):
     base ring.
 
     Subclasses set base and unit_key (the key of 1) and supply the product
-    rule mul.  normalize returns the canonical dict of an element; the
-    default returns its argument, for rings whose operations only ever
-    build canonical dicts, and subclasses with a rewriting or a cleanup
-    step override it.
+    rule mul.  Invariant: every element a ring method returns is canonical,
+    that is, its keys are in normal form and it stores no zero coefficient.
+    The entry points that take raw data (monomial and term constructors,
+    parsers) canonicalize it, so eq compares dicts structurally.
     """
 
     base: Ring
@@ -116,11 +116,7 @@ class SparseRing(Ring):
     def neg(self, a):
         return {k: self.base.neg(c) for k, c in a.items()}
 
-    def normalize(self, terms: dict) -> dict:
-        return terms
-
     def eq(self, a, b):
-        a, b = self.normalize(a), self.normalize(b)
         return a.keys() == b.keys() and all(self.base.eq(a[k], b[k]) for k in a)
 
 
@@ -506,6 +502,16 @@ def verify_certificate(cert: RankCertificate):
     return Valid(bgn=cert.n < cert.m)
 
 
+def _checked(cert: RankCertificate, msg: str,
+             need_bgn: bool = False) -> RankCertificate:
+    """Re-verify a certificate built from verified parts; raise
+    VerificationError(msg) unless AB = I (and n < m when need_bgn)."""
+    v = verify_certificate(cert)
+    if not v or (need_bgn and not v.bgn):
+        raise VerificationError(msg)
+    return cert
+
+
 def _require_valid(cert: RankCertificate):
     v = verify_certificate(cert)
     if not v:
@@ -538,10 +544,8 @@ def extend_certificate(cert: RankCertificate, target_m: int) -> RankCertificate:
         A_cur = mat_mul(xi, A_cur)
         B_cur = mat_mul(B_cur, xi_sec)
         m_cur += 1
-    out = RankCertificate(R, n, m_cur, A_cur, B_cur)
-    if not verify_certificate(out):
-        raise VerificationError("extended certificate failed re-verification")
-    return out
+    return _checked(RankCertificate(R, n, m_cur, A_cur, B_cur),
+                    "extended certificate failed re-verification")
 
 
 def _block_diag(ring: Ring, top: RingMatrix, bottom: RingMatrix) -> RingMatrix:
@@ -567,10 +571,8 @@ def opposite_certificate(cert: RankCertificate) -> RankCertificate:
     op = cert.ring.opposite()
     A2 = cert.B.transpose().reinterpret(op)
     B2 = cert.A.transpose().reinterpret(op)
-    out = RankCertificate(op, cert.n, cert.m, A2, B2)
-    if not verify_certificate(out):
-        raise VerificationError("opposite certificate failed re-verification")
-    return out
+    return _checked(RankCertificate(op, cert.n, cert.m, A2, B2),
+                    "opposite certificate failed re-verification")
 
 
 def block_down_certificate(cert: RankCertificate) -> RankCertificate:
@@ -582,10 +584,8 @@ def block_down_certificate(cert: RankCertificate) -> RankCertificate:
     base = cert.ring.base
     A2 = _flatten_blocks(cert.A, base, s)
     B2 = _flatten_blocks(cert.B, base, s)
-    out = RankCertificate(base, cert.n * s, cert.m * s, A2, B2)
-    if not verify_certificate(out):
-        raise VerificationError("flattened certificate failed re-verification")
-    return out
+    return _checked(RankCertificate(base, cert.n * s, cert.m * s, A2, B2),
+                    "flattened certificate failed re-verification")
 
 
 def _flatten_blocks(M: RingMatrix, base: Ring, s: int) -> RingMatrix:
@@ -612,10 +612,8 @@ def block_up_certificate(cert: RankCertificate, s: int) -> RankCertificate:
     mring = MatrixRing(cert.ring, s)
     A2 = _group_blocks(cert.A, mring)
     B2 = _group_blocks(cert.B, mring)
-    out = RankCertificate(mring, cert.n // s, cert.m // s, A2, B2)
-    if not verify_certificate(out):
-        raise VerificationError("blocked certificate failed re-verification")
-    return out
+    return _checked(RankCertificate(mring, cert.n // s, cert.m // s, A2, B2),
+                    "blocked certificate failed re-verification")
 
 
 def _group_blocks(M: RingMatrix, mring: MatrixRing) -> RingMatrix:
@@ -656,10 +654,8 @@ def product_certificate(certs: Sequence[RankCertificate]) -> RankCertificate:
                    [tuple(c.A.entries[i] for c in shaped) for i in range((b + 1) * b)])
     B = RingMatrix(prod, b, b + 1,
                    [tuple(c.B.entries[i] for c in shaped) for i in range(b * (b + 1))])
-    out = RankCertificate(prod, b, b + 1, A, B)
-    if not verify_certificate(out):
-        raise VerificationError("product certificate failed re-verification")
-    return out
+    return _checked(RankCertificate(prod, b, b + 1, A, B),
+                    "product certificate failed re-verification")
 
 
 def truncate_certificate(cert: RankCertificate) -> RankCertificate:
@@ -669,10 +665,8 @@ def truncate_certificate(cert: RankCertificate) -> RankCertificate:
     m2 = cert.n + 1
     A2 = RingMatrix.from_rows(R, cert.A.to_rows()[:m2])
     B2 = RingMatrix.from_rows(R, [row[:m2] for row in cert.B.to_rows()])
-    out = RankCertificate(R, cert.n, m2, A2, B2)
-    if not verify_certificate(out):
-        raise VerificationError("truncated certificate failed re-verification")
-    return out
+    return _checked(RankCertificate(R, cert.n, m2, A2, B2),
+                    "truncated certificate failed re-verification")
 
 
 def _reshape_to(cert: RankCertificate, b: int) -> RankCertificate:
@@ -688,10 +682,8 @@ def _reshape_to(cert: RankCertificate, b: int) -> RankCertificate:
     A2 = mat_mul(wide.A, proj)
     B2rows = wide.B.to_rows() + [[R.zero()] * (b + 1) for _ in range(b - cert.n)]
     B2 = RingMatrix.from_rows(R, B2rows)
-    out = RankCertificate(R, b, b + 1, A2, B2)
-    if not verify_certificate(out):
-        raise VerificationError("reshaped certificate failed re-verification")
-    return out
+    return _checked(RankCertificate(R, b, b + 1, A2, B2),
+                    "reshaped certificate failed re-verification")
 
 
 def hom_certificate(cert: RankCertificate, phi: Callable, target: Ring) -> RankCertificate:

@@ -14,27 +14,11 @@ import re
 from fractions import Fraction
 
 from .graded import CrossedProductRing, group_ring
-from .groups import Group, group_from_spec
+from .groups import Group, group_from_spec, split_top_level
 from .rings import (IntegerModRing, IntegerRing, MatrixRing, ProductRing,
                     RankCertificate, Ring, RingMatrix, RationalRing)
 from .special_algebras import LeavittRing
 from .translation import CoeffFn, TranslationRing
-
-
-def _split_top(s: str, sep: str) -> list:
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
 
 
 def ring_from_spec(spec: str) -> Ring:
@@ -60,10 +44,11 @@ def ring_from_spec(spec: str) -> Ring:
         return ring_from_spec(m.group(1)).opposite()
     m = re.fullmatch(r"prod\((.*)\)", spec)
     if m:
-        return ProductRing([ring_from_spec(p) for p in _split_top(m.group(1), ",")])
+        return ProductRing([ring_from_spec(p)
+                            for p in split_top_level(m.group(1), ",")])
     m = re.fullmatch(r"group\((.*)\)", spec)
     if m:
-        parts = _split_top(m.group(1), ",")
+        parts = split_top_level(m.group(1), ",")
         if len(parts) != 2:
             raise ValueError(f"group ring spec needs (ring, group): {spec!r}")
         return group_ring(group_from_spec(parts[1]), ring_from_spec(parts[0]))
@@ -128,7 +113,7 @@ def certificate_from_json(data: dict) -> RankCertificate:
 
 
 def translation_element_to_json(tring: TranslationRing, M: dict) -> list:
-    G, S = tring.group, tring.base
+    G, S = tring.group, tring.base.base
     out = []
     for g in sorted(M, key=G.element_key):
         f = M[g]
@@ -143,7 +128,7 @@ def translation_element_to_json(tring: TranslationRing, M: dict) -> list:
 
 
 def translation_element_from_json(tring: TranslationRing, data: list) -> dict:
-    G, S = tring.group, tring.base
+    G, S = tring.group, tring.base.base
     out = tring.zero()
     for term in data:
         g = G.element_from_str(term["shift"])
@@ -157,7 +142,7 @@ def translation_element_from_json(tring: TranslationRing, data: list) -> dict:
 def translation_certificate_to_json(tring: TranslationRing,
                                     cert: RankCertificate) -> dict:
     return {
-        "ring": ring_to_spec(tring.base),
+        "ring": ring_to_spec(tring.base.base),
         "group": tring.group.name,
         "subset": tring.X.name,
         "n": cert.n,

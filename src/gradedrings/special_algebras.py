@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .report import Report, VerificationError
 from .rings import (IntegerRing, RankCertificate, Ring, RingMatrix, SparseRing,
-                    _add_term, verify_certificate)
+                    _add_term, _checked)
 
 _Z = IntegerRing()
 
@@ -37,7 +37,6 @@ class _MonomialAlgebra(SparseRing):
         return self.degree_terms(a) <= {deg}
 
     def element_to_str(self, a) -> str:
-        a = self.normalize(a)
         if not a:
             return "0"
         S = self.base
@@ -148,11 +147,8 @@ def leavitt_rank_certificate(n: int, base: Optional[Ring] = None) -> RankCertifi
     L = LeavittRing(n, base)
     A = RingMatrix(L, n, 1, [L.gen_star(i) for i in range(1, n + 1)])
     B = RingMatrix(L, 1, n, [L.gen(i) for i in range(1, n + 1)])
-    cert = RankCertificate(L, 1, n, A, B)
-    v = verify_certificate(cert)
-    if not v or not v.bgn:
-        raise VerificationError("Leavitt certificate failed verification")
-    return cert
+    return _checked(RankCertificate(L, 1, n, A, B),
+                    "Leavitt certificate failed verification", need_bgn=True)
 
 
 def leavitt_iso_check(n: int, base: Optional[Ring] = None) -> bool:

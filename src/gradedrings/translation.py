@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 from .amenability import InjectionWitness, SubsetPredicate, verify_injection_witness
 from .groups import Group
-from .report import Report, VerificationError
-from .rings import (RankCertificate, Ring, RingMatrix, mat_mul,
-                    verify_certificate)
+from .report import Report
+from .rings import (RankCertificate, Ring, RingMatrix, SparseRing, _add_term,
+                    _checked, mat_mul)
 
 
 class CoeffFn:
@@ -42,8 +42,60 @@ class CoeffFn:
         return f"CoeffFn({self.const!r}, {self.overrides!r})"
 
 
-class TranslationRing(Ring):
-    """T_G(X, R) as a ring of term sums {shift g: CoeffFn}.
+class FunctionRing(Ring):
+    """Functions X -> R that are constant off a finite set, as CoeffFn
+    values, with pointwise operations.  Equality compares the constant and
+    the overrides, so on an infinite X it is equality of functions."""
+
+    def __init__(self, base: Ring):
+        self.base = base
+        self.name = f"Fun({base.name})"
+
+    def __eq__(self, other):
+        return isinstance(other, FunctionRing) and other.base == self.base
+
+    def __hash__(self):
+        return hash(("Fun", hash(self.base)))
+
+    def zero(self):
+        return CoeffFn(self.base, self.base.zero())
+
+    def one(self):
+        return CoeffFn(self.base, self.base.one())
+
+    def from_int(self, n):
+        return CoeffFn(self.base, self.base.from_int(n))
+
+    def _pointwise(self, op, f: CoeffFn, h: CoeffFn) -> CoeffFn:
+        keys = f.overrides.keys() | h.overrides.keys()
+        return CoeffFn(self.base, op(f.const, h.const),
+                       {x: op(f(x), h(x)) for x in keys})
+
+    def add(self, f, h):
+        return self._pointwise(self.base.add, f, h)
+
+    def mul(self, f, h):
+        return self._pointwise(self.base.mul, f, h)
+
+    def neg(self, f):
+        S = self.base
+        return CoeffFn(S, S.neg(f.const),
+                       {x: S.neg(v) for x, v in f.overrides.items()})
+
+    def eq(self, f, h):
+        S = self.base
+        return (S.eq(f.const, h.const) and f.overrides.keys() == h.overrides.keys()
+                and all(S.eq(v, h.overrides[x]) for x, v in f.overrides.items()))
+
+    def moved(self, f: CoeffFn, move) -> CoeffFn:
+        """The function whose value at move(x) is f(x): overrides relabelled."""
+        return CoeffFn(self.base, f.const,
+                       {move(x): v for x, v in f.overrides.items()})
+
+
+class TranslationRing(SparseRing):
+    """T_G(X, R) as the skew group ring of G over FunctionRing(R): term
+    sums {shift g: CoeffFn}, with the entry ring R as base.base.
 
     The term algebra multiplies by (g, f)(k, h) = (gk, x -> f(x) h(g^-1 x)),
     which matches the matrix product whenever X is invariant under the
@@ -54,7 +106,8 @@ class TranslationRing(Ring):
     def __init__(self, group: Group, X: SubsetPredicate, base: Ring):
         self.group = group
         self.X = X
-        self.base = base
+        self.base = FunctionRing(base)
+        self.unit_key = group.identity()
         self.name = f"T({group.name}|{X.name}; {base.name})"
 
     def __eq__(self, other):
@@ -67,89 +120,37 @@ class TranslationRing(Ring):
     # construction ----------------------------------------------------------
 
     def fn(self, const, overrides: Optional[dict] = None) -> CoeffFn:
-        return CoeffFn(self.base, const, overrides)
+        return CoeffFn(self.base.base, const, overrides)
 
     def diag(self, f: CoeffFn) -> dict:
-        return self._canon({self.group.identity(): f})
+        return self.scalar(f)
 
     def diag_const(self, r) -> dict:
         return self.diag(self.fn(r))
 
     def shift(self, g) -> dict:
         self.group.check_element(g)
-        return {g: self.fn(self.base.one())}
+        return {g: self.base.one()}
 
     def term(self, g, f: CoeffFn) -> dict:
         self.group.check_element(g)
-        return self._canon({g: f})
+        return {} if self.base.is_zero(f) else {g: f}
 
     # ring interface --------------------------------------------------------
 
-    def zero(self):
-        return {}
-
-    def one(self):
-        return self.diag_const(self.base.one())
-
-    def add(self, a, b):
-        S = self.base
-        out = dict(a)
-        for g, f in b.items():
-            if g in out:
-                cur = out[g]
-                keys = set(cur.overrides) | set(f.overrides)
-                out[g] = CoeffFn(S, S.add(cur.const, f.const),
-                                 {x: S.add(cur(x), f(x)) for x in keys})
-            else:
-                out[g] = f
-        return self._canon(out)
-
-    def neg(self, a):
-        S = self.base
-        return {g: CoeffFn(S, S.neg(f.const),
-                           {x: S.neg(v) for x, v in f.overrides.items()})
-                for g, f in a.items()}
-
     def mul(self, a, b):
-        G, S = self.group, self.base
-        out = self.zero()
+        G, F = self.group, self.base
+        out = {}
         for g, f in a.items():
-            ginv = G.inv(g)
             for k, h in b.items():
-                keys = set(f.overrides) | {G.mul(g, x) for x in h.overrides}
-                prod = CoeffFn(S, S.mul(f.const, h.const),
-                               {x: S.mul(f(x), h(G.mul(ginv, x))) for x in keys})
-                out = self.add(out, {G.mul(g, k): prod})
+                _add_term(out, G.mul(g, k),
+                          F.mul(f, F.moved(h, lambda x: G.mul(g, x))), F)
         return out
-
-    def eq(self, a, b):
-        a = self._canon(dict(a))
-        b = self._canon(dict(b))
-        if set(a) != set(b):
-            return False
-        S = self.base
-        for g in a:
-            f, h = a[g], b[g]
-            if not S.eq(f.const, h.const):
-                return False
-            if set(f.overrides) != set(h.overrides):
-                return False
-            if not all(S.eq(f.overrides[x], h.overrides[x]) for x in f.overrides):
-                return False
-        return True
-
-    def from_int(self, n):
-        return self.diag_const(self.base.from_int(n))
-
-    def _canon(self, terms: dict) -> dict:
-        S = self.base
-        return {g: f for g, f in terms.items()
-                if f.overrides or not S.is_zero(f.const)}
 
     def element_to_str(self, a):
         if not a:
             return "0"
-        G, S = self.group, self.base
+        G, S = self.group, self.base.base
         parts = []
         for g in sorted(a, key=G.element_key):
             f = a[g]
@@ -168,23 +169,22 @@ def tr_entry(tring: TranslationRing, M: dict, x, y):
         raise ValueError("entry indices must lie in X")
     g = G.mul(x, G.inv(y))
     f = M.get(g)
-    return f(x) if f is not None else tring.base.zero()
+    return f(x) if f is not None else tring.base.base.zero()
 
 
 def tr_transpose(tring: TranslationRing, M: dict) -> dict:
     """Entry swap: the term (g, f) becomes (g^-1, x -> f(gx))."""
-    G, S = tring.group, tring.base
+    G, F = tring.group, tring.base
     out = {}
     for g, f in M.items():
         ginv = G.inv(g)
-        out[ginv] = CoeffFn(S, f.const,
-                            {G.mul(ginv, x): v for x, v in f.overrides.items()})
-    return tring._canon(out)
+        out[ginv] = F.moved(f, lambda x: G.mul(ginv, x))
+    return out
 
 
 def tr_mul_oracle_entry(tring: TranslationRing, M: dict, N: dict, x, y):
     """(MN)(x,y) by the defining convolution, summed over the propagation set."""
-    G, S = tring.group, tring.base
+    G, S = tring.group, tring.base.base
     acc = S.zero()
     for g in M:
         z = G.mul(G.inv(g), x)
@@ -386,7 +386,7 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
     tring, cert = ci.tring, ci.cert
     if cert.ring != tring:
         raise ValueError("certificate is not over the given translation ring")
-    G, X, S = tring.group, tring.X, tring.base
+    G, X, S = tring.group, tring.X, tring.base.base
     K = list(ci.K)
     Kset = set(K)
     if G.identity() not in Kset:
@@ -406,12 +406,8 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
                 for i2 in range(cert.m):
                     acc = S.zero()
                     for j in range(cert.n):
-                        M, N = cert.A[i, j], cert.B[j, i2]
-                        for g in M:
-                            z = G.mul(G.inv(g), x)
-                            if z in X:
-                                acc = S.add(acc, S.mul(tr_entry(tring, M, x, z),
-                                                       tr_entry(tring, N, z, y)))
+                        acc = S.add(acc, tr_mul_oracle_entry(
+                            tring, cert.A[i, j], cert.B[j, i2], x, y))
                     want = S.one() if (i == i2 and x == y) else S.zero()
                     if not S.eq(acc, want):
                         raise ValueError(
@@ -440,10 +436,8 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
                     b_entries.append(tr_entry(tring, cert.B[j, i], u, f))
     A_star = RingMatrix(S, m * len(F_X), n * len(U), a_entries)
     B_star = RingMatrix(S, n * len(U), m * len(F_X), b_entries)
-    out = RankCertificate(S, n * len(U), m * len(F_X), A_star, B_star)
-    v = verify_certificate(out)
-    if not v or not v.bgn:
-        raise VerificationError("compressed certificate failed re-verification")
+    out = _checked(RankCertificate(S, n * len(U), m * len(F_X), A_star, B_star),
+                   "compressed certificate failed re-verification", need_bgn=True)
     return CompressionResult(certificate=out, U=U, F_X=F_X,
                              counts=(n * len(U), m * len(F_X)))
 
@@ -461,14 +455,13 @@ class RightTranslationRing(TranslationRing):
         self.name = f"Tr({group.name}|{X.name}; {base.name})"
 
     def mul(self, a, b):
-        G, S = self.group, self.base
-        out = self.zero()
+        G, F = self.group, self.base
+        out = {}
         for g, f in a.items():
+            ginv = G.inv(g)
             for k, h in b.items():
-                keys = set(f.overrides) | {G.mul(x, G.inv(g)) for x in h.overrides}
-                prod = CoeffFn(S, S.mul(f.const, h.const),
-                               {x: S.mul(f(x), h(G.mul(x, g))) for x in keys})
-                out = self.add(out, {G.mul(g, k): prod})
+                _add_term(out, G.mul(g, k),
+                          F.mul(f, F.moved(h, lambda x: G.mul(x, ginv))), F)
         return out
 
 
@@ -485,12 +478,9 @@ def right_translation_iso(rring: RightTranslationRing, M: dict):
     Term form: (g, f) maps to the left term (g, p -> f(p^-1)).  Returns
     (left translation ring, image element).
     """
-    G, S = rring.group, rring.base
-    lring = TranslationRing(G, inverted_subset(rring.X), S)
-    out = {}
-    for g, f in M.items():
-        out[g] = CoeffFn(S, f.const, {G.inv(x): v for x, v in f.overrides.items()})
-    return lring, lring._canon(out)
+    G, F = rring.group, rring.base
+    lring = TranslationRing(G, inverted_subset(rring.X), F.base)
+    return lring, {g: F.moved(f, G.inv) for g, f in M.items()}
 
 
 def right_translation_iso_check(rring: RightTranslationRing,

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from gradedrings.amenability import whole_group
+from gradedrings.graded import CrossedProductRing, group_ring, twisted_system
+from gradedrings.groups import Cyclic, FreeGroup
 from gradedrings.rings import (IntegerModRing, IntegerRing, MatrixRing,
                                ProductRing, RankCertificate, RationalRing,
                                RingMatrix, block_down_certificate,
@@ -9,7 +13,9 @@ from gradedrings.rings import (IntegerModRing, IntegerRing, MatrixRing,
                                hom_certificate, mat_mul, opposite_certificate,
                                product_certificate, truncate_certificate,
                                verify_certificate)
-from gradedrings.special_algebras import leavitt_rank_certificate
+from gradedrings.special_algebras import (LeavittRing, WeylRing,
+                                          leavitt_rank_certificate)
+from gradedrings.translation import TranslationRing
 
 Z = IntegerRing()
 
@@ -130,3 +136,60 @@ def test_mat_mul_shapes():
     assert mat_mul(a, b)[0, 0] == 6
     with pytest.raises(ValueError):
         mat_mul(a, a)
+
+
+def _sparse_rings():
+    """(ring, generators) for every SparseRing kind, with bases that have
+    zero divisors where the ring allows them, so that sums and products
+    cancel."""
+    Z4 = IntegerModRing(4)
+    F2 = FreeGroup(2)
+    T = TranslationRing(F2, whole_group(F2), Z4)
+    a, b = F2.generators()
+    omega = {(g, h): (-1 if g + h >= 4 else 1)
+             for g in range(4) for h in range(4)}
+    out = []
+    for L in (LeavittRing(2), LeavittRing(3, Z4)):
+        out.append((L, [L.gen(i) for i in range(1, L.n + 1)]
+                    + [L.gen_star(i) for i in range(1, L.n + 1)]))
+    for W in (WeylRing([1], [1]), WeylRing([1, -1], [1, 0])):
+        out.append((W, [W.x(i) for i in range(1, W.n + 1)] + [W.y()]))
+    RG = group_ring(Cyclic(4), Z4)
+    tw = CrossedProductRing(twisted_system(Cyclic(4), Z, omega, dict(omega)))
+    for C in (RG, tw):
+        out.append((C, [C.term(C.base.one(), g) for g in range(4)]))
+    out.append((T, [T.shift(a), T.shift(F2.inv(b)), T.diag(T.fn(0, {a: 2})),
+                    T.diag(T.fn(2, {(): 1}))]))
+    return out
+
+
+_SPARSE = _sparse_rings()
+
+
+@pytest.mark.parametrize("ring,gens", _SPARSE, ids=[r.name for r, _ in _SPARSE])
+def test_sparse_ring_results_are_canonical(ring, gens):
+    """add, neg and mul never store a zero coefficient, and Leavitt results
+    have no monomial with alpha and beta both ending in e_n: the
+    structural SparseRing.eq relies on both."""
+    rng = random.Random(7)
+
+    def rand():
+        out = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            term = ring.from_int(rng.choice([-2, -1, 1, 2, 3]))
+            for _ in range(rng.randint(0, 3)):
+                term = ring.mul(term, rng.choice(gens))
+            out = ring.add(out, term)
+        return out
+
+    def check(x):
+        assert all(not ring.base.is_zero(c) for c in x.values())
+        if isinstance(ring, LeavittRing):
+            assert not any(al and be and al[-1] == be[-1] == ring.n
+                           for al, be in x)
+
+    for _ in range(60):
+        u, v = rand(), rand()
+        for x in (ring.add(u, v), ring.add(u, ring.neg(u)), ring.neg(u),
+                  ring.mul(u, v), ring.mul(ring.from_int(2), ring.from_int(2))):
+            check(x)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedrings.amenability import (InjectionWitness, bs_X,
                                      find_two_to_one_injection, finite_subset,
@@ -48,6 +49,52 @@ def test_mul_matches_convolution_oracle():
         for y in range(-3, 4):
             assert tr_entry(T, P, (x,), (y,)) == \
                 tr_mul_oracle_entry(T, M, N, (x,), (y,))
+
+
+F2 = FreeGroup(2)
+_F2_NEAR = F2.ball(1)
+_F2_WINDOW = F2.ball(2)
+_terms = st.lists(st.tuples(
+    st.sampled_from(_F2_NEAR), st.integers(-2, 2),
+    st.dictionaries(st.sampled_from(_F2_NEAR), st.integers(-2, 2), max_size=2)),
+    max_size=3)
+
+
+def _term_sum(T, terms):
+    out = T.zero()
+    for g, const, overrides in terms:
+        out = T.add(out, T.term(g, T.fn(const, overrides)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_terms, _terms)
+def test_mul_matches_convolution_on_random_term_sums(ms, ns):
+    T = TranslationRing(F2, whole_group(F2), Z)
+    M, N = _term_sum(T, ms), _term_sum(T, ns)
+    P = T.mul(M, N)
+    for x in _F2_WINDOW:
+        for y in _F2_WINDOW:
+            assert tr_entry(T, P, x, y) == tr_mul_oracle_entry(T, M, N, x, y)
+
+
+def _right_entry(M, x, y):
+    """Entry rule of the right ring: (g, f) puts f(x) at (x, x g)."""
+    f = M.get(F2.mul(F2.inv(x), y))
+    return f(x) if f is not None else 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_terms, _terms)
+def test_right_mul_matches_convolution_on_random_term_sums(ms, ns):
+    R = RightTranslationRing(F2, whole_group(F2), Z)
+    M, N = _term_sum(R, ms), _term_sum(R, ns)
+    P = R.mul(M, N)
+    for x in _F2_WINDOW:
+        for y in _F2_WINDOW:
+            want = sum(_right_entry(M, x, F2.mul(x, g))
+                       * _right_entry(N, F2.mul(x, g), y) for g in M)
+            assert _right_entry(P, x, y) == want
 
 
 def test_ring_equality_follows_the_subset_not_its_name():
