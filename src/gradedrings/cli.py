@@ -3,14 +3,14 @@
 Subcommands cover every construction in the library: folner, paradox,
 collapse, compress, cert (verify/extend/opposite/block/product/hom), monoid,
 crossed, endo-graded, psi, normalize, bs-check, rosenblatt, and repro.
-Exit codes: 0 on pass/found, 1 on a verified negative, 2 on input errors.
+Exit codes: 0 on pass/found, 1 on a verified negative, 2 on input errors,
+3 on an internal error (never a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -23,8 +23,10 @@ from .amenability import (FolnerWitness, InjectionWitness, bs_X, bs_X0,
 from .graded import (CrossedProductRing, endo_graded_construction,
                      group_ring_system, psi_embedding_check, twisted_system,
                      verify_crossed_system)
-from .groups import Group, group_from_spec, split_top_level
-from .monoids import MnklParams, cnk_leq, cnk_normalize, mnkl_leq
+from .groups import (DEFAULT_MAX_RADIUS, Group, group_from_spec,
+                     split_top_level)
+from .monoids import (DEFAULT_CLOSURE_DEPTH, MnklParams, cnk_leq,
+                      cnk_normalize, mnkl_leq)
 from .report import Report, VerificationError
 from .rings import (IntegerModRing, block_down_certificate,
                     block_up_certificate, extend_certificate, hom_certificate,
@@ -37,23 +39,18 @@ from .serialize import (certificate_from_json, certificate_to_json, dump_json,
 from .special_algebras import LeavittRing, WeylRing
 from .translation import CompressionInput, collapse_matrices, compress_certificate
 
-DEFAULT_RMAX = int(os.environ.get("GRADEDRINGS_RMAX", "8"))
-DEFAULT_DEPTH = int(os.environ.get("GRADEDRINGS_DEPTH", "10"))
-DEFAULT_WINDOW = int(os.environ.get("GRADEDRINGS_WINDOW", "6"))
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
 
-def _parse_set(group: Group, text: str, r_hint: int = DEFAULT_RMAX) -> list:
+def _parse_set(group: Group, text: str) -> list:
     """A finite subset: "ball:r", or elements separated by ";" (braces
     optional).  Semicolons because some element forms contain commas."""
     text = text.strip()
     m = re.fullmatch(r"ball:(\d+)", text)
     if m:
         r = int(m.group(1))
-        return group.ball(r, max_radius=max(r, r_hint))
+        return group.ball(r, max_radius=r)
     if text.startswith("{") and text.endswith("}"):
         text = text[1:-1]
     return [group.element_from_str(p) for p in split_top_level(text, ";")]
@@ -90,7 +87,7 @@ def _emit_report(args, rep: Report, **payload) -> int:
 def _cmd_folner(args) -> int:
     G = group_from_spec(args.group)
     X = _subset(G, args.subset)
-    K = _parse_set(G, args.k, args.r_max)
+    K = _parse_set(G, args.k)
     res = folner_search(G, X, K, Fraction(args.eps), args.r_max)
     if isinstance(res, FolnerWitness):
         data = folner_witness_to_json(G, res)
@@ -391,7 +388,7 @@ def _algebra_from_spec(spec: str):
 
 
 def _cmd_bs_check(args) -> int:
-    rep = bs_example_check(args.k, args.r, max_radius=max(args.r, DEFAULT_RMAX))
+    rep = bs_example_check(args.k, args.r, max_radius=args.r)
     return _emit_report(args, rep)
 
 
@@ -453,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", default="all")
     p.add_argument("--k", required=True, help='e.g. "ball:1" or "{0; 1}"')
     p.add_argument("--eps", required=True)
-    p.add_argument("--r-max", type=int, default=DEFAULT_RMAX)
+    p.add_argument("--r-max", type=int, default=DEFAULT_MAX_RADIUS)
     p.add_argument("--out")
 
     p = add("paradox", _cmd_paradox,
@@ -492,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("monoid", _cmd_monoid,
             help='decide order relations, e.g. "3*x1 <= 2*x1 in M(2,1,1)"')
     p.add_argument("expression")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=int, default=DEFAULT_CLOSURE_DEPTH)
 
     p = add("crossed", _cmd_crossed, help="verify a crossed system from JSON")
     p.add_argument("--config", required=True)
@@ -510,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default="1")
     p.add_argument("--samples", required=True,
                    help='elements separated by ";", e.g. "x1; y; x1 y"')
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--window", type=int, default=6)
     p.add_argument("--component-window", type=int)
 
     p = add("normalize", _cmd_normalize,
@@ -550,6 +547,10 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault in the program must not read as a verdict (exit 1 is "no")
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

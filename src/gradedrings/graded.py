@@ -134,37 +134,25 @@ def verify_crossed_system(cs: CrossedSystem,
 class CrossedProductRing(SparseRing):
     """Formal sums {g: r_g} multiplied by (r g)(s h) = r (g.s) w(g,h) (gh).
 
-    The crossed system is verified at construction time.
+    The crossed system is verified at construction time.  Group rings
+    carry no data beyond (G, R) and compare structurally; any other crossed
+    product compares by the identity of its system.
     """
 
-    def __init__(self, cs: CrossedSystem, check: bool = True):
-        if check:
-            rep = verify_crossed_system(cs)
-            if not rep.ok:
-                raise ValueError("crossed system fails verification: "
-                                 + "; ".join(rep.failures[:3]))
+    def __init__(self, cs: CrossedSystem):
+        rep = verify_crossed_system(cs)
+        if not rep.ok:
+            raise ValueError("crossed system fails verification: "
+                             + "; ".join(rep.failures[:3]))
         self.cs = cs
         self.group = cs.group
         self.base = cs.ring
         self.unit_key = cs.group.identity()
+        self.key = (cs.group, cs.ring) if cs.is_group_ring else (cs,)
         kind = ("group ring" if cs.is_group_ring
                 else "skew" if cs.trivial_omega
                 else "twisted" if cs.trivial_sigma else "crossed")
         self.name = f"{kind}({self.base.name}, {self.group.name})"
-
-    def __eq__(self, other):
-        if not isinstance(other, CrossedProductRing):
-            return False
-        if self.cs is other.cs:
-            return True
-        # group rings carry no extra data, so compare structurally
-        return (self.cs.is_group_ring and other.cs.is_group_ring
-                and self.group == other.group and self.base == other.base)
-
-    def __hash__(self):
-        if self.cs.is_group_ring:
-            return hash(("group ring", hash(self.group), hash(self.base)))
-        return hash(("crossed", id(self.cs)))
 
     def term(self, r, g) -> dict:
         self.group.check_element(g)
@@ -236,6 +224,9 @@ def augmentation_is_multiplicative(ring: CrossedProductRing,
 # strong grading
 
 
+STRONG_COEFF_BOUND = 3
+
+
 @dataclass
 class StrongGradingVerdict:
     g: object
@@ -244,13 +235,13 @@ class StrongGradingVerdict:
 
 
 def strong_grading_check(ring: Ring, components: dict, inv: Callable,
-                         gs: Sequence, coeff_bound: int = 3) -> list:
+                         gs: Sequence) -> list:
     """For each tested g, search for 1 as a combination of products from the
     spanning sets of R_g and R_{g^-1}.
 
     Bounded strategy: scaled single products (integer coefficients up to
-    coeff_bound), then a greedy family of pairwise orthogonal idempotent
-    products summed up.  A negative verdict means the bounded search failed,
+    STRONG_COEFF_BOUND), then a greedy family of pairwise orthogonal
+    idempotent products summed up.  A negative verdict means the bounded search failed,
     not that the grading is weak.
     """
     out = []
@@ -265,7 +256,7 @@ def strong_grading_check(ring: Ring, components: dict, inv: Callable,
                     products.append((ia, ib, p))
         verdict = StrongGradingVerdict(g, False, "")
         for ia, ib, p in products:
-            for c in range(1, coeff_bound + 1):
+            for c in range(1, STRONG_COEFF_BOUND + 1):
                 for s in (c, -c):
                     if ring.eq(ring.mul(ring.from_int(s), p), ring.one()):
                         verdict = StrongGradingVerdict(

@@ -18,9 +18,20 @@ _GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
 class Group:
-    """Base class: a finitely generated group with a fixed generating set."""
+    """Base class: a finitely generated group with a fixed generating set.
+
+    Subclasses set key, the tuple of parameters that identifies the group:
+    two groups are equal exactly when they have the same class and key.
+    """
 
     name: str
+    key: tuple
+
+    def __eq__(self, other):
+        return other is self or (type(other) is type(self) and other.key == self.key)
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.key))
 
     def identity(self):
         raise NotImplementedError
@@ -103,13 +114,8 @@ class FreeGroup(Group):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         self.rank = rank
+        self.key = (rank,)
         self.name = f"F{rank}"
-
-    def __eq__(self, other):
-        return isinstance(other, FreeGroup) and other.rank == self.rank
-
-    def __hash__(self):
-        return hash(("FreeGroup", self.rank))
 
     def identity(self):
         return ()
@@ -172,13 +178,8 @@ class FreeAbelian(Group):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         self.rank = rank
+        self.key = (rank,)
         self.name = "Z" if rank == 1 else f"Z^{rank}"
-
-    def __eq__(self, other):
-        return isinstance(other, FreeAbelian) and other.rank == self.rank
-
-    def __hash__(self):
-        return hash(("FreeAbelian", self.rank))
 
     def identity(self):
         return (0,) * self.rank
@@ -234,13 +235,8 @@ class BaumslagSolitar(Group):
         if k < 2:
             raise ValueError("k must be >= 2")
         self.k = k
+        self.key = (k,)
         self.name = f"BS(1,{k})"
-
-    def __eq__(self, other):
-        return isinstance(other, BaumslagSolitar) and other.k == self.k
-
-    def __hash__(self):
-        return hash(("BS", self.k))
 
     def identity(self):
         return (Fraction(0), 0)
@@ -289,13 +285,8 @@ class Cyclic(Group):
         if m < 1:
             raise ValueError("order must be >= 1")
         self.m = m
+        self.key = (m,)
         self.name = f"C({m})"
-
-    def __eq__(self, other):
-        return isinstance(other, Cyclic) and other.m == self.m
-
-    def __hash__(self):
-        return hash(("Cyclic", self.m))
 
     def identity(self):
         return 0
@@ -333,13 +324,8 @@ class DirectProduct(Group):
         if not factors:
             raise ValueError("need at least one factor")
         self.factors = list(factors)
+        self.key = tuple(self.factors)
         self.name = " x ".join(f.name for f in self.factors)
-
-    def __eq__(self, other):
-        return isinstance(other, DirectProduct) and other.factors == self.factors
-
-    def __hash__(self):
-        return hash(("DirectProduct", tuple(hash(f) for f in self.factors)))
 
     def identity(self):
         return tuple(f.identity() for f in self.factors)

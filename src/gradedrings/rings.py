@@ -19,9 +19,20 @@ from .report import VerificationError
 
 class Ring:
     """Abstract exact ring.  Elements are plain Python values; the ring
-    object supplies the operations and decidable equality."""
+    object supplies the operations and decidable equality.
+
+    Subclasses set key, the tuple of parameters that identifies the ring:
+    two rings are equal exactly when they have the same class and key.
+    """
 
     name: str
+    key: tuple
+
+    def __eq__(self, other):
+        return other is self or (type(other) is type(self) and other.key == self.key)
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.key))
 
     def zero(self):
         raise NotImplementedError
@@ -122,6 +133,7 @@ class SparseRing(Ring):
 
 class IntegerRing(Ring):
     name = "Z"
+    key = ()
 
     def zero(self):
         return 0
@@ -144,18 +156,13 @@ class IntegerRing(Ring):
     def from_int(self, n):
         return n
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("Z")
-
     def element_from_str(self, s):
         return int(s)
 
 
 class RationalRing(Ring):
     name = "Q"
+    key = ()
 
     def zero(self):
         return Fraction(0)
@@ -178,12 +185,6 @@ class RationalRing(Ring):
     def from_int(self, n):
         return Fraction(n)
 
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash("Q")
-
     def element_from_str(self, s):
         return Fraction(s)
 
@@ -195,6 +196,7 @@ class IntegerModRing(Ring):
         if m < 2:
             raise ValueError("modulus must be >= 2")
         self.m = m
+        self.key = (m,)
         self.name = f"Z/{m}"
 
     def zero(self):
@@ -218,12 +220,6 @@ class IntegerModRing(Ring):
     def from_int(self, n):
         return n % self.m
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerModRing) and other.m == self.m
-
-    def __hash__(self):
-        return hash(("Z/", self.m))
-
     def element_from_str(self, s):
         return int(s) % self.m
 
@@ -235,6 +231,7 @@ class ProductRing(Ring):
         if not factors:
             raise ValueError("need at least one factor")
         self.factors = list(factors)
+        self.key = tuple(self.factors)
         self.name = "prod(" + ", ".join(f.name for f in self.factors) + ")"
 
     def zero(self):
@@ -255,12 +252,6 @@ class ProductRing(Ring):
     def eq(self, a, b):
         return all(f.eq(x, y) for f, x, y in zip(self.factors, a, b))
 
-    def __eq__(self, other):
-        return isinstance(other, ProductRing) and other.factors == self.factors
-
-    def __hash__(self):
-        return hash(("prod", tuple(hash(f) for f in self.factors)))
-
     def element_to_str(self, a):
         return "(" + "; ".join(f.element_to_str(x) for f, x in zip(self.factors, a)) + ")"
 
@@ -279,6 +270,7 @@ class OppositeRing(Ring):
 
     def __init__(self, base: Ring):
         self.base = base
+        self.key = (base,)
         self.name = f"op({base.name})"
 
     def opposite(self):
@@ -302,12 +294,6 @@ class OppositeRing(Ring):
     def eq(self, a, b):
         return self.base.eq(a, b)
 
-    def __eq__(self, other):
-        return isinstance(other, OppositeRing) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("op", hash(self.base)))
-
     def element_to_str(self, a):
         return self.base.element_to_str(a)
 
@@ -323,6 +309,7 @@ class MatrixRing(Ring):
             raise ValueError("size must be >= 1")
         self.base = base
         self.size = size
+        self.key = (base, size)
         self.name = f"M{size}({base.name})"
 
     def zero(self):
@@ -342,13 +329,6 @@ class MatrixRing(Ring):
 
     def eq(self, a, b):
         return a.eq(b)
-
-    def __eq__(self, other):
-        return (isinstance(other, MatrixRing) and other.base == self.base
-                and other.size == self.size)
-
-    def __hash__(self):
-        return hash(("mat", hash(self.base), self.size))
 
 
 class RingMatrix:

@@ -154,11 +154,17 @@ def translation_certificate_to_json(tring: TranslationRing,
     }
 
 
-def translation_certificate_from_json(data: dict, X=None):
+def translation_certificate_from_json(data: dict):
+    """Load a certificate over T(G|all; R).  A subset other than "all" is
+    not determined by its name, so it is refused; a missing one is "all"."""
     from .amenability import whole_group
+    subset = data.get("subset", "all")
+    if subset != "all":
+        raise ValueError(f"cannot rebuild subset {subset!r} from a "
+                         "translation certificate (only 'all')")
     group = group_from_spec(data["group"])
     base = ring_from_spec(data["ring"])
-    tring = TranslationRing(group, X if X is not None else whole_group(group), base)
+    tring = TranslationRing(group, whole_group(group), base)
     n, m = int(data["n"]), int(data["m"])
     A = RingMatrix.from_rows(
         tring, [[translation_element_from_json(tring, v) for v in row]

@@ -67,14 +67,8 @@ class LeavittRing(_MonomialAlgebra):
             raise ValueError("need n >= 2")
         self.n = n
         self.base = base if base is not None else _Z
+        self.key = (n, self.base)
         self.name = f"L(1,{n})" if self.base == _Z else f"L(1,{n};{self.base.name})"
-
-    def __eq__(self, other):
-        return (isinstance(other, LeavittRing) and other.n == self.n
-                and other.base == self.base)
-
-    def __hash__(self):
-        return hash(("Leavitt", self.n, hash(self.base)))
 
     def monomial(self, alpha: Sequence[int], beta: Sequence[int], coeff=None):
         for i in tuple(alpha) + tuple(beta):
@@ -266,6 +260,7 @@ class WeylRing(_MonomialAlgebra):
             if not S.eq(S.mul(v, w), S.one()):
                 raise ValueError(f"a_i = {S.element_to_str(v)} is not a unit "
                                  "(inverse check failed)")
+        self.key = (tuple(self.a), tuple(self.b), S)
         self.name = f"Weyl(n={self.n};{S.name})"
 
     def _guess_inverse(self, v):
@@ -275,17 +270,6 @@ class WeylRing(_MonomialAlgebra):
         if S.eq(v, S.neg(S.one())):
             return S.neg(S.one())
         raise ValueError("supply a_inv for non-trivial units")
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylRing) or other.base != self.base:
-            return False
-        S = self.base
-        return (len(other.a) == len(self.a)
-                and all(S.eq(x, y) for x, y in zip(other.a, self.a))
-                and all(S.eq(x, y) for x, y in zip(other.b, self.b)))
-
-    def __hash__(self):
-        return hash(("Weyl", self.n, hash(self.base)))
 
     def x(self, i):
         if not 1 <= i <= self.n:

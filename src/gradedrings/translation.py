@@ -49,13 +49,8 @@ class FunctionRing(Ring):
 
     def __init__(self, base: Ring):
         self.base = base
+        self.key = (base,)
         self.name = f"Fun({base.name})"
-
-    def __eq__(self, other):
-        return isinstance(other, FunctionRing) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("Fun", hash(self.base)))
 
     def zero(self):
         return CoeffFn(self.base, self.base.zero())
@@ -108,14 +103,8 @@ class TranslationRing(SparseRing):
         self.X = X
         self.base = FunctionRing(base)
         self.unit_key = group.identity()
+        self.key = (group, X, self.base)
         self.name = f"T({group.name}|{X.name}; {base.name})"
-
-    def __eq__(self, other):
-        return (isinstance(other, TranslationRing) and other.group == self.group
-                and other.base == self.base and other.X == self.X)
-
-    def __hash__(self):
-        return hash(("T", hash(self.X), hash(self.base)))
 
     # construction ----------------------------------------------------------
 

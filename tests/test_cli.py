@@ -43,6 +43,16 @@ def test_paradox(capsys, tmp_path):
     assert "Hall" in capsys.readouterr().out
 
 
+def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
+    """A failed recount is a fault in the program: exit 3, never 1."""
+    monkeypatch.setattr("gradedrings.cli.verify_hall_violation",
+                        lambda *args: False)
+    assert run("paradox", "--group", "Z", "--v", "{0; 1; 2}",
+               "--w", "ball:3", "--k", "{-1; 0; 1}") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: VerificationError: Hall violator")
+
+
 def test_collapse(capsys):
     assert run("collapse", "--group", "F2", "--v", "ball:1", "--w", "ball:2",
                "--k", "ball:1") == 0

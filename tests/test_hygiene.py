@@ -28,3 +28,29 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the classes whose __eq__/__hash__ hold the one identity rule (same class,
+# equal key) for groups, rings and subsets
+IDENTITY_BASES = {"Group", "Ring", "SubsetPredicate"}
+
+
+def identity_methods(source: str) -> dict:
+    """Class name -> the subset of {__eq__, __hash__} it defines."""
+    out = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            names = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            if names & {"__eq__", "__hash__"}:
+                out[node.name] = names & {"__eq__", "__hash__"}
+    return out
+
+
+def test_equality_is_defined_once():
+    """Only the identity bases define __eq__/__hash__, and each defines
+    both, so concrete groups and rings get equality from their key."""
+    found = {}
+    for path in MODULES:
+        found.update(identity_methods(path.read_text()))
+    assert set(found) <= IDENTITY_BASES, sorted(set(found) - IDENTITY_BASES)
+    assert all(m == {"__eq__", "__hash__"} for m in found.values()), found

@@ -5,7 +5,8 @@ import pytest
 
 from gradedrings.amenability import whole_group
 from gradedrings.graded import CrossedProductRing, group_ring, twisted_system
-from gradedrings.groups import Cyclic, FreeGroup
+from gradedrings.groups import (BaumslagSolitar, Cyclic, DirectProduct,
+                                FreeAbelian, FreeGroup)
 from gradedrings.rings import (IntegerModRing, IntegerRing, MatrixRing,
                                ProductRing, RankCertificate, RationalRing,
                                RingMatrix, block_down_certificate,
@@ -15,7 +16,8 @@ from gradedrings.rings import (IntegerModRing, IntegerRing, MatrixRing,
                                verify_certificate)
 from gradedrings.special_algebras import (LeavittRing, WeylRing,
                                           leavitt_rank_certificate)
-from gradedrings.translation import TranslationRing
+from gradedrings.translation import (FunctionRing, RightTranslationRing,
+                                     TranslationRing)
 
 Z = IntegerRing()
 
@@ -193,3 +195,50 @@ def test_sparse_ring_results_are_canonical(ring, gens):
         for x in (ring.add(u, v), ring.add(u, ring.neg(u)), ring.neg(u),
                   ring.mul(u, v), ring.mul(ring.from_int(2), ring.from_int(2))):
             check(x)
+
+
+def _identity_cases():
+    """Zero-argument builders of distinct groups and rings; each call builds
+    its object from scratch."""
+    return [
+        lambda: FreeGroup(2), lambda: FreeGroup(3), lambda: FreeAbelian(1), lambda: FreeAbelian(2),
+        lambda: BaumslagSolitar(2), lambda: BaumslagSolitar(3),
+        lambda: Cyclic(4), lambda: DirectProduct([Cyclic(2), Cyclic(2)]),
+        IntegerRing, RationalRing, lambda: IntegerModRing(4),
+        lambda: IntegerModRing(5), lambda: ProductRing([Z, IntegerModRing(3)]),
+        lambda: LeavittRing(2).opposite(), lambda: FunctionRing(Z),
+        lambda: MatrixRing(IntegerRing(), 2), lambda: MatrixRing(IntegerRing(), 3),
+        lambda: LeavittRing(2), lambda: LeavittRing(2, IntegerModRing(4)),
+        lambda: WeylRing([1], [1]), lambda: WeylRing([1], [2]),
+        lambda: TranslationRing(FreeGroup(2), whole_group(FreeGroup(2)), Z),
+        lambda: RightTranslationRing(FreeGroup(2), whole_group(FreeGroup(2)), Z),
+        lambda: group_ring(Cyclic(4), IntegerRing()),
+    ]
+
+
+def test_identity_is_class_and_key():
+    """Every group and ring equals its twin built from scratch, with an
+    equal hash, and differs from every other entry: left and right
+    translation rings over the same data included."""
+    cases = _identity_cases()
+    objs = [build() for build in cases]
+    twins = [build() for build in cases]
+    for i, (x, twin) in enumerate(zip(objs, twins)):
+        assert x is not twin and x == twin and hash(x) == hash(twin), x.name
+        for j, y in enumerate(objs):
+            if j != i:
+                assert x != y, (x.name, y.name)
+
+
+def test_twisted_rings_compare_by_system():
+    """A twisted ring carries its system's tables, so rings from separately
+    built systems differ even when the tables agree."""
+    def build():
+        omega = {(g, h): (-1 if g + h >= 4 else 1)
+                 for g in range(4) for h in range(4)}
+        return CrossedProductRing(twisted_system(Cyclic(4), Z, omega, dict(omega)))
+
+    a, b = build(), build()
+    assert a == a and a != b
+    assert a != group_ring(Cyclic(4), Z)
+    assert CrossedProductRing(a.cs) == a

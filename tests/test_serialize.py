@@ -1,9 +1,10 @@
 import pytest
 
-from gradedrings.amenability import (InjectionWitness,
+from gradedrings.amenability import (InjectionWitness, bs_X,
                                      find_two_to_one_injection, folner_search,
                                      verify_injection_witness, whole_group)
-from gradedrings.groups import FreeAbelian, FreeGroup
+from gradedrings.cli import main
+from gradedrings.groups import BaumslagSolitar, FreeAbelian, FreeGroup
 from gradedrings.rings import (IntegerModRing, IntegerRing, MatrixRing,
                                ProductRing, RankCertificate, RingMatrix,
                                verify_certificate)
@@ -70,6 +71,24 @@ def test_translation_certificate_round_trip():
     T2, back = translation_certificate_from_json(data)
     assert T2 == T
     assert back.A.eq(A.reinterpret(T2)) and back.B.eq(B.reinterpret(T2))
+
+
+def test_translation_certificate_refuses_a_subset_it_cannot_rebuild(
+        tmp_path, capsys):
+    """Only "all" is rebuilt from its name; loading X=AB as the whole group
+    would give a different ring.  compress reports it as an input error."""
+    G = BaumslagSolitar(2)
+    T = TranslationRing(G, bs_X(G), IntegerRing())
+    one = RingMatrix(T, 1, 1, [T.one()])
+    data = translation_certificate_to_json(T, RankCertificate(T, 1, 1, one, one))
+    assert data["subset"] == "X=AB"
+    with pytest.raises(ValueError, match="X=AB"):
+        translation_certificate_from_json(data)
+    path = tmp_path / "t.json"
+    dump_json(data, str(path))
+    assert main(["compress", "--certificate", str(path), "--k", "ball:1",
+                 "--f", "ball:1"]) == 2
+    assert "X=AB" in capsys.readouterr().err
 
 
 def test_injection_witness_round_trip():
