@@ -107,7 +107,7 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
     if not K:
         raise ValueError("K must be nonempty")
     if candidates is None:
-        candidates = [group.ball(r, max_radius=max(r_max, 8)) for r in range(r_max + 1)]
+        candidates = [group.ball(r, max_radius=r) for r in range(r_max + 1)]
     ratios = []
     for idx, F in enumerate(candidates):
         F = list(F)
@@ -134,7 +134,7 @@ def expansion_profile(group: Group, X: SubsetPredicate, K: Sequence,
     """Exact ratios |K B_r cap X| / |B_r cap X| for r = 0..r_max."""
     out = []
     for r in range(r_max + 1):
-        F = group.ball(r, max_radius=max(r_max, 8))
+        F = group.ball(r, max_radius=r)
         f_count = sum(1 for f in F if f in X)
         kf = set_product(group, K, F)
         kf_count = sum(1 for g in kf if g in X)
@@ -289,13 +289,13 @@ class BSCheckReport(Report):
     )
 
 
-def bs_example_check(k: int, r: int, max_radius: int = 8) -> BSCheckReport:
+def bs_example_check(k: int, r: int) -> BSCheckReport:
     """Ball-truncated verification that X0, aX0 are disjoint subsets of X and
     that b carries X into X0 in BS(1,k)."""
     G = BaumslagSolitar(k)
     X = bs_X(G)
     X0 = bs_X0(G)
-    ball = G.ball(r, max_radius=max_radius)
+    ball = G.ball(r, max_radius=r)
     a = (Fraction(1), 0)
     b = (Fraction(0), 1)
     binv = G.inv(b)

@@ -388,7 +388,7 @@ def _algebra_from_spec(spec: str):
 
 
 def _cmd_bs_check(args) -> int:
-    rep = bs_example_check(args.k, args.r, max_radius=args.r)
+    rep = bs_example_check(args.k, args.r)
     return _emit_report(args, rep)
 
 

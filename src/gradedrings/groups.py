@@ -361,7 +361,7 @@ class DirectProduct(Group):
         s = s.strip()
         if s.startswith("(") and s.endswith(")"):
             s = s[1:-1]
-        parts = s.split(";")
+        parts = split_top_level(s, ";")
         if len(parts) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates: {s!r}")
         return tuple(f.element_from_str(p) for f, p in zip(self.factors, parts))

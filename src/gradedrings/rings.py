@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .groups import split_top_level
 from .report import VerificationError
 
 
@@ -259,7 +260,7 @@ class ProductRing(Ring):
         s = s.strip()
         if s.startswith("(") and s.endswith(")"):
             s = s[1:-1]
-        parts = s.split(";")
+        parts = split_top_level(s, ";")
         if len(parts) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} components: {s!r}")
         return tuple(f.element_from_str(p) for f, p in zip(self.factors, parts))

@@ -170,9 +170,11 @@ class MatrixUnitReport(Report):
         self.failures: list[str] = []
 
 
+MAX_MATRIX_UNITS = 64
+
+
 def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
-                         base: Optional[Ring] = None,
-                         max_units: int = 64) -> tuple[list, MatrixUnitReport]:
+                         base: Optional[Ring] = None) -> tuple[list, MatrixUnitReport]:
     """Build the matrix units eps_ij = sigma(i) sigma(j)* from length-l words
     and verify the matrix-unit laws exhaustively.
 
@@ -186,8 +188,8 @@ def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
     N = n ** l
     if len(words) != N or len(set(words)) != N:
         raise ValueError(f"sigma must be a bijection onto the {N} words of length {l}")
-    if N > max_units:
-        raise ValueError(f"n^l = {N} exceeds bound {max_units}")
+    if N > MAX_MATRIX_UNITS:
+        raise ValueError(f"n^l = {N} exceeds bound {MAX_MATRIX_UNITS}")
     eps = [[L.monomial(words[i], words[j]) for j in range(N)] for i in range(N)]
     rep = MatrixUnitReport()
     for i in range(N):
@@ -233,43 +235,29 @@ def _words(n: int, l: int) -> list[tuple]:
 
 
 class WeylRing(_MonomialAlgebra):
-    """S-algebra on x_1..x_n, y with y x_i = a_i x_i y + b_i.
+    """Z-algebra on x_1..x_n, y with y x_i = a_i x_i y + b_i.
 
     Z-graded by deg(x_i) = 1, deg(y) = -1; basis monomials are x-words
-    followed by a power of y.  Each a_i must be a unit of S with its inverse
-    supplied (needed when solving for coordinates in the y^m components).
+    followed by a power of y.  Each a_i is a unit of Z, so 1 or -1, and is
+    its own inverse (needed when solving for coordinates in the y^m
+    components).
     """
 
     unit_key = ((), 0)
+    base = _Z
 
-    def __init__(self, a: Sequence, b: Sequence, base: Optional[Ring] = None,
-                 a_inv: Optional[Sequence] = None):
-        self.base = base if base is not None else _Z
-        S = self.base
-        self.a = [S.from_int(v) if isinstance(v, int) and S == _Z else v for v in a]
-        self.b = [S.from_int(v) if isinstance(v, int) and S == _Z else v for v in b]
+    def __init__(self, a: Sequence[int], b: Sequence[int]):
+        self.a, self.b = list(a), list(b)
         if len(self.a) != len(self.b):
             raise ValueError("need as many a_i as b_i")
         self.n = len(self.a)
         if self.n < 1:
             raise ValueError("need at least one x generator")
-        if a_inv is None:
-            a_inv = [self._guess_inverse(v) for v in self.a]
-        self.a_inv = list(a_inv)
-        for v, w in zip(self.a, self.a_inv):
-            if not S.eq(S.mul(v, w), S.one()):
-                raise ValueError(f"a_i = {S.element_to_str(v)} is not a unit "
-                                 "(inverse check failed)")
-        self.key = (tuple(self.a), tuple(self.b), S)
-        self.name = f"Weyl(n={self.n};{S.name})"
-
-    def _guess_inverse(self, v):
-        S = self.base
-        if S.eq(v, S.one()):
-            return S.one()
-        if S.eq(v, S.neg(S.one())):
-            return S.neg(S.one())
-        raise ValueError("supply a_inv for non-trivial units")
+        if any(v not in (1, -1) for v in self.a):
+            raise ValueError("a_i must be 1 or -1")
+        self.a_inv = self.a
+        self.key = (tuple(self.a), tuple(self.b))
+        self.name = f"Weyl(n={self.n};{_Z.name})"
 
     def x(self, i):
         if not 1 <= i <= self.n:

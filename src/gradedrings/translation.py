@@ -205,7 +205,10 @@ class FiniteGroupIsoReport(Report):
               ("bijective_ok", "bijectivity (matrix-unit count)"))
 
 
-def finite_group_iso(group: Group, ring: Ring, bound: int = 12) -> FiniteGroupIsoReport:
+FINITE_ISO_MAX_ORDER = 12
+
+
+def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     """Verify the skew-group-ring description of T(G, R) for finite G.
 
     Sends a function f: G -> R to the diagonal matrix D_f and a group
@@ -216,8 +219,8 @@ def finite_group_iso(group: Group, ring: Ring, bound: int = 12) -> FiniteGroupIs
     """
     elems = group.elements()
     N = len(elems)
-    if N > bound:
-        raise ValueError(f"group order {N} exceeds bound {bound}")
+    if N > FINITE_ISO_MAX_ORDER:
+        raise ValueError(f"group order {N} exceeds bound {FINITE_ISO_MAX_ORDER}")
     idx = {x: i for i, x in enumerate(elems)}
     R = ring
     rep = FiniteGroupIsoReport(group.name, ring.name, True, True, True, True, True)

@@ -1,5 +1,6 @@
 import pytest
 
+from gradedrings import graded
 from gradedrings.graded import (CrossedProductRing, CrossedSystem,
                                 augmentation_is_multiplicative,
                                 endo_graded_construction, group_ring,
@@ -121,3 +122,42 @@ def test_psi_embedding_two_generators():
     samples = [W.one(), W.x(1), W.x(2), W.y()]
     rep = psi_embedding_check(W, samples, window=3, component_window=2)
     assert rep.ok, rep.lines()
+
+
+def _faulty_blocks(monkeypatch, target, fault):
+    """Make graded._block_matrix apply fault(ring, M) to block target."""
+    build = graded._block_matrix
+
+    def block_matrix(ring, part, d, x, y):
+        M = build(ring, part, d, x, y)
+        return fault(ring, M) if (x, y) == target else M
+
+    monkeypatch.setattr(graded, "_block_matrix", block_matrix)
+
+
+def _bump_corner(ring, M):
+    return [[ring.add(v, ring.one()) if (a, b) == (0, 0) else v
+             for b, v in enumerate(row)] for a, row in enumerate(M)]
+
+
+def _negate(ring, M):
+    return [[ring.neg(v) for v in row] for row in M]
+
+
+# flags, failure-message count and pairs checked, measured on the per-entry
+# evaluator that the row-wise check replaced
+@pytest.mark.parametrize("target, fault, flags, messages", [
+    ((1, 0), _bump_corner, (True, False, False), 108),
+    ((2, 1), _negate, (True, True, False), 81),
+])
+def test_psi_check_detects_corrupted_blocks(monkeypatch, target, fault, flags,
+                                            messages):
+    W = WeylRing([1], [2])
+    samples = [W.element_from_str(t)
+               for t in ("x1", "y", "x1 y + 2", "x1 x1", "3 y y")]
+    _faulty_blocks(monkeypatch, target, fault)
+    rep = psi_embedding_check(W, samples, window=4)
+    assert (rep.unital_ok, rep.additive_ok, rep.multiplicative_ok) == flags
+    assert len(rep.failures) == messages
+    assert rep.pairs_checked == 25
+    assert not rep.ok

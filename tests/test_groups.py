@@ -95,7 +95,8 @@ def test_cyclic_and_product(x, y):
 
 def test_element_str_round_trip():
     for G in (FreeGroup(2), FreeAbelian(2), BaumslagSolitar(2), Cyclic(5),
-              DirectProduct([Cyclic(2), FreeAbelian(1)])):
+              DirectProduct([Cyclic(2), FreeAbelian(1)]),
+              DirectProduct([Cyclic(2), DirectProduct([Cyclic(2), Cyclic(3)])])):
         for g in G.ball(2):
             assert G.element_from_str(G.element_to_str(g)) == g
 

@@ -2,11 +2,14 @@
 module only (no linter is a dependency)."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gradedrings"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gradedrings"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -54,3 +57,29 @@ def test_equality_is_defined_once():
         found.update(identity_methods(path.read_text()))
     assert set(found) <= IDENTITY_BASES, sorted(set(found) - IDENTITY_BASES)
     assert all(m == {"__eq__", "__hash__"} for m in found.values()), found
+
+
+def _load_perfbench(name: str, monkeypatch):
+    """Import perfbench/<name>.py as it stands, under a private module name."""
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_targets_exist(monkeypatch):
+    """The benchmark's tracer wraps library functions and methods by name;
+    installing it fails if one of them moved or was renamed."""
+    tracing = _load_perfbench("tracing", monkeypatch)
+    workloads = _load_perfbench("workloads", monkeypatch)
+    lib = workloads.load_library()
+    original = lib.graded.psi_embedding_check
+    tracer = tracing.Tracer(lib)
+    try:
+        tracer.install()
+        assert lib.graded.psi_embedding_check is not original
+    finally:
+        tracer.uninstall()
+    assert lib.graded.psi_embedding_check is original

@@ -39,6 +39,13 @@ def test_product_ring_componentwise():
     assert P.eq(P.one(), (1, 1))
 
 
+def test_nested_product_ring_str_round_trip():
+    P = ProductRing([Z, ProductRing([Z, IntegerModRing(3)])])
+    a = (1, (2, 1))
+    assert P.element_to_str(a) == "(1; (2; 1))"
+    assert P.element_from_str(P.element_to_str(a)) == a
+
+
 def test_matrix_ring_identity_and_mul():
     M2 = MatrixRing(Z, 2)
     a = RingMatrix.from_rows(Z, [[1, 2], [3, 4]])
