@@ -92,10 +92,11 @@ class FolnerFailure:
 
 def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
                   eps: Fraction, r_max: int,
-                  candidates: Optional[Sequence[Sequence]] = None):
+                  candidates: Optional[Iterable[Sequence]] = None):
     """Look for a finite F with |KF cap X| < (1 + eps) |F cap X|.
 
-    By default F runs over the balls of radius 0..r_max; an explicit list of
+    By default F runs over the balls of radius 0..r_max, built one at a time
+    so that an early witness stops the search; an explicit list of
     candidate sets may be supplied instead.  Returns the first FolnerWitness
     found, re-verified by an independent recount, else a FolnerFailure with
     the exact ratio for every candidate.
@@ -107,13 +108,11 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
     if not K:
         raise ValueError("K must be nonempty")
     if candidates is None:
-        candidates = [group.ball(r, max_radius=r) for r in range(r_max + 1)]
+        candidates = (group.ball(r, max_radius=r) for r in range(r_max + 1))
     ratios = []
     for idx, F in enumerate(candidates):
         F = list(F)
-        f_count = sum(1 for f in F if f in X)
-        kf = set_product(group, K, F)
-        kf_count = sum(1 for g in kf if g in X)
+        kf_count, f_count = _counts(group, X, K, F)
         ratio = Fraction(kf_count, f_count) if f_count else None
         ratios.append((idx, kf_count, f_count, ratio))
         if f_count and kf_count < (1 + eps) * f_count:
@@ -122,6 +121,12 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
                 raise VerificationError("Folner witness failed its recount")
             return w
     return FolnerFailure(eps=eps, r_max=r_max, ratios=ratios)
+
+
+def _counts(group: Group, X: SubsetPredicate, K: Sequence, F: Sequence):
+    """(|KF cap X|, |F cap X|)."""
+    kf = set_product(group, K, F)
+    return sum(1 for g in kf if g in X), sum(1 for f in F if f in X)
 
 
 def _recount(group: Group, X: SubsetPredicate, w: FolnerWitness):
@@ -133,11 +138,8 @@ def expansion_profile(group: Group, X: SubsetPredicate, K: Sequence,
                       r_max: int) -> list:
     """Exact ratios |K B_r cap X| / |B_r cap X| for r = 0..r_max."""
     out = []
-    for r in range(r_max + 1):
-        F = group.ball(r, max_radius=r)
-        f_count = sum(1 for f in F if f in X)
-        kf = set_product(group, K, F)
-        kf_count = sum(1 for g in kf if g in X)
+    for F in group.balls(r_max, max_radius=r_max):
+        kf_count, f_count = _counts(group, X, K, F)
         out.append(Fraction(kf_count, f_count) if f_count else None)
     return out
 
@@ -164,41 +166,24 @@ class Infeasible:
 def find_two_to_one_injection(group: Group, V: Sequence, W: Sequence,
                               K: Sequence):
     """Two injections alpha, beta: V -> W with disjoint images and
-    translators in K (edges: (x, w) allowed iff w x^-1 in K).
+    translators in K (edges: (x, w) allowed iff w x^-1 in K, i.e. w = k x).
 
-    Solved as a bipartite matching with two copies of every left vertex;
-    ties broken by the given orderings, so the witness is deterministic.
-    Returns an InjectionWitness, or Infeasible with a Hall-violating set.
+    Solved as a bipartite matching with two copies of every left vertex by
+    Hopcroft-Karp; ties are broken by the given orderings, so the witness is
+    deterministic.  Returns an InjectionWitness, or Infeasible with a
+    Hall-violating set, which is the same for every maximum matching.
     """
     V = list(V)
     W = list(W)
     Kset = set(K)
     w_index = {w: i for i, w in enumerate(W)}
-    adj = []  # per left copy: list of W indices
+    adj = []  # per left vertex: sorted W indices of its neighbours k x
     for x in V:
-        xinv = group.inv(x)
-        nbrs = [w_index[w] for w in W if group.mul(w, xinv) in Kset]
-        adj.append(nbrs)
+        kx = (group.mul(k, x) for k in Kset)
+        adj.append(sorted(w_index[w] for w in kx if w in w_index))
+    match_left, match_right = _max_matching(adj, len(W))
 
-    n_left = 2 * len(V)  # copies 2i, 2i+1 both use adj[i]
-    match_right = [-1] * len(W)   # W index -> left copy
-    match_left = [-1] * n_left
-
-    def try_augment(u, visited):
-        for wi in adj[u // 2]:
-            if wi in visited:
-                continue
-            visited.add(wi)
-            if match_right[wi] == -1 or try_augment(match_right[wi], visited):
-                match_right[wi] = u
-                match_left[u] = wi
-                return True
-        return False
-
-    for u in range(n_left):
-        try_augment(u, set())
-
-    unmatched = [u for u in range(n_left) if match_left[u] == -1]
+    unmatched = [u for u, wi in enumerate(match_left) if wi == -1]
     if not unmatched:
         alpha, beta = {}, {}
         for i, x in enumerate(V):
@@ -235,6 +220,63 @@ def find_two_to_one_injection(group: Group, V: Sequence, W: Sequence,
     return result
 
 
+def _max_matching(adj: list, n_right: int):
+    """Maximum matching of left copies 2i, 2i+1 (both with neighbours
+    adj[i]) into range(n_right), by Hopcroft-Karp without recursion.
+
+    Each phase layers the left copies by a breadth-first search from the free
+    ones, in index order, up to the first layer that sees a free right
+    vertex; then a depth-first search with an explicit stack, in adj order,
+    augments along vertex-disjoint shortest paths.  Returns (match_left,
+    match_right), with -1 for unmatched.
+    """
+    n_left = 2 * len(adj)
+    match_left = [-1] * n_left
+    match_right = [-1] * n_right
+    while True:
+        free = [u for u in range(n_left) if match_left[u] == -1]
+        dist = [-1] * n_left
+        for u in free:
+            dist[u] = 0
+        queue, limit = list(free), -1
+        for u in queue:  # the queue grows while it is read
+            if dist[u] == limit:
+                break
+            for wi in adj[u // 2]:
+                v = match_right[wi]
+                if v == -1:
+                    limit = dist[u]
+                elif dist[v] == -1:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        if limit == -1:
+            return match_left, match_right
+        nxt = [0] * n_left  # next position to try in each copy's adj
+        for root in free:
+            stack, via = [root], []
+            while stack:
+                u = stack[-1]
+                nbrs = adj[u // 2]
+                if nxt[u] == len(nbrs):
+                    stack.pop()
+                    if via:
+                        via.pop()
+                    continue
+                wi = nbrs[nxt[u]]
+                nxt[u] += 1
+                v = match_right[wi]
+                if v == -1 and dist[u] == limit:
+                    via.append(wi)
+                    for x, y in zip(stack, via):
+                        match_left[x] = y
+                        match_right[y] = x
+                        dist[x] = -1  # off limits for the rest of the phase
+                    break
+                if v != -1 and dist[u] < limit and dist[v] == dist[u] + 1:
+                    via.append(wi)
+                    stack.append(v)
+
+
 def verify_injection_witness(group: Group, w: InjectionWitness):
     """Exhaustive soundness check: injectivity, disjoint images, translators."""
     Kset = set(w.K)
@@ -259,14 +301,12 @@ def verify_injection_witness(group: Group, w: InjectionWitness):
 
 
 def verify_hall_violation(group: Group, V, W, K, A) -> bool:
-    """Recount |N(A)| < 2|A| from scratch."""
-    Kset = set(K)
-    Wset = set(W)
-    nbhd = set()
-    for x in A:
-        xinv = group.inv(x)
-        nbhd |= {w for w in Wset if group.mul(w, xinv) in Kset}
-    return len(nbhd) < 2 * len(A)
+    """Recount from scratch that A is a subset of V whose neighbourhood
+    N(A) = KA cap W has fewer than 2|A| elements."""
+    A = set(A)
+    if not A <= set(V):
+        return False
+    return len(set_product(group, K, A) & set(W)) < 2 * len(A)
 
 
 # ---------------------------------------------------------------------------

@@ -70,11 +70,17 @@ class Group:
                 out.append(gi)
         return out
 
-    def ball(self, r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> list:
-        """All elements of word length <= r over the symmetric generating set.
+    def elements(self) -> list:
+        """All elements of a finite group; infinite groups refuse."""
+        raise ValueError(f"{self.name} is infinite: its elements cannot be listed")
 
-        Ordered by (word length, lexicographic order of the shortest
-        generating word), which makes the enumeration deterministic.
+    def balls(self, r: int, max_radius: int = DEFAULT_MAX_RADIUS):
+        """Yield ball(0), ball(1), ..., ball(r) from one breadth-first walk.
+
+        Each ball lists all elements of word length <= its radius over the
+        symmetric generating set, ordered by (word length, lexicographic
+        order of the shortest generating word), which makes the enumeration
+        deterministic.  Each ball is a prefix of the next.
         """
         if r < 0:
             raise ValueError("radius must be non-negative")
@@ -85,6 +91,7 @@ class Group:
         seen = {e}
         order = [e]
         frontier = [e]
+        yield list(order)
         for _ in range(r):
             nxt = []
             for x in frontier:
@@ -95,9 +102,13 @@ class Group:
                         nxt.append(y)
             order.extend(nxt)
             frontier = nxt
-            if not frontier:
-                break
-        return order
+            yield list(order)
+
+    def ball(self, r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> list:
+        """The last of balls(r, max_radius)."""
+        for b in self.balls(r, max_radius):
+            pass
+        return b
 
     def __repr__(self):
         return self.name
@@ -369,8 +380,6 @@ class DirectProduct(Group):
     def elements(self):
         out = [()]
         for f in self.factors:
-            if not isinstance(f, Cyclic):
-                raise ValueError("full enumeration needs finite factors")
             out = [x + (a,) for x in out for a in f.elements()]
         return out
 

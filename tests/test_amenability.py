@@ -1,3 +1,5 @@
+import itertools
+import json
 import subprocess
 import sys
 import textwrap
@@ -5,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradedrings
 
@@ -15,8 +18,9 @@ from gradedrings.amenability import (FolnerFailure, FolnerWitness, Infeasible,
                                      folner_search, rosenblatt_find,
                                      verify_hall_violation,
                                      verify_injection_witness, whole_group)
-from gradedrings.groups import (BaumslagSolitar, FreeAbelian, FreeGroup,
-                                set_product)
+from gradedrings.cli import main
+from gradedrings.groups import (BaumslagSolitar, Cyclic, DirectProduct,
+                                FreeAbelian, FreeGroup, set_product)
 
 
 def test_folner_witness_in_z():
@@ -146,3 +150,106 @@ def test_finite_subset_predicate():
     Z = FreeAbelian(1)
     X = finite_subset(Z, [(0,), (2,)])
     assert (0,) in X and (1,) not in X
+
+
+# ---------------------------------------------------------------------------
+# the matching against brute force
+
+
+_MATCH_GROUPS = [FreeGroup(2), FreeAbelian(2),
+                 DirectProduct([Cyclic(3), Cyclic(4)])]
+
+
+def _neighbours(group, W, K, A):
+    """{w in W : w x^-1 in K for some x in A}, straight from the definition."""
+    K = set(K)
+    return {w for w in W for x in A if group.mul(w, group.inv(x)) in K}
+
+
+def _hall_holds(group, V, W, K):
+    """|N(A)| >= 2|A| for every subset A of V."""
+    return all(len(_neighbours(group, W, K, A)) >= 2 * len(A)
+               for n in range(len(V) + 1)
+               for A in itertools.combinations(V, n))
+
+
+@st.composite
+def _matching_inputs(draw):
+    group = draw(st.sampled_from(_MATCH_GROUPS))
+    B = group.ball(3)
+    V = draw(st.lists(st.sampled_from(B), max_size=7, unique=True))
+    W = draw(st.lists(st.sampled_from(B), max_size=len(B), unique=True))
+    A = draw(st.lists(st.sampled_from(B), max_size=4, unique=True))
+    return group, V, W, group.ball(1), A
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matching_inputs())
+def test_matching_agrees_with_brute_force_hall(case):
+    group, V, W, K, _ = case
+    res = find_two_to_one_injection(group, V, W, K)
+    assert isinstance(res, InjectionWitness) == _hall_holds(group, V, W, K)
+    if isinstance(res, InjectionWitness):
+        assert verify_injection_witness(group, res) == (True, "ok")
+    else:
+        A = res.violating_set
+        assert verify_hall_violation(group, V, W, K, A)
+        assert set(res.neighborhood) == _neighbours(group, W, K, A)
+    again = find_two_to_one_injection(group, V, W, K)
+    assert again == res
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matching_inputs())
+def test_hall_recount_agrees_with_definition(case):
+    group, V, W, K, A = case
+    want = (bool(A) and set(A) <= set(V)
+            and len(_neighbours(group, W, K, A)) < 2 * len(A))
+    assert verify_hall_violation(group, V, W, K, A) == want
+
+
+def test_hall_recount_needs_distinct_elements_of_v():
+    Z = FreeAbelian(1)
+    K = [(-1,), (0,), (1,)]
+    V = [(i,) for i in range(3)]
+    W = [(i,) for i in range(-1, 4)]
+    assert verify_hall_violation(Z, V, W, K, V)
+    assert not verify_hall_violation(Z, V, W, K, [(0,)] * 3)
+    assert not verify_hall_violation(Z, V, W, K, [(100,)])
+
+
+# ---------------------------------------------------------------------------
+# long intervals: no recursion
+
+
+def _interval(L):
+    return [(i,) for i in range(L + 1)], [(i,) for i in range(-1, L + 2)]
+
+
+def _set_arg(flag, S):
+    return f"--{flag}={{{'; '.join(str(x[0]) for x in S)}}}"
+
+
+def test_paradox_on_a_long_interval_is_a_verdict(capsys):
+    V, W = _interval(10 ** 4)
+    argv = ["paradox", "--group", "Z", _set_arg("v", V), _set_arg("w", W),
+            "--k=-1;0;1", "--format", "json"]
+    assert main(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "infeasible"
+    assert len(out["violating_set"]) == 10 ** 4 + 1
+
+
+def test_matching_needs_no_recursion_depth():
+    Z = FreeAbelian(1)
+    V, W = _interval(2000)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        res = find_two_to_one_injection(Z, V, W, [(-1,), (0,), (1,)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(res, Infeasible) and res.violating_set == V

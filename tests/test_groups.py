@@ -62,6 +62,19 @@ def test_ball_deterministic_order():
     assert lengths == sorted(lengths)
 
 
+@pytest.mark.parametrize("G", [FreeGroup(2), FreeAbelian(2), BaumslagSolitar(2),
+                               DirectProduct([Cyclic(2), Cyclic(3)])])
+def test_balls_come_from_one_walk(G):
+    balls = list(G.balls(4))
+    assert len(balls) == 5
+    for r, b in enumerate(balls):
+        assert b == G.ball(r)
+        assert b == balls[-1][:len(b)]
+    assert balls[-1] == G.ball(4)
+    with pytest.raises(ValueError):
+        G.ball(3, max_radius=2)
+
+
 def test_bs_relation():
     """b a b^-1 = a^k in BS(1,k)."""
     for k in (2, 3):
@@ -91,6 +104,17 @@ def test_cyclic_and_product(x, y):
     g = (x % 4, y % 6)
     assert G.mul(g, G.inv(g)) == G.identity()
     assert len(G.elements()) == 24
+
+
+def test_nested_finite_product_lists_its_elements():
+    G = DirectProduct([Cyclic(2), DirectProduct([Cyclic(2), Cyclic(3)])])
+    elems = G.elements()
+    assert len(elems) == len(set(elems)) == 12
+    assert set(elems) == set(G.ball(3))
+    with pytest.raises(ValueError):
+        DirectProduct([Cyclic(2), FreeAbelian(1)]).elements()
+    with pytest.raises(ValueError):
+        FreeGroup(2).elements()
 
 
 def test_element_str_round_trip():
