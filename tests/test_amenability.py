@@ -179,7 +179,7 @@ def _matching_inputs(draw):
     B = group.ball(3)
     V = draw(st.lists(st.sampled_from(B), max_size=7, unique=True))
     W = draw(st.lists(st.sampled_from(B), max_size=len(B), unique=True))
-    A = draw(st.lists(st.sampled_from(B), max_size=4, unique=True))
+    A = draw(st.lists(st.sampled_from(V + B[:2]), max_size=4, unique=True))
     return group, V, W, group.ball(1), A
 
 

@@ -111,6 +111,9 @@ def test_endo_graded(capsys):
     assert run("endo-graded", "--group", "C(2)", "--ring", "Z/5",
                "--n", "2", "--l", "1") == 0
     assert "strong grading" in capsys.readouterr().out
+    assert run("endo-graded", "--group", "Z", "--ring", "Z",
+               "--n", "2", "--l", "1") == 2
+    assert "infinite" in capsys.readouterr().err
 
 
 def test_psi(capsys):
