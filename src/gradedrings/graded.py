@@ -346,9 +346,7 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
     mring = MatrixRing(S, N)
 
     def unit(a, b) -> RingMatrix:
-        entries = [S.zero()] * (N * N)
-        entries[pos[a] * N + pos[b]] = S.one()
-        return RingMatrix(S, N, N, entries)
+        return RingMatrix.from_support(S, N, N, {(pos[a], pos[b]): S.one()})
 
     components, unit_positions = {}, {}
     for g in elems:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Sequence
 
 from .groups import split_top_level
@@ -350,24 +351,29 @@ class RingMatrix:
 
     @classmethod
     def from_rows(cls, ring: Ring, rows: Sequence[Sequence]) -> "RingMatrix":
-        r = len(rows)
-        c = len(rows[0])
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(ring, r, c, flat)
+        if not rows or any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("no rows, or ragged rows")
+        return cls(ring, len(rows), len(rows[0]), [x for row in rows for x in row])
+
+    @classmethod
+    def from_support(cls, ring: Ring, rows: int, cols: int,
+                     support: dict) -> "RingMatrix":
+        """The rows x cols matrix with entry x at each (i, j): x of support
+        and zero everywhere else.  An index outside the shape raises."""
+        entries = [ring.zero()] * (rows * cols)
+        for (i, j), x in support.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"index ({i}, {j}) outside a {rows}x{cols} matrix")
+            entries[i * cols + j] = x
+        return cls(ring, rows, cols, entries)
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
-        return cls(ring, n, n,
-                   [ring.one() if i == j else ring.zero()
-                    for i in range(n) for j in range(n)])
+        return cls.from_support(ring, n, n, {(i, i): ring.one() for i in range(n)})
 
     @classmethod
     def zero(cls, ring: Ring, rows: int, cols: int) -> "RingMatrix":
-        return cls(ring, rows, cols, [ring.zero()] * (rows * cols))
+        return cls.from_support(ring, rows, cols, {})
 
     def __getitem__(self, ij):
         i, j = ij
@@ -474,12 +480,10 @@ def verify_certificate(cert: RankCertificate):
     AB = I_m and n >= m, else Invalid with the first failing position.
     """
     prod = mat_mul(cert.A, cert.B)
-    R = cert.ring
-    for i in range(cert.m):
-        for j in range(cert.m):
-            want = R.one() if i == j else R.zero()
-            if not R.eq(prod[i, j], want):
-                return Invalid(position=(i + 1, j + 1))
+    ident = RingMatrix.identity(cert.ring, cert.m)
+    for i, j in product(range(cert.m), repeat=2):
+        if not cert.ring.eq(prod[i, j], ident[i, j]):
+            return Invalid(position=(i + 1, j + 1))
     return Valid(bgn=cert.n < cert.m)
 
 
@@ -529,17 +533,15 @@ def extend_certificate(cert: RankCertificate, target_m: int) -> RankCertificate:
                     "extended certificate failed re-verification")
 
 
+def _placed(M: RingMatrix, i0: int = 0, j0: int = 0) -> dict:
+    """The entries of M as a support with M's corner at (i0, j0)."""
+    return {(i0 + i, j0 + j): M[i, j] for i in range(M.rows) for j in range(M.cols)}
+
+
 def _block_diag(ring: Ring, top: RingMatrix, bottom: RingMatrix) -> RingMatrix:
-    rows = top.rows + bottom.rows
-    cols = top.cols + bottom.cols
-    out = RingMatrix.zero(ring, rows, cols).to_rows()
-    for i in range(top.rows):
-        for j in range(top.cols):
-            out[i][j] = top[i, j]
-    for i in range(bottom.rows):
-        for j in range(bottom.cols):
-            out[top.rows + i][top.cols + j] = bottom[i, j]
-    return RingMatrix.from_rows(ring, out)
+    return RingMatrix.from_support(
+        ring, top.rows + bottom.rows, top.cols + bottom.cols,
+        {**_placed(top), **_placed(bottom, top.rows, top.cols)})
 
 
 def opposite_certificate(cert: RankCertificate) -> RankCertificate:
@@ -570,15 +572,10 @@ def block_down_certificate(cert: RankCertificate) -> RankCertificate:
 
 
 def _flatten_blocks(M: RingMatrix, base: Ring, s: int) -> RingMatrix:
-    rows = []
-    for i in range(M.rows):
-        for bi in range(s):
-            row = []
-            for j in range(M.cols):
-                blk = M[i, j]
-                row.extend(blk.row(bi))
-            rows.append(row)
-    return RingMatrix.from_rows(base, rows)
+    support = {}
+    for i, j in product(range(M.rows), range(M.cols)):
+        support.update(_placed(M[i, j], i * s, j * s))
+    return RingMatrix.from_support(base, M.rows * s, M.cols * s, support)
 
 
 def block_up_certificate(cert: RankCertificate, s: int) -> RankCertificate:
@@ -598,16 +595,11 @@ def block_up_certificate(cert: RankCertificate, s: int) -> RankCertificate:
 
 
 def _group_blocks(M: RingMatrix, mring: MatrixRing) -> RingMatrix:
-    s = mring.size
-    base = mring.base
-    out = []
-    for bi in range(M.rows // s):
-        row = []
-        for bj in range(M.cols // s):
-            blk = [[M[bi * s + i, bj * s + j] for j in range(s)] for i in range(s)]
-            row.append(RingMatrix.from_rows(base, blk))
-        out.append(row)
-    return RingMatrix.from_rows(mring, out)
+    s, rows = mring.size, M.to_rows()
+    return RingMatrix.from_rows(mring, [
+        [RingMatrix.from_rows(mring.base, [row[bj:bj + s] for row in rows[bi:bi + s]])
+         for bj in range(0, M.cols, s)]
+        for bi in range(0, M.rows, s)])
 
 
 def product_certificate(certs: Sequence[RankCertificate]) -> RankCertificate:
@@ -631,10 +623,8 @@ def product_certificate(certs: Sequence[RankCertificate]) -> RankCertificate:
     if len(shaped) == 1:
         return shaped[0]
     prod = ProductRing([c.ring for c in shaped])
-    A = RingMatrix(prod, b + 1, b,
-                   [tuple(c.A.entries[i] for c in shaped) for i in range((b + 1) * b)])
-    B = RingMatrix(prod, b, b + 1,
-                   [tuple(c.B.entries[i] for c in shaped) for i in range(b * (b + 1))])
+    A = RingMatrix(prod, b + 1, b, list(zip(*(c.A.entries for c in shaped))))
+    B = RingMatrix(prod, b, b + 1, list(zip(*(c.B.entries for c in shaped))))
     return _checked(RankCertificate(prod, b, b + 1, A, B),
                     "product certificate failed re-verification")
 
@@ -656,13 +646,9 @@ def _reshape_to(cert: RankCertificate, b: int) -> RankCertificate:
         return cert
     R = cert.ring
     wide = extend_certificate(cert, b + 1)  # shape (n, b+1)
-    # pad the domain: A' = A * [I_n | 0]  (size (b+1) x b), B' = [B ; 0]
-    proj = RingMatrix(R, cert.n, b,
-                      [R.one() if i == j else R.zero()
-                       for i in range(cert.n) for j in range(b)])
-    A2 = mat_mul(wide.A, proj)
-    B2rows = wide.B.to_rows() + [[R.zero()] * (b + 1) for _ in range(b - cert.n)]
-    B2 = RingMatrix.from_rows(R, B2rows)
+    # pad the domain with zeros: A' = [A | 0] is (b+1) x b, B' = [B ; 0]
+    A2 = RingMatrix.from_support(R, b + 1, b, _placed(wide.A))
+    B2 = RingMatrix.from_support(R, b, b + 1, _placed(wide.B))
     return _checked(RankCertificate(R, b, b + 1, A2, B2),
                     "reshaped certificate failed re-verification")
 

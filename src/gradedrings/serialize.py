@@ -69,10 +69,19 @@ def ring_to_spec(ring: Ring) -> str:
     raise ValueError(f"ring {ring.name} has no serializable spec")
 
 
+def _matrix_to_json(ring: Ring, M: RingMatrix, element_to_json) -> list:
+    """M as rows of element_to_json(ring, entry); _matrix_from_json reads it."""
+    return [[element_to_json(ring, x) for x in row] for row in M.to_rows()]
+
+
+def _matrix_from_json(ring: Ring, data: list, element_from_json) -> RingMatrix:
+    return RingMatrix.from_rows(
+        ring, [[element_from_json(ring, v) for v in row] for row in data])
+
+
 def element_to_jsonable(ring: Ring, x):
     if isinstance(ring, MatrixRing):
-        return [[element_to_jsonable(ring.base, x[i, j]) for j in range(x.cols)]
-                for i in range(x.rows)]
+        return _matrix_to_json(ring.base, x, element_to_jsonable)
     if isinstance(ring, ProductRing):
         return [element_to_jsonable(f, c) for f, c in zip(ring.factors, x)]
     return ring.element_to_str(x)
@@ -80,8 +89,7 @@ def element_to_jsonable(ring: Ring, x):
 
 def element_from_jsonable(ring: Ring, data):
     if isinstance(ring, MatrixRing):
-        rows = [[element_from_jsonable(ring.base, v) for v in row] for row in data]
-        return RingMatrix.from_rows(ring.base, rows)
+        return _matrix_from_json(ring.base, data, element_from_jsonable)
     if isinstance(ring, ProductRing):
         return tuple(element_from_jsonable(f, v) for f, v in zip(ring.factors, data))
     return ring.element_from_str(data)
@@ -92,20 +100,16 @@ def certificate_to_json(cert: RankCertificate) -> dict:
         "ring": ring_to_spec(cert.ring),
         "n": cert.n,
         "m": cert.m,
-        "A": [[element_to_jsonable(cert.ring, cert.A[i, j])
-               for j in range(cert.A.cols)] for i in range(cert.A.rows)],
-        "B": [[element_to_jsonable(cert.ring, cert.B[i, j])
-               for j in range(cert.B.cols)] for i in range(cert.B.rows)],
+        "A": _matrix_to_json(cert.ring, cert.A, element_to_jsonable),
+        "B": _matrix_to_json(cert.ring, cert.B, element_to_jsonable),
     }
 
 
 def certificate_from_json(data: dict) -> RankCertificate:
     ring = ring_from_spec(data["ring"])
     n, m = int(data["n"]), int(data["m"])
-    A = RingMatrix.from_rows(
-        ring, [[element_from_jsonable(ring, v) for v in row] for row in data["A"]])
-    B = RingMatrix.from_rows(
-        ring, [[element_from_jsonable(ring, v) for v in row] for row in data["B"]])
+    A = _matrix_from_json(ring, data["A"], element_from_jsonable)
+    B = _matrix_from_json(ring, data["B"], element_from_jsonable)
     return RankCertificate(ring, n, m, A, B)
 
 
@@ -147,10 +151,8 @@ def translation_certificate_to_json(tring: TranslationRing,
         "subset": tring.X.name,
         "n": cert.n,
         "m": cert.m,
-        "A": [[translation_element_to_json(tring, cert.A[i, j])
-               for j in range(cert.A.cols)] for i in range(cert.A.rows)],
-        "B": [[translation_element_to_json(tring, cert.B[i, j])
-               for j in range(cert.B.cols)] for i in range(cert.B.rows)],
+        "A": _matrix_to_json(tring, cert.A, translation_element_to_json),
+        "B": _matrix_to_json(tring, cert.B, translation_element_to_json),
     }
 
 
@@ -166,12 +168,8 @@ def translation_certificate_from_json(data: dict):
     base = ring_from_spec(data["ring"])
     tring = TranslationRing(group, whole_group(group), base)
     n, m = int(data["n"]), int(data["m"])
-    A = RingMatrix.from_rows(
-        tring, [[translation_element_from_json(tring, v) for v in row]
-                for row in data["A"]])
-    B = RingMatrix.from_rows(
-        tring, [[translation_element_from_json(tring, v) for v in row]
-                for row in data["B"]])
+    A = _matrix_from_json(tring, data["A"], translation_element_from_json)
+    B = _matrix_from_json(tring, data["B"], translation_element_from_json)
     return tring, RankCertificate(tring, n, m, A, B)
 
 

@@ -255,7 +255,6 @@ class WeylRing(_MonomialAlgebra):
             raise ValueError("need at least one x generator")
         if any(v not in (1, -1) for v in self.a):
             raise ValueError("a_i must be 1 or -1")
-        self.a_inv = self.a
         self.key = (tuple(self.a), tuple(self.b))
         self.name = f"Weyl(n={self.n};{_Z.name})"
 
@@ -378,8 +377,8 @@ def weyl_coordinates(ring: WeylRing, elem: dict, m: int) -> list:
 
     For m > 0 each basis x-word is split off the front of every monomial
     (exact, no division); for m < 0 the single basis element y^|m| is divided
-    out by a triangular elimination that uses the inverses of the a_i; for
-    m = 0 the element is its own coordinate.
+    out by a triangular elimination that uses the a_i as their own inverses;
+    for m = 0 the element is its own coordinate.
     """
     if not ring.is_homogeneous(elem, m):
         raise ValueError(f"element is not homogeneous of degree {m}")
@@ -407,7 +406,7 @@ def weyl_coordinates(ring: WeylRing, elem: dict, m: int) -> list:
         lead_inv = S.one()
         for i in w:
             for _ in range(q):
-                lead_inv = S.mul(lead_inv, ring.a_inv[i - 1])
+                lead_inv = S.mul(lead_inv, ring.a[i - 1])
         lead = ring.mul(ypow, {(w, len(w)): S.one()}).get((w, len(w) + q), S.zero())
         if not S.eq(S.mul(lead, lead_inv), S.one()):
             raise ValueError("leading coefficient is not the expected unit")

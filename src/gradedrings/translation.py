@@ -12,6 +12,7 @@ set, and the left/right translation-ring identification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional, Sequence
 
 from .amenability import InjectionWitness, SubsetPredicate, verify_injection_witness
@@ -105,6 +106,10 @@ class TranslationRing(SparseRing):
         self.unit_key = group.identity()
         self.key = (group, X, self.base)
         self.name = f"T({group.name}|{X.name}; {base.name})"
+        try:  # the elements of X, when the group is finite
+            self._points = [x for x in group.elements() if x in X]
+        except ValueError:
+            self._points = None
 
     # construction ----------------------------------------------------------
 
@@ -125,7 +130,23 @@ class TranslationRing(SparseRing):
         self.group.check_element(g)
         return {} if self.base.is_zero(f) else {g: f}
 
+    def _column(self, g, x):
+        """The column of the entry that a term at shift g puts in row x."""
+        return self.group.mul(self.group.inv(g), x)
+
     # ring interface --------------------------------------------------------
+
+    def eq(self, a, b):
+        """On a finite group, equality of the entries over X x X.  On an
+        infinite group, structural equality of the terms: that is equality
+        of matrices when X is the whole group, but on a proper X two term
+        sums can agree at every entry over X x X and still compare unequal."""
+        if self._points is None:
+            return super().eq(a, b)
+        S, zero = self.base.base, self.base.zero()
+        return all(S.eq(a.get(g, zero)(x), b.get(g, zero)(x))
+                   for g in a.keys() | b.keys() for x in self._points
+                   if self._column(g, x) in self.X)
 
     def mul(self, a, b):
         G, F = self.group, self.base
@@ -226,15 +247,12 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     rep = FiniteGroupIsoReport(group.name, ring.name, True, True, True, True, True)
 
     def D(f: dict) -> RingMatrix:
-        return RingMatrix(R, N, N,
-                          [f[elems[i]] if i == j else R.zero()
-                           for i in range(N) for j in range(N)])
+        return RingMatrix.from_support(R, N, N, {(i, i): f[x] for x, i in idx.items()})
 
     def A(g) -> RingMatrix:
         ginv = group.inv(g)
-        return RingMatrix(R, N, N,
-                          [R.one() if idx[group.mul(ginv, elems[i])] == j else R.zero()
-                           for i in range(N) for j in range(N)])
+        return RingMatrix.from_support(
+            R, N, N, {(i, idx[group.mul(ginv, x)]): R.one() for i, x in enumerate(elems)})
 
     # sample coefficient functions: all-ones, a delta, and a counting table
     samples = [
@@ -267,9 +285,9 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
         rep.unital_ok = False
     units = set()
     for x in elems:
-        delta = {z: (R.one() if z == x else R.zero()) for z in elems}
+        delta = RingMatrix.from_support(R, N, N, {(idx[x], idx[x]): R.one()})
         for g in elems:
-            M = mat_mul(D(delta), A(g))
+            M = mat_mul(delta, A(g))
             support = [(i, j) for i in range(N) for j in range(N)
                        if not R.is_zero(M[i, j])]
             if len(support) != 1 or not R.eq(M[support[0]], R.one()):
@@ -323,18 +341,15 @@ def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> Collapse
         return CollapseResult(empty, empty, True, True, True, True, True, list(W))
 
     def slice_of(mapping) -> RingMatrix:
-        return RingMatrix(R, len(V), len(W),
-                          [R.one() if widx[mapping[x]] == j else R.zero()
-                           for x in V for j in range(len(W))])
+        return RingMatrix.from_support(
+            R, len(V), len(W), {(i, widx[mapping[x]]): R.one() for i, x in enumerate(V)})
 
     M = slice_of(w.alpha)
     N = slice_of(w.beta)
     I_V = RingMatrix.identity(R, len(V))
     Z_V = RingMatrix.zero(R, len(V), len(V))
     covered = {widx[w.alpha[x]] for x in V} | {widx[w.beta[x]] for x in V}
-    proj = RingMatrix(R, len(W), len(W),
-                      [R.one() if i == j and i in covered else R.zero()
-                       for i in range(len(W)) for j in range(len(W))])
+    proj = RingMatrix.from_support(R, len(W), len(W), {(i, i): R.one() for i in covered})
     return CollapseResult(
         M, N,
         mmt_ok=mat_mul(M, M.transpose()).eq(I_V),
@@ -367,6 +382,22 @@ class CompressionResult:
     counts: tuple  # (n |U|, m |F_X|)
 
 
+def _restrict(tring: TranslationRing, M: RingMatrix, P: list, Q: list) -> RingMatrix:
+    """The matrix over the entry ring with entry M_ij(p, q) at row (i, p) and
+    column (j, q), for p in P and q in Q, rows and columns ordered block by
+    block.  Each term (g, f) of M_ij is the entry f(p) at (p, g^-1 p)."""
+    qpos = {q: t for t, q in enumerate(Q)}
+    support = {}
+    for i, j in product(range(M.rows), range(M.cols)):
+        for g, f in M[i, j].items():
+            for s, p in enumerate(P):
+                t = qpos.get(tring._column(g, p))
+                if t is not None:
+                    support[i * len(P) + s, j * len(Q) + t] = f(p)
+    return RingMatrix.from_support(tring.base.base, M.rows * len(P),
+                                   M.cols * len(Q), support)
+
+
 def compress_certificate(ci: CompressionInput) -> CompressionResult:
     """Compress a translation-ring certificate to one over the coefficient
     ring using a Folner set F for the propagation set K.
@@ -389,45 +420,30 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
     if not shifts <= Kset:
         raise ValueError("K does not dominate all entry shifts")
 
-    # entrywise window check that AB = I over the translation ring
-    window = sorted({x for x in list(ci.F) + [G.mul(k, f) for k in K for f in ci.F]
-                     if x in X}, key=G.element_key)
-    for x in window:
-        for y in window:
-            for i in range(cert.m):
-                for i2 in range(cert.m):
-                    acc = S.zero()
-                    for j in range(cert.n):
-                        acc = S.add(acc, tr_mul_oracle_entry(
-                            tring, cert.A[i, j], cert.B[j, i2], x, y))
-                    want = S.one() if (i == i2 and x == y) else S.zero()
-                    if not S.eq(acc, want):
-                        raise ValueError(
-                            f"window verification failed at blocks ({i+1},{i2+1}), "
-                            f"indices ({G.element_to_str(x)}, {G.element_to_str(y)})")
-
-    F_X = [f for f in ci.F if f in X]
     U = sorted({G.mul(k, f) for k in K for f in ci.F if G.mul(k, f) in X},
                key=G.element_key)
+    # entrywise check that AB = I over the translation ring on the window
+    # U x U, which holds F_X x F_X since K contains the identity
+    for x, y in product(U, repeat=2):
+        for i, i2 in product(range(cert.m), repeat=2):
+            acc = S.zero()
+            for j in range(cert.n):
+                acc = S.add(acc, tr_mul_oracle_entry(
+                    tring, cert.A[i, j], cert.B[j, i2], x, y))
+            want = S.one() if (i == i2 and x == y) else S.zero()
+            if not S.eq(acc, want):
+                raise ValueError(
+                    f"window verification failed at blocks ({i+1},{i2+1}), "
+                    f"indices ({G.element_to_str(x)}, {G.element_to_str(y)})")
+
+    F_X = [f for f in ci.F if f in X]
     n, m = cert.n, cert.m
     if not n * len(U) < m * len(F_X):
         raise ValueError(f"Folner inequality fails: n|U| = {n * len(U)} is not "
                          f"less than m|F_X| = {m * len(F_X)}")
 
-    a_entries = []
-    for i in range(m):
-        for f in F_X:
-            for j in range(n):
-                for u in U:
-                    a_entries.append(tr_entry(tring, cert.A[i, j], f, u))
-    b_entries = []
-    for j in range(n):
-        for u in U:
-            for i in range(m):
-                for f in F_X:
-                    b_entries.append(tr_entry(tring, cert.B[j, i], u, f))
-    A_star = RingMatrix(S, m * len(F_X), n * len(U), a_entries)
-    B_star = RingMatrix(S, n * len(U), m * len(F_X), b_entries)
+    A_star = _restrict(tring, cert.A, F_X, U)
+    B_star = _restrict(tring, cert.B, U, F_X)
     out = _checked(RankCertificate(S, n * len(U), m * len(F_X), A_star, B_star),
                    "compressed certificate failed re-verification", need_bgn=True)
     return CompressionResult(certificate=out, U=U, F_X=F_X,
@@ -445,6 +461,9 @@ class RightTranslationRing(TranslationRing):
     def __init__(self, group: Group, X: SubsetPredicate, base: Ring):
         super().__init__(group, X, base)
         self.name = f"Tr({group.name}|{X.name}; {base.name})"
+
+    def _column(self, g, x):
+        return self.group.mul(x, g)
 
     def mul(self, a, b):
         G, F = self.group, self.base

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedrings.amenability import whole_group
 from gradedrings.graded import CrossedProductRing, group_ring, twisted_system
@@ -145,6 +146,35 @@ def test_mat_mul_shapes():
     assert mat_mul(a, b)[0, 0] == 6
     with pytest.raises(ValueError):
         mat_mul(a, a)
+
+
+@pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+def test_from_support_rejects_an_index_outside_the_shape(index):
+    with pytest.raises(ValueError, match="outside a 2x3 matrix"):
+        RingMatrix.from_support(Z, 2, 3, {index: 1})
+
+
+@pytest.mark.parametrize("rows", [[], [[1, 2], [3]]], ids=["empty", "ragged"])
+def test_from_rows_rejects_no_rows_and_ragged_rows(rows):
+    with pytest.raises(ValueError, match="no rows, or ragged rows"):
+        RingMatrix.from_rows(Z, rows)
+
+
+@st.composite
+def _shape_and_support(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    return rows, cols, draw(st.dictionaries(cells, st.integers(-3, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shape_and_support())
+def test_from_support_agrees_with_from_rows(shape):
+    rows, cols, support = shape
+    dense = [[support.get((i, j), 0) for j in range(cols)] for i in range(rows)]
+    M = RingMatrix.from_support(Z, rows, cols, support)
+    assert (M.rows, M.cols) == (rows, cols)
+    assert M.entries == RingMatrix.from_rows(Z, dense).entries
 
 
 def _sparse_rings():

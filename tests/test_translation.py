@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -192,6 +194,88 @@ def test_compress_shifted_certificate():
     F = [(v,) for v in range(9)]
     res = compress_certificate(CompressionInput(T, cert, K, F))
     assert verify_certificate(res.certificate)
+
+
+def _leavitt_shifted_tcert(G, n, shifts, flip):
+    """The L(1,n) certificate A_i = s_i e_i*, B_i = e_i s_i^-1 over T(G),
+    with both first entries negated at the point flip (when given)."""
+    L = LeavittRing(n)
+    T = TranslationRing(G, whole_group(G), L)
+    A, B = [], []
+    for i, s in enumerate(shifts, 1):
+        pts = [flip] if flip is not None and i == 1 else []
+        fa = T.fn(L.gen_star(i), {x: L.neg(L.gen_star(i)) for x in pts})
+        fb = T.fn(L.gen(i), {x: L.neg(L.gen(i)) for x in pts})
+        A.append(T.mul(T.shift(s), T.diag(fa)))
+        B.append(T.mul(T.diag(fb), T.shift(G.inv(s))))
+    return T, RankCertificate(T, 1, n, RingMatrix(T, n, 1, A), RingMatrix(T, 1, n, B))
+
+
+_Z1 = FreeAbelian(1)
+_KZ = [(-1,), (0,), (1,)]
+_E, _B, _BI = (), (2,), (-2,)
+_BA_GRID = [(2,) * j + (1,) * i for j in range(5) for i in range(3)]  # b^j a^i
+_COMPRESSIONS = [
+    (_Z1, 2, [(0,), (0,)], None, [(0,)], [(0,), (1,)]),
+    (_Z1, 2, [(1,), (0,)], (2,), _KZ, [(v,) for v in range(-2, 7)]),
+    (_Z1, 3, [(1,), (-1,), (0,)], (3,), _KZ, [(v,) for v in range(9)]),
+    (F2, 3, [_E, _E, _E], None, [_E], [_E]),
+    (F2, 2, [_B, _E], (1, 2), [_E, _B, _BI], _BA_GRID),
+    (F2, 3, [_B, _BI, _E], (1, 1, 2), [_E, _B, _BI], _BA_GRID),
+]
+
+
+@pytest.mark.parametrize("G,n,shifts,flip,K,F", _COMPRESSIONS)
+def test_compressed_entries_follow_tr_entry(G, n, shifts, flip, K, F):
+    T, cert = _leavitt_shifted_tcert(G, n, shifts, flip)
+    res = compress_certificate(CompressionInput(T, cert, K, F))
+    L, U, F_X = T.base.base, res.U, res.F_X
+    A_star, B_star = res.certificate.A, res.certificate.B
+    for (i, (s, f)), (j, (t, u)) in product(product(range(cert.m), enumerate(F_X)),
+                                            product(range(cert.n), enumerate(U))):
+        row, col = i * len(F_X) + s, j * len(U) + t
+        assert L.eq(A_star[row, col], tr_entry(T, cert.A[i, j], f, u))
+        assert L.eq(B_star[col, row], tr_entry(T, cert.B[j, i], u, f))
+
+
+def test_finite_group_eq_compares_entries():
+    G = Cyclic(2)
+    T = TranslationRing(G, whole_group(G), Z)
+    assert T.eq(T.diag(T.fn(0, {0: 1, 1: 1})), T.one())
+    assert not T.eq(T.diag(T.fn(0, {0: 1})), T.one())
+
+
+def _entry(T, M, x, y):
+    """tr_entry, or the right ring's rule: (g, f) puts f(x) at (x, x g)."""
+    if not isinstance(T, RightTranslationRing):
+        return tr_entry(T, M, x, y)
+    f = M.get(T.group.mul(T.group.inv(x), y))
+    return f(x) if f is not None else 0
+
+
+@pytest.mark.parametrize("G", [Cyclic(3), DirectProduct([Cyclic(2), Cyclic(2)])],
+                         ids=["C(3)", "C(2)xC(2)"])
+@pytest.mark.parametrize("cls", [TranslationRing, RightTranslationRing])
+@pytest.mark.parametrize("proper", [False, True], ids=["all", "proper"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_finite_group_eq_is_entrywise_equality(G, cls, proper, data):
+    """b has a's values at every point but its own constants, and one value
+    changed when drawn so."""
+    elems = G.elements()
+    X = finite_subset(G, elems[:2]) if proper else whole_group(G)
+    T = cls(G, X, Z)
+    values = st.lists(st.integers(-1, 1), min_size=len(elems), max_size=len(elems))
+    a, b = T.zero(), T.zero()
+    for g in data.draw(st.lists(st.sampled_from(elems), unique=True)):
+        table = dict(zip(elems, data.draw(values)))
+        a = T.add(a, T.term(g, T.fn(data.draw(st.integers(-1, 1)), table)))
+        if data.draw(st.booleans()):
+            table[data.draw(st.sampled_from(elems))] += 1
+        b = T.add(b, T.term(g, T.fn(data.draw(st.integers(-1, 1)), table)))
+    pts = [x for x in elems if x in X]
+    same = all(_entry(T, a, x, y) == _entry(T, b, x, y) for x in pts for y in pts)
+    assert T.eq(a, b) == same
 
 
 def test_right_translation_iso():
