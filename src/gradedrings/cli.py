@@ -157,10 +157,9 @@ def _cmd_compress(args) -> int:
     data = load_json(args.certificate)
     tring, cert = translation_certificate_from_json(data)
     G = tring.group
-    K = _parse_set(G, args.k)
-    F = _parse_set(G, args.f)
+    ci = CompressionInput(tring, cert, _parse_set(G, args.k), _parse_set(G, args.f))
     try:
-        res = compress_certificate(CompressionInput(tring, cert, K, F))
+        res = compress_certificate(ci)
     except ValueError as exc:
         _emit(args, [f"compression refused: {exc}"],
               {"verdict": "refused", "reason": str(exc)})

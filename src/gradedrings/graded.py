@@ -365,23 +365,38 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
     if (len(all_pairs) != N * N
             or set(all_pairs) != {(a, b) for a in index for b in index}):
         rep.partition_ok = False
-    comp_of = {}
+    # Closure is decided from the labels, since e_ab e_cd = delta_bc e_ad.
+    # That holds for the matrices when each one is the unit its label names,
+    # read at the label's position, and one dense product per pair (g, h)
+    # checks the rule on mat_mul itself.
+    comp_of, matrix_of, starts = {}, {}, {g: {} for g in elems}
     for g in elems:
-        for lab in unit_positions[g]:
-            comp_of[lab] = g
+        for (a, b), u in zip(unit_positions[g], components[g]):
+            t = pos[a] * N + pos[b]
+            if ([s for s, x in enumerate(u.entries) if not S.is_zero(x)] != [t]
+                    or not S.eq(u.entries[t], S.one())):
+                rep.closure_ok = False
+                rep.failures.append(f"T_{g} matrix labelled {a}, {b} is not that unit")
+            comp_of[(a, b)], matrix_of[(a, b)] = g, u
+            starts[g].setdefault(a, []).append(b)
     for g in elems:
         for h in elems:
             gh = group.mul(g, h)
-            for (a1, b1), u1 in zip(unit_positions[g], components[g]):
-                for (a2, b2), u2 in zip(unit_positions[h], components[h]):
-                    prod = mat_mul(u1, u2)
-                    if b1 != a2:
-                        if not prod.eq(mring.zero()):
-                            rep.closure_ok = False
-                    elif comp_of[(a1, b2)] != gh or not prod.eq(unit(a1, b2)):
+            spot = None
+            for a1, b1 in unit_positions[g]:
+                for b2 in starts[h].get(b1, ()):
+                    spot = spot or (a1, b1, b2)
+                    if comp_of.get((a1, b2)) != gh:
                         rep.closure_ok = False
                         rep.failures.append(
                             f"product of T_{g} and T_{h} units left T_{gh}")
+            if spot:
+                a1, b1, b2 = spot
+                prod = mat_mul(matrix_of[(a1, b1)], matrix_of[(b1, b2)])
+                if not prod.eq(unit(a1, b2)):
+                    rep.closure_ok = False
+                    rep.failures.append(f"product of T_{g} and T_{h} units "
+                                        "is not the unit their labels name")
     for (a, b) in unit_positions[e]:
         if a[0] != b[0]:
             rep.t1_diagonal_ok = False

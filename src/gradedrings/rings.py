@@ -332,6 +332,9 @@ class MatrixRing(Ring):
     def eq(self, a, b):
         return a.eq(b)
 
+    def is_zero(self, a):
+        return all(self.base.is_zero(x) for x in a.entries)
+
 
 class RingMatrix:
     """Rectangular matrix over an exact ring, entries row-major."""
@@ -421,21 +424,24 @@ class RingMatrix:
 
 
 def mat_mul(A: RingMatrix, B: RingMatrix) -> RingMatrix:
-    """Exact matrix product."""
+    """Exact matrix product.  Each entry sums a_ik * b_kj over the nonzero
+    left entries a_ik of its row only, in that order (the ring need not be
+    commutative); a row of zeros gives zeros."""
     if A.ring != B.ring:
         raise ValueError(f"ring mismatch: {A.ring} vs {B.ring}")
     if A.cols != B.rows:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
     R = A.ring
+    m, b = B.cols, B.entries
     out = []
     for i in range(A.rows):
-        arow = A.row(i)
-        for j in range(B.cols):
+        left = [(k * m, a) for k, a in enumerate(A.row(i)) if not R.is_zero(a)]
+        for j in range(m):
             acc = R.zero()
-            for k in range(A.cols):
-                acc = R.add(acc, R.mul(arow[k], B[k, j]))
+            for km, a in left:
+                acc = R.add(acc, R.mul(a, b[km + j]))
             out.append(acc)
-    return RingMatrix(R, A.rows, B.cols, out)
+    return RingMatrix(R, A.rows, m, out)
 
 
 @dataclass

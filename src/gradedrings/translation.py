@@ -371,7 +371,11 @@ class CompressionInput:
     tring: TranslationRing
     cert: RankCertificate   # over tring
     K: list                 # symmetric, contains identity, dominates entries
-    F: list
+    F: list                 # distinct points
+
+    def __post_init__(self):
+        if len(set(self.F)) != len(self.F):
+            raise ValueError("F repeats a point")
 
 
 @dataclass

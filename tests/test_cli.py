@@ -3,9 +3,14 @@ import json
 
 import pytest
 
+from gradedrings.amenability import whole_group
 from gradedrings.cli import main
-from gradedrings.serialize import certificate_to_json, dump_json
-from gradedrings.special_algebras import leavitt_rank_certificate
+from gradedrings.groups import FreeAbelian
+from gradedrings.rings import RankCertificate, RingMatrix
+from gradedrings.serialize import (certificate_to_json, dump_json,
+                                   translation_certificate_to_json)
+from gradedrings.special_algebras import LeavittRing, leavitt_rank_certificate
+from gradedrings.translation import TranslationRing
 
 
 def run(*argv):
@@ -51,6 +56,26 @@ def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
                "--w", "ball:3", "--k", "{-1; 0; 1}") == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: VerificationError: Hall violator")
+
+
+def test_compress_repeated_f_is_input_error(tmp_path, capsys):
+    """A repeated point of F is an input fault: exit 2, not a failed
+    re-verification (exit 3)."""
+    G = FreeAbelian(1)
+    L = LeavittRing(2)
+    T = TranslationRing(G, whole_group(G), L)
+    A = RingMatrix(T, 2, 1, [T.diag_const(L.gen_star(1)),
+                             T.diag_const(L.gen_star(2))])
+    B = RingMatrix(T, 1, 2, [T.diag_const(L.gen(1)), T.diag_const(L.gen(2))])
+    path = tmp_path / "t.json"
+    dump_json(translation_certificate_to_json(T, RankCertificate(T, 1, 2, A, B)),
+              str(path))
+    assert run("compress", "--certificate", str(path), "--k", "0",
+               "--f", "0;1") == 0
+    capsys.readouterr()
+    assert run("compress", "--certificate", str(path), "--k", "0",
+               "--f", "0;1;1") == 2
+    assert capsys.readouterr().err == "error: F repeats a point\n"
 
 
 def test_collapse(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from gradedrings import graded
+from gradedrings import graded, rings
 from gradedrings.graded import (CrossedProductRing, CrossedSystem,
                                 augmentation_is_multiplicative,
                                 endo_graded_construction, group_ring,
@@ -9,7 +9,7 @@ from gradedrings.graded import (CrossedProductRing, CrossedSystem,
                                 strong_grading_check, twisted_system,
                                 verify_crossed_system)
 from gradedrings.groups import Cyclic, DirectProduct
-from gradedrings.rings import IntegerModRing, IntegerRing, ProductRing
+from gradedrings.rings import IntegerModRing, IntegerRing, ProductRing, RingMatrix
 from gradedrings.special_algebras import LeavittRing, WeylRing
 
 Z = IntegerRing()
@@ -97,11 +97,67 @@ def test_strong_grading_leavitt_degrees():
 @pytest.mark.parametrize("group, n, l, S", [
     (Cyclic(2), 2, 1, IntegerModRing(5)),
     (Cyclic(3), 2, 2, IntegerRing()),
+    (Cyclic(4), 3, 2, IntegerRing()),
 ])
 def test_endo_graded(group, n, l, S):
     ring, rep = endo_graded_construction(S, group, n, l)
     assert rep.ok, rep.lines()
     assert ring.p == n * l - len(group.elements()) + 1
+
+
+class _WrongInverseC4(Cyclic):
+    """C(4) whose inv sends 2 to 1 and 3 to 2: still a bijection, so the
+    components still partition the matrix units, but they are labelled
+    by the wrong elements."""
+
+    def inv(self, g):
+        return {2: 1, 3: 2}.get(g, super().inv(g))
+
+
+class _WrongProductC3(Cyclic):
+    """C(3) whose product of 1 and 1 is 0 instead of 2."""
+
+    def mul(self, g, h):
+        return 0 if (g, h) == (1, 1) else super().mul(g, h)
+
+
+class _TransposedUnits(RingMatrix):
+    """Builds every matrix with its support transposed, so each matrix unit
+    has its 1 at (j, i) instead of (i, j)."""
+
+    @classmethod
+    def from_support(cls, ring, rows, cols, support):
+        return RingMatrix.from_support(
+            ring, rows, cols, {(j, i): x for (i, j), x in support.items()})
+
+
+def test_endo_graded_closure_detects_a_wrong_group():
+    """Closure is decided from the labels: the wrong inverse and the wrong
+    product both leave a product of units outside T_gh.  The dense closure
+    loop that the label check replaced gave the same 82 messages for the
+    wrong inverse and raised KeyError on the wrong product."""
+    _, rep = endo_graded_construction(Z, _WrongInverseC4(4), 3, 2)
+    assert (rep.partition_ok, rep.closure_ok) == (True, False)
+    assert len(rep.failures) == 82
+    assert all(" units left T_" in f for f in rep.failures)
+    _, rep = endo_graded_construction(Z, _WrongProductC3(3), 2, 2)
+    assert not rep.closure_ok and not rep.ok
+    assert any(" units left T_" in f for f in rep.failures)
+
+
+def test_endo_graded_closure_detects_misplaced_units(monkeypatch):
+    """Each component matrix is read at its label's position, and one dense
+    product per pair (g, h) is checked against the unit its labels name."""
+    monkeypatch.setattr(graded, "RingMatrix", _TransposedUnits)
+    _, rep = endo_graded_construction(Z, Cyclic(3), 2, 2)
+    assert not rep.closure_ok
+    assert any(" is not that unit" in f for f in rep.failures)
+    monkeypatch.undo()
+    monkeypatch.setattr(graded, "mat_mul", lambda A, B: rings.mat_mul(B, A))
+    _, rep = endo_graded_construction(Z, Cyclic(3), 2, 2)
+    assert not rep.closure_ok
+    assert rep.failures and all(" is not the unit their labels name" in f
+                                for f in rep.failures)
 
 
 def test_endo_graded_needs_enough_rank():

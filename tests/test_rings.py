@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -146,6 +147,82 @@ def test_mat_mul_shapes():
     assert mat_mul(a, b)[0, 0] == 6
     with pytest.raises(ValueError):
         mat_mul(a, a)
+
+
+def _mat_mul_reference(A, B):
+    """The dense triple loop: every product a_ik * b_kj, zeros included."""
+    R = A.ring
+    out = []
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc = R.zero()
+            for k in range(A.cols):
+                acc = R.add(acc, R.mul(A[i, k], B[k, j]))
+            out.append(acc)
+    return RingMatrix(R, A.rows, B.cols, out)
+
+
+def _leavitt_elements(L):
+    """Sums of up to two words of length <= 3 in e1, e2, e1*, e2*."""
+    gens = [L.gen(1), L.gen(2), L.gen_star(1), L.gen_star(2)]
+
+    def word(c, letters):
+        x = L.from_int(c)
+        for i in letters:
+            x = L.mul(x, gens[i])
+        return x
+
+    term = st.builds(word, st.integers(-2, 2), st.lists(st.integers(0, 3), max_size=3))
+    return st.lists(term, max_size=2).map(lambda ts: functools.reduce(L.add, ts, L.zero()))
+
+
+_L2 = LeavittRing(2)
+_MAT_MUL_RINGS = [
+    (IntegerModRing(5), st.integers(0, 4)),
+    (RationalRing(), st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+    (_L2, _leavitt_elements(_L2)),
+    (_L2.opposite(), _leavitt_elements(_L2)),
+]
+
+
+@st.composite
+def _mat_mul_pair(draw, ring, elements):
+    """A (rows x inner) and B (inner x cols) with random zero entries, and
+    zeroed rows of A, columns of A and columns of B."""
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.one_of(st.just(ring.zero()), elements)
+    A = draw(st.lists(entry, min_size=rows * inner, max_size=rows * inner))
+    B = draw(st.lists(entry, min_size=inner * cols, max_size=inner * cols))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_inner = draw(st.sets(st.integers(0, inner - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    A = [ring.zero() if (t // inner in zero_rows or t % inner in zero_inner) else x
+         for t, x in enumerate(A)]
+    B = [ring.zero() if t % cols in zero_cols else x for t, x in enumerate(B)]
+    return (RingMatrix(ring, rows, inner, A), RingMatrix(ring, inner, cols, B))
+
+
+@pytest.mark.parametrize("ring,elements", _MAT_MUL_RINGS,
+                         ids=[r.name for r, _ in _MAT_MUL_RINGS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mat_mul_agrees_with_the_dense_triple_loop(ring, elements, data):
+    A, B = data.draw(_mat_mul_pair(ring, elements))
+    got, want = mat_mul(A, B), _mat_mul_reference(A, B)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.eq(want)
+
+
+def test_mat_mul_keeps_the_order_of_each_product():
+    """Over L(1,2), (e1, 0, e2)(e1*, e1, e2*)^t = e1 e1* + e2 e2* = 1, while
+    the products taken as b*a (the same matrices over the opposite ring)
+    sum to e1* e1 + e2* e2 = 2."""
+    L = _L2
+    A = RingMatrix(L, 1, 3, [L.gen(1), L.zero(), L.gen(2)])
+    B = RingMatrix(L, 3, 1, [L.gen_star(1), L.gen(1), L.gen_star(2)])
+    assert L.eq(mat_mul(A, B)[0, 0], L.one())
+    op = L.opposite()
+    assert L.eq(mat_mul(A.reinterpret(op), B.reinterpret(op))[0, 0], L.from_int(2))
 
 
 @pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0), (0, -1)])
