@@ -189,8 +189,9 @@ def check_monoid_gn() -> CriterionResult:
         for k in range(1, 11):
             canon, reach = cnk_reach_oracle(n, k, 100)
             for lam in range(101):
+                above = reach[lam]
                 for mu in range(101):
-                    if cnk_leq(n, k, lam, mu) != (canon[mu] in reach[lam]):
+                    if cnk_leq(n, k, lam, mu) != (canon[mu] in above):
                         mismatches += 1
     ok &= mismatches == 0
     details.append(f"closed form vs closure oracle: {mismatches} mismatches "

@@ -232,6 +232,7 @@ class StrongGradingVerdict:
     g: object
     found: bool
     witness: str
+    terms: list = field(default_factory=list)   # (s, ia, ib): 1 = sum s a[ia] b[ib]
 
 
 def strong_grading_check(ring: Ring, components: dict, inv: Callable,
@@ -244,44 +245,64 @@ def strong_grading_check(ring: Ring, components: dict, inv: Callable,
     idempotent products summed up.  A negative verdict means the bounded search failed,
     not that the grading is weak.
     """
+    one = ring.one()
+    scalars = [(s, ring.from_int(s)) for c in range(1, STRONG_COEFF_BOUND + 1)
+               for s in (c, -c)]
     out = []
     for g in gs:
-        span_a = components[g]
-        span_b = components[inv(g)]
-        products = []
-        for ia, a in enumerate(span_a):
-            for ib, b in enumerate(span_b):
-                p = ring.mul(a, b)
-                if not ring.is_zero(p):
-                    products.append((ia, ib, p))
-        verdict = StrongGradingVerdict(g, False, "")
+        products = [(ia, ib, p) for ia, a in enumerate(components[g])
+                    for ib, b in enumerate(components[inv(g)])
+                    for p in (ring.mul(a, b),) if not ring.is_zero(p)]
+        single = next(((s, ia, ib) for ia, ib, p in products for s, sc in scalars
+                       if ring.eq(ring.mul(sc, p), one)), None)
+        if single:
+            s, ia, ib = single
+            out.append(StrongGradingVerdict(g, True, f"1 = {s} * a[{ia}] b[{ib}]",
+                                            [single]))
+            continue
+        chosen = []
         for ia, ib, p in products:
-            for c in range(1, STRONG_COEFF_BOUND + 1):
-                for s in (c, -c):
-                    if ring.eq(ring.mul(ring.from_int(s), p), ring.one()):
-                        verdict = StrongGradingVerdict(
-                            g, True, f"1 = {s} * a[{ia}] b[{ib}]")
-                        break
-                if verdict.found:
-                    break
-            if verdict.found:
-                break
-        if not verdict.found:
-            chosen = []
-            for ia, ib, p in products:
-                if not ring.eq(ring.mul(p, p), p):
-                    continue
-                if all(ring.is_zero(ring.mul(p, q)) and ring.is_zero(ring.mul(q, p))
-                       for _, _, q in chosen):
-                    chosen.append((ia, ib, p))
-            acc = ring.zero()
-            for _, _, p in chosen:
-                acc = ring.add(acc, p)
-            if chosen and ring.eq(acc, ring.one()):
-                pairs = " + ".join(f"a[{ia}] b[{ib}]" for ia, ib, _ in chosen)
-                verdict = StrongGradingVerdict(g, True, f"1 = {pairs}")
-        out.append(verdict)
+            if ring.eq(ring.mul(p, p), p) and all(
+                    ring.is_zero(ring.mul(p, q)) and ring.is_zero(ring.mul(q, p))
+                    for _, _, q in chosen):
+                chosen.append((ia, ib, p))
+        acc = ring.zero()
+        for _, _, p in chosen:
+            acc = ring.add(acc, p)
+        if chosen and ring.eq(acc, one):
+            pairs = " + ".join(f"a[{ia}] b[{ib}]" for ia, ib, _ in chosen)
+            out.append(StrongGradingVerdict(g, True, f"1 = {pairs}",
+                                            [(1, ia, ib) for ia, ib, _ in chosen]))
+        else:
+            out.append(StrongGradingVerdict(g, False, ""))
     return out
+
+
+class _UnitLabelRing(SparseRing):
+    """M_N(S) on matrix-unit labels, the model the endo-graded strong-grading
+    search runs in: {(a, b): c} is the sum of c e_ab over labels a, b of
+    index, e_ab e_cd = delta_bc e_ad, and 1 is the sum of the e_aa."""
+
+    def __init__(self, S: Ring, index: Sequence):
+        self.base = S
+        self.index = tuple(index)
+        self.key = (S, self.index)
+        self.name = f"M{len(self.index)}({S.name}) on unit labels"
+
+    def scalar(self, c):
+        return {} if self.base.is_zero(c) else {(a, a): c for a in self.index}
+
+    def one(self):
+        return self.scalar(self.base.one())
+
+    def mul(self, x, y):
+        S, starts, out = self.base, {}, {}
+        for (c, d), v in y.items():
+            starts.setdefault(c, []).append((d, v))
+        for (a, b), u in x.items():
+            for d, v in starts.get(b, ()):
+                _add_term(out, (a, d), S.mul(u, v), S)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +421,25 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
     for (a, b) in unit_positions[e]:
         if a[0] != b[0]:
             rep.t1_diagonal_ok = False
-    rep.strong = strong_grading_check(mring, components, group.inv, elems)
+    # The strong-grading search runs on the labels; each witness it finds is
+    # then summed from the matrices with mat_mul and must give the identity.
+    one = S.one()
+    labelled = {g: [{ab: one} for ab in unit_positions[g]] for g in elems}
+    rep.strong = strong_grading_check(_UnitLabelRing(S, index), labelled,
+                                      group.inv, elems)
+    identity = mring.one()
+    for v in rep.strong:
+        if not v.found:
+            continue
+        acc = mring.zero()
+        for s, ia, ib in v.terms:
+            c = S.from_int(s)
+            prod = mat_mul(components[v.g][ia], components[group.inv(v.g)][ib])
+            acc = acc.add(RingMatrix(S, N, N, [S.mul(c, x) for x in prod.entries]))
+        if not acc.eq(identity):
+            v.found = False
+            rep.failures.append(f"strong grading witness at {v.g} does not "
+                                "sum to the identity matrix")
     return ring, rep
 
 

@@ -68,12 +68,27 @@ def cnk_leq_oracle(n: int, k: int, lam: int, mu: int, bound: int = 400) -> bool:
 def cnk_reach_oracle(n: int, k: int, bound: int):
     """Brute-force order oracle for a whole coefficient range at once.
 
-    Returns (canon, reach): canon[v] is the BFS-minimal representative of v,
+    Returns (canon, reach): canon[v] is the BFS-minimal representative of v
+    (what cnk_normalize_oracle returns, found by walking each class once),
     and reach[lam] the set of representatives of {lam + z : z >= 0}; the
     range z <= n + 2k covers one full period beyond the transient part.
     """
     hi = bound + n + 2 * k + 1
-    canon = [cnk_normalize_oracle(n, k, v, bound=hi + k) for v in range(hi + 1)]
+    top = hi + k
+    # One walk per congruence class, with cnk_normalize_oracle's edge rule on
+    # 0..top; values are visited in increasing order, so the value a walk
+    # starts from is its class minimum.
+    canon = [None] * (top + 1)
+    for v in range(hi + 1):
+        if canon[v] is None:
+            canon[v], todo = v, [v]
+            while todo:
+                u = todo.pop()
+                for w in (u + k, u - k):
+                    if min(u, w) >= n and w <= top and canon[w] is None:
+                        canon[w] = v
+                        todo.append(w)
+    del canon[hi + 1:]
     reach = [{canon[lam + z] for z in range(n + 2 * k + 1)}
              for lam in range(bound + 1)]
     return canon, reach

@@ -159,6 +159,39 @@ def test_endo_graded_closure_detects_misplaced_units(monkeypatch, attr, fault,
     assert any(message in f for f in rep.failures)
 
 
+@pytest.mark.parametrize("group, n, l", [
+    (Cyclic(2), 2, 1), (Cyclic(2), 1, 2), (Cyclic(3), 3, 1), (Cyclic(3), 2, 2),
+    (Cyclic(4), 2, 2), (Cyclic(4), 3, 2), (Cyclic(3), 3, 3),
+    (DirectProduct([Cyclic(2), Cyclic(2)]), 2, 2),
+])
+def test_endo_graded_strong_verdicts_match_the_dense_search(group, n, l):
+    """The strong-grading search runs on unit labels; the same generic
+    search over the dense matrix units is the reference."""
+    S = IntegerModRing(5) if n * l < 6 else Z
+    ring, rep = endo_graded_construction(S, group, n, l)
+    dense = strong_grading_check(ring.matrix_ring, ring.components, group.inv,
+                                 group.elements())
+    assert ([(v.g, v.found, v.witness, v.terms) for v in rep.strong]
+            == [(v.g, v.found, v.witness, v.terms) for v in dense])
+    assert all(v.found for v in rep.strong)
+
+
+@pytest.mark.parametrize("group, n, l", [(Cyclic(3), 2, 2), (Cyclic(4), 3, 2)])
+def test_endo_graded_strong_rows_fail_on_a_wrong_product(monkeypatch, group, n, l):
+    """Every label witness is summed from the matrices with mat_mul; when
+    mat_mul is wrong, no strong row passes."""
+    monkeypatch.setattr(graded, "mat_mul",
+                        lambda A, B: RingMatrix.zero(A.ring, A.rows, B.cols))
+    _, rep = endo_graded_construction(Z, group, n, l)
+    assert len(rep.strong) == len(group.elements())
+    assert not any(v.found for v in rep.strong)
+    assert not rep.ok
+    strong_rows = [s for s in rep.lines() if s.startswith("strong grading at")]
+    assert len(strong_rows) == len(rep.strong)
+    assert all(s.endswith(": FAIL") for s in strong_rows)
+    assert sum("does not sum to the identity" in f for f in rep.failures) == len(rep.strong)
+
+
 def test_endo_graded_needs_enough_rank():
     with pytest.raises(ValueError):
         endo_graded_construction(Z, Cyclic(3), 1, 2)   # nl = k - 1

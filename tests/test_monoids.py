@@ -29,6 +29,19 @@ def test_cnk_reach_oracle_consistent():
                 assert cnk_leq(n, k, lam, mu) == (canon[mu] in reach[lam])
 
 
+def test_cnk_reach_oracle_matches_the_per_value_oracle():
+    """The class walk labels every value with what a breadth-first walk
+    from that value alone finds, for n, k <= 10 up to bound 100."""
+    for n in range(1, 11):
+        for k in range(1, 11):
+            canon, reach = cnk_reach_oracle(n, k, 100)
+            hi = 100 + n + 2 * k + 1
+            ref = [cnk_normalize_oracle(n, k, v, bound=hi + k) for v in range(hi + 1)]
+            assert canon == ref, (n, k)
+            assert reach == [{ref[lam + z] for z in range(n + 2 * k + 1)}
+                             for lam in range(101)], (n, k)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_generating_number_is_n(n, k):
