@@ -7,6 +7,7 @@ verdicts cannot drift apart.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,8 +19,9 @@ from .graded import endo_graded_construction, group_ring, group_ring_augmentatio
 from .groups import (BaumslagSolitar, Cyclic, DirectProduct, FreeAbelian,
                      FreeGroup, set_product)
 from .monoids import (MnklParams, cnk_generating_number, cnk_leq,
-                      cnk_reach_oracle, mnkl_leq, mnkl_phi,
-                      mnkl_homomorphisms_well_defined, mnkl_vector)
+                      cnk_leq_canonical, cnk_normalize, cnk_reach_oracle,
+                      mnkl_leq, mnkl_phi, mnkl_homomorphisms_well_defined,
+                      mnkl_vector)
 from .report import VerificationError
 from .rings import (IntegerModRing, IntegerRing, MatrixRing, RankCertificate,
                     RingMatrix, _checked, block_down_certificate,
@@ -188,11 +190,17 @@ def check_monoid_gn() -> CriterionResult:
     for n in range(1, 11):
         for k in range(1, 11):
             canon, reach = cnk_reach_oracle(n, k, 100)
+            norm = [cnk_normalize(n, k, v) for v in range(101)]
+            # the normal form must be the oracle's class minimum
+            mismatches += sum(a != b for a, b in zip(norm, canon))
+            # The term for (lam, mu) depends on mu only through
+            # (norm[mu], canon[mu]): sum each distinct pair once, weighted.
+            classes = Counter(zip(norm, canon)).items()
             for lam in range(101):
-                above = reach[lam]
-                for mu in range(101):
-                    if cnk_leq(n, k, lam, mu) != (canon[mu] in above):
-                        mismatches += 1
+                above, nl = reach[lam], norm[lam]
+                for (nm, c), weight in classes:
+                    if cnk_leq_canonical(n, nl, nm) != (c in above):
+                        mismatches += weight
     ok &= mismatches == 0
     details.append(f"closed form vs closure oracle: {mismatches} mismatches "
                    "(lam,mu <= 100, n,k <= 10)")

@@ -46,13 +46,16 @@ def cnk_normalize_oracle(n: int, k: int, lam: int, bound: int = 200) -> int:
 
 
 def cnk_leq(n: int, k: int, lam: int, mu: int) -> bool:
-    """Decide lam*a <= mu*a in C(n,k): exists z with lam + z congruent to mu.
+    """Decide lam*a <= mu*a in C(n,k): exists z with lam + z congruent to mu."""
+    return cnk_leq_canonical(n, cnk_normalize(n, k, lam), cnk_normalize(n, k, mu))
 
-    Closed form on canonical coefficients: mu >= lam, or mu >= n (then the
-    periodic tail above n can always be reached).
+
+def cnk_leq_canonical(n: int, lam: int, mu: int) -> bool:
+    """cnk_leq on canonical coefficients (what cnk_normalize returns).
+
+    Closed form: mu >= lam, or mu >= n (then the periodic tail above n can
+    always be reached).
     """
-    lam = cnk_normalize(n, k, lam)
-    mu = cnk_normalize(n, k, mu)
     return mu >= lam or mu >= n
 
 

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedrings import checks, monoids
 from gradedrings.monoids import (MnklParams, cnk_generating_number, cnk_leq,
-                                 cnk_leq_oracle, cnk_normalize,
+                                 cnk_leq_canonical, cnk_leq_oracle, cnk_normalize,
                                  cnk_normalize_oracle, cnk_reach_oracle,
                                  mnkl_homomorphisms_well_defined, mnkl_leq,
                                  mnkl_phi, mnkl_psi, mnkl_vector)
@@ -40,6 +41,57 @@ def test_cnk_reach_oracle_matches_the_per_value_oracle():
             assert canon == ref, (n, k)
             assert reach == [{ref[lam + z] for z in range(n + 2 * k + 1)}
                              for lam in range(101)], (n, k)
+
+
+def test_cnk_leq_is_the_canonical_form_on_normalized_coefficients():
+    for n in range(1, 11):
+        for k in range(1, 11):
+            norm = [cnk_normalize(n, k, v) for v in range(101)]
+            for lam in range(101):
+                for mu in range(101):
+                    assert cnk_leq(n, k, lam, mu) == cnk_leq_canonical(
+                        n, norm[lam], norm[mu]), (n, k, lam, mu)
+
+
+def _per_pair_mismatches():
+    """The monoid-gn count as one cnk_leq call per (lam, mu) pair."""
+    mismatches = 0
+    for n in range(1, 11):
+        for k in range(1, 11):
+            canon, reach = cnk_reach_oracle(n, k, 100)
+            for lam in range(101):
+                for mu in range(101):
+                    if cnk_leq(n, k, lam, mu) != (canon[mu] in reach[lam]):
+                        mismatches += 1
+    return mismatches
+
+
+def _gn_mismatch_line(count):
+    return (f"closed form vs closure oracle: {count} mismatches "
+            "(lam,mu <= 100, n,k <= 10)")
+
+
+@pytest.mark.parametrize("faulty, expected", [
+    (lambda n, lam, mu: mu > lam or mu >= n, 550),
+    (lambda n, lam, mu: mu >= lam or mu > n, 128024),
+], ids=["strict", "tail"])
+def test_monoid_gn_counts_closed_form_faults_per_pair(monkeypatch, faulty,
+                                                      expected):
+    """The class-weighted sum in check_monoid_gn counts exactly what the
+    per-pair loop counts for a faulty closed form."""
+    monkeypatch.setattr(monoids, "cnk_leq_canonical", faulty)
+    assert _per_pair_mismatches() == expected
+    monkeypatch.setattr(checks, "cnk_leq_canonical", faulty)
+    res = checks.check_monoid_gn()
+    assert not res.ok
+    assert res.details[-1] == _gn_mismatch_line(expected)
+
+
+def test_monoid_gn_catches_a_normal_form_that_never_folds(monkeypatch):
+    monkeypatch.setattr(checks, "cnk_normalize", lambda n, k, lam: lam)
+    res = checks.check_monoid_gn()
+    assert not res.ok
+    assert res.details[-1] == _gn_mismatch_line(9000)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -133,6 +133,31 @@ def test_finite_group_iso(group, ring):
     assert rep.ok, rep.lines()
 
 
+class _BadInv(Cyclic):
+    def inv(self, x):
+        return x
+
+
+class _BadMul(Cyclic):
+    """Addition clamped at m - 1: 0 stays the identity, products stay in
+    the group, and some A_g is no longer a permutation matrix."""
+
+    def mul(self, x, y):
+        return min(x + y, self.m - 1)
+
+
+@pytest.mark.parametrize("group, failing, failures", [
+    (_BadInv(3), {"action_ok"}, 6),
+    (_BadMul(3), {"shift_mult_ok", "action_ok", "bijective_ok"}, 8),
+    (_BadMul(4), {"shift_mult_ok", "action_ok", "bijective_ok"}, 15),
+], ids=["bad-inv-3", "bad-mul-3", "bad-mul-4"])
+def test_finite_group_iso_reports_faulty_groups(group, failing, failures):
+    rep = finite_group_iso(group, Z)
+    assert not rep.ok
+    assert {name for name, _ in rep.CHECKS if not getattr(rep, name)} == failing
+    assert len(rep.failures) == failures
+
+
 def test_collapse_matrices_identities():
     F2 = FreeGroup(2)
     w = find_two_to_one_injection(F2, F2.ball(1), F2.ball(2), F2.ball(1))
