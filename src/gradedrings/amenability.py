@@ -8,6 +8,7 @@ a value carrying the evidence, never an exception.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -380,7 +381,6 @@ def rosenblatt_find(k: int, u_tuple: Sequence, v_tuple: Sequence) -> RosenblattR
         t = x[0]
         return t - (t.numerator // t.denominator)
 
-    from collections import Counter
     cu = Counter(frac(x) for x in u_tuple)
     cv = Counter(frac(x) for x in v_tuple)
     for f in sorted(set(cu) | set(cv)):

@@ -31,7 +31,8 @@ from .rings import (IntegerModRing, IntegerRing, MatrixRing, RankCertificate,
 from .special_algebras import (LeavittRing, WeylRing, leavitt_iso_check,
                                leavitt_matrix_units, leavitt_rank_certificate,
                                weyl_component_basis, weyl_phi0_multiplicative)
-from .translation import (CompressionInput, TranslationRing, collapse_matrices,
+from .translation import (CompressionInput, FolnerInequalityError,
+                          TranslationRing, collapse_matrices,
                           compress_certificate, finite_group_iso)
 
 DEFAULT_SEED = 20240817
@@ -101,7 +102,7 @@ def check_compression() -> CriterionResult:
         compress_certificate(_z_leavitt_input([-1, 0, 1], [0, 1]))
         ok = False
         details.append("padded K was not rejected")
-    except ValueError:
+    except FolnerInequalityError:
         details.append("padded K rejected (Folner inequality enforced)")
     return CriterionResult(3, "certificate compression", bool(ok), details)
 

@@ -3,8 +3,8 @@
 Subcommands cover every construction in the library: folner, paradox,
 collapse, compress, cert (verify/extend/opposite/block/product/hom), monoid,
 crossed, endo-graded, psi, normalize, bs-check, rosenblatt, and repro.
-Exit codes: 0 on pass/found, 1 on a verified negative, 2 on input errors,
-3 on an internal error (never a verdict).
+Exit codes: 0 or 1 from EXIT_CODES for a printed verdict (1 is a verified
+negative), 2 on input errors, 3 on an internal error (never a verdict).
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from .amenability import (FolnerWitness, InjectionWitness, bs_X, bs_X0,
                           bs_example_check, find_two_to_one_injection,
                           folner_search, rosenblatt_find,
                           verify_hall_violation, whole_group)
-from .graded import (CrossedProductRing, endo_graded_construction,
-                     group_ring_system, psi_embedding_check, twisted_system,
+from .graded import (CrossedProductRing, CrossedSystem,
+                     endo_graded_construction, group_ring_augmentation,
+                     psi_embedding_check, twisted_system,
                      verify_crossed_system)
-from .groups import (DEFAULT_MAX_RADIUS, Group, group_from_spec,
-                     split_top_level)
+from .groups import (DEFAULT_MAX_RADIUS, BaumslagSolitar, Group,
+                     group_from_spec, split_top_level)
 from .monoids import (DEFAULT_CLOSURE_DEPTH, MnklParams, cnk_leq,
                       cnk_normalize, mnkl_leq)
 from .report import Report, VerificationError
@@ -37,7 +38,8 @@ from .serialize import (certificate_from_json, certificate_to_json, dump_json,
                         load_json, ring_from_spec,
                         translation_certificate_from_json)
 from .special_algebras import LeavittRing, WeylRing
-from .translation import CompressionInput, collapse_matrices, compress_certificate
+from .translation import (CompressionInput, FolnerInequalityError,
+                          collapse_matrices, compress_certificate)
 
 # ---------------------------------------------------------------------------
 # parsing helpers
@@ -66,18 +68,31 @@ def _subset(group: Group, name: str):
     raise ValueError(f"unknown subset spec: {name!r} (use all, bs-x, bs-x0)")
 
 
-def _emit(args, lines: list, payload: dict) -> None:
-    if getattr(args, "format", "text") == "json":
+# The one place a verdict becomes an exit code; 1 means a verified "no".
+EXIT_CODES = {
+    "pass": 0, "witness": 0, "compressed": 0, "valid": 0, "yes": 0, "found": 0,
+    "fail": 1, "no-witness": 1, "infeasible": 1, "refused": 1, "invalid": 1,
+    "no": 1, "unknown": 1,
+}
+
+
+def _emit(args, lines: list, payload: dict) -> int:
+    """Print the lines, or the payload as JSON; return the verdict's exit
+    code.  A verdict missing from EXIT_CODES raises before printing."""
+    verdict = payload["verdict"]
+    if verdict not in EXIT_CODES:
+        raise RuntimeError(f"no exit code for verdict {verdict!r}")
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     else:
         for line in lines:
             print(line)
+    return EXIT_CODES[verdict]
 
 
 def _emit_report(args, rep: Report, **payload) -> int:
-    """Print a report's lines, or its verdict and payload as JSON."""
-    _emit(args, rep.lines(), {"verdict": "pass" if rep.ok else "fail", **payload})
-    return 0 if rep.ok else 1
+    return _emit(args, rep.lines(),
+                 {"verdict": "pass" if rep.ok else "fail", **payload})
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +106,21 @@ def _cmd_folner(args) -> int:
     res = folner_search(G, X, K, Fraction(args.eps), args.r_max)
     if isinstance(res, FolnerWitness):
         data = folner_witness_to_json(G, res)
-        _emit(args, [
+        if args.out:
+            dump_json(data, args.out)
+        return _emit(args, [
             f"witness found: |F| = {len(res.F)}",
             f"|KF cap X| = {res.kf_count} < (1 + {res.eps}) * {res.f_count}"
             f" = (1 + eps) |F cap X|",
         ], {"verdict": "witness", **data})
-        if args.out:
-            dump_json(data, args.out)
-        return 0
     lines = [f"no witness among balls of radius 0..{res.r_max}"]
     for idx, kf, f, ratio in res.ratios:
         lines.append(f"  radius {idx}: |KF cap X| / |F cap X| = {kf}/{f}"
                      + (f" = {ratio}" if ratio is not None else ""))
     lines.append(f"best ratio: {res.best_ratio}")
-    _emit(args, lines, {"verdict": "no-witness", "r_max": res.r_max,
-                        "best_ratio": str(res.best_ratio),
-                        "ratios": [[i, kf, f, str(r)] for i, kf, f, r in res.ratios]})
-    return 1
+    return _emit(args, lines, {
+        "verdict": "no-witness", "r_max": res.r_max, "best_ratio": str(res.best_ratio),
+        "ratios": [[i, kf, f, str(r)] for i, kf, f, r in res.ratios]})
 
 
 def _cmd_paradox(args) -> int:
@@ -119,12 +132,11 @@ def _cmd_paradox(args) -> int:
     s = G.element_to_str
     if isinstance(res, InjectionWitness):
         data = injection_witness_to_json(G, res)
-        _emit(args, [f"two-to-one injection found: |V| = {len(V)}, "
-                     f"|W| = {len(W)}, translators in K of size {len(K)}"],
-              {"verdict": "witness", **data})
         if args.out:
             dump_json(data, args.out)
-        return 0
+        return _emit(args, [f"two-to-one injection found: |V| = {len(V)}, "
+                            f"|W| = {len(W)}, translators in K of size {len(K)}"],
+                     {"verdict": "witness", **data})
     if not verify_hall_violation(G, V, W, K, res.violating_set):
         raise VerificationError("Hall violator failed its recount")
     lines = [
@@ -132,10 +144,9 @@ def _cmd_paradox(args) -> int:
         "A = {" + "; ".join(s(x) for x in res.violating_set) + "}",
         f"|KA cap W| = {len(res.neighborhood)} < 2 |A| = {2 * len(res.violating_set)}",
     ]
-    _emit(args, lines, {"verdict": "infeasible",
-                        "violating_set": [s(x) for x in res.violating_set],
-                        "neighborhood_size": len(res.neighborhood)})
-    return 1
+    return _emit(args, lines, {"verdict": "infeasible",
+                               "violating_set": [s(x) for x in res.violating_set],
+                               "neighborhood_size": len(res.neighborhood)})
 
 
 def _cmd_collapse(args) -> int:
@@ -146,9 +157,8 @@ def _cmd_collapse(args) -> int:
     R = ring_from_spec(args.ring)
     res = find_two_to_one_injection(G, V, W, K)
     if not isinstance(res, InjectionWitness):
-        _emit(args, ["no two-to-one injection; collapse matrices not built"],
-              {"verdict": "infeasible"})
-        return 1
+        return _emit(args, ["no two-to-one injection; collapse matrices not built"],
+                     {"verdict": "infeasible"})
     out = collapse_matrices(G, res, R)
     return _emit_report(args, out, uncovered=len(out.uncovered))
 
@@ -160,10 +170,9 @@ def _cmd_compress(args) -> int:
     ci = CompressionInput(tring, cert, _parse_set(G, args.k), _parse_set(G, args.f))
     try:
         res = compress_certificate(ci)
-    except ValueError as exc:
-        _emit(args, [f"compression refused: {exc}"],
-              {"verdict": "refused", "reason": str(exc)})
-        return 1
+    except FolnerInequalityError as exc:
+        return _emit(args, [f"compression refused: {exc}"],
+                     {"verdict": "refused", "reason": str(exc)})
     out_cert = res.certificate
     lines = [
         f"window verification passed on {len(res.U)} x {len(res.F_X)} points",
@@ -172,15 +181,10 @@ def _cmd_compress(args) -> int:
         f"compressed certificate: ({out_cert.n}, {out_cert.m}) over "
         f"{out_cert.ring.name}, verified",
     ]
-    payload = {"verdict": "compressed", "n": out_cert.n, "m": out_cert.m}
-    _emit(args, lines, payload)
     if args.out:
         dump_json(certificate_to_json(out_cert), args.out)
-    return 0
-
-
-def _load_cert(path: str):
-    return certificate_from_json(load_json(path))
+    return _emit(args, lines, {"verdict": "compressed", "n": out_cert.n,
+                               "m": out_cert.m})
 
 
 def _cert_emit(args, cert) -> int:
@@ -189,48 +193,46 @@ def _cert_emit(args, cert) -> int:
         raise VerificationError(f"certificate invalid at {v.position}")
     if args.out:
         dump_json(certificate_to_json(cert), args.out)
-    _emit(args, [f"certificate ({cert.n}, {cert.m}) over {cert.ring.name}: "
-                 f"valid, BGN {v.bgn}"],
-          {"verdict": "valid", "n": cert.n, "m": cert.m, "bgn": v.bgn})
-    return 0
+    return _emit(args, [f"certificate ({cert.n}, {cert.m}) over {cert.ring.name}: "
+                        f"valid, BGN {v.bgn}"],
+                 {"verdict": "valid", "n": cert.n, "m": cert.m, "bgn": v.bgn})
 
 
 def _cmd_cert(args) -> int:
+    if args.action != "product" and len(args.files) != 1:
+        raise ValueError(f"cert {args.action} takes exactly one certificate "
+                         f"file, got {len(args.files)}")
+    certs = [certificate_from_json(load_json(p)) for p in args.files]
+    if args.action == "product":
+        return _cert_emit(args, product_certificate(certs))
+    cert = certs[0]
     if args.action == "verify":
-        cert = _load_cert(args.file)
         v = verify_certificate(cert)
         if v:
-            _emit(args, [f"valid: AB = I_{cert.m}, BGN {v.bgn}"],
-                  {"verdict": "valid", "bgn": v.bgn})
-            return 0
-        _emit(args, [f"invalid at entry {v.position} of AB"],
-              {"verdict": "invalid", "position": list(v.position)})
-        return 1
+            return _emit(args, [f"valid: AB = I_{cert.m}, BGN {v.bgn}"],
+                         {"verdict": "valid", "bgn": v.bgn})
+        return _emit(args, [f"invalid at entry {v.position} of AB"],
+                     {"verdict": "invalid", "position": list(v.position)})
     if args.action == "extend":
-        cert = _load_cert(args.file)
+        if args.target is None:
+            raise ValueError("cert extend needs --target")
         if cert.m > cert.n + 1:
             cert = truncate_certificate(cert)
         return _cert_emit(args, extend_certificate(cert, args.target))
     if args.action == "opposite":
-        return _cert_emit(args, opposite_certificate(_load_cert(args.file)))
+        return _cert_emit(args, opposite_certificate(cert))
     if args.action == "block":
-        cert = _load_cert(args.file)
         if args.up:
             return _cert_emit(args, block_up_certificate(cert, args.up))
         return _cert_emit(args, block_down_certificate(cert))
-    if args.action == "product":
-        return _cert_emit(args, product_certificate(
-            [_load_cert(p) for p in args.files]))
     if args.action == "hom":
-        cert = _load_cert(args.file)
         if args.map == "aug":
             R = cert.ring
             if not isinstance(R, CrossedProductRing):
                 raise ValueError("aug needs a group-ring certificate")
-            from .graded import group_ring_augmentation
             return _cert_emit(args, hom_certificate(
                 cert, lambda a: group_ring_augmentation(R, a), R.base))
-        m = re.fullmatch(r"mod:(\d+)", args.map)
+        m = re.fullmatch(r"mod:(\d+)", args.map or "")
         if not m:
             raise ValueError(f"unknown map {args.map!r} (use aug or mod:m)")
         target = IntegerModRing(int(m.group(1)))
@@ -254,8 +256,7 @@ def _cmd_monoid(args) -> int:
         lines = [f"{lam}a <= {mu}a in C({n},{k}): {'yes' if verdict else 'no'}",
                  f"canonical forms: {cnk_normalize(n, k, lam)}a and "
                  f"{cnk_normalize(n, k, mu)}a"]
-        _emit(args, lines, {"verdict": "yes" if verdict else "no"})
-        return 0 if verdict else 1
+        return _emit(args, lines, {"verdict": "yes" if verdict else "no"})
     mm = re.fullmatch(r"M\((\d+),\s*(\d+),\s*(\d+)\)", monoid)
     if not mm:
         raise ValueError(f"unknown monoid {monoid!r}")
@@ -267,15 +268,13 @@ def _cmd_monoid(args) -> int:
         lines = [f"yes: s + z = t with z = {res.z}"]
         for parent, rel, child in res.chain:
             lines.append(f"  {parent} --{rel}--> {child}")
-        _emit(args, lines, {"verdict": "yes", "z": list(res.z)})
-        return 0
+        return _emit(args, lines, {"verdict": "yes", "z": list(res.z)})
     if res.verdict == "no":
-        _emit(args, [f"no (separator {res.separator}): {res.reason}"],
-              {"verdict": "no", "separator": res.separator, "reason": res.reason})
-        return 1
-    _emit(args, [f"unknown: {res.reason}"],
-          {"verdict": "unknown", "reason": res.reason})
-    return 1
+        return _emit(args, [f"no (separator {res.separator}): {res.reason}"],
+                     {"verdict": "no", "separator": res.separator,
+                      "reason": res.reason})
+    return _emit(args, [f"unknown: {res.reason}"],
+                 {"verdict": "unknown", "reason": res.reason})
 
 
 def _parse_c_side(text: str) -> int:
@@ -324,7 +323,7 @@ def _cmd_crossed(args) -> int:
         omega_inv = _omega_table(G, R, cfg["omega_inv"])
         cs = twisted_system(G, R, omega, omega_inv)
     else:
-        cs = group_ring_system(G, R)
+        cs = CrossedSystem(G, R)
     samples = None
     if "samples" in cfg:
         samples = [R.element_from_str(s) for s in cfg["samples"]]
@@ -387,22 +386,19 @@ def _algebra_from_spec(spec: str):
 
 
 def _cmd_bs_check(args) -> int:
-    rep = bs_example_check(args.k, args.r)
-    return _emit_report(args, rep)
+    return _emit_report(args, bs_example_check(args.k, args.r))
 
 
 def _cmd_rosenblatt(args) -> int:
-    from .groups import BaumslagSolitar
     G = BaumslagSolitar(args.k)
     u = tuple(G.element_from_str(s) for s in split_top_level(args.u, ";"))
     v = tuple(G.element_from_str(s) for s in split_top_level(args.v, ";"))
     res = rosenblatt_find(args.k, u, v)
-    _emit(args, [
+    return _emit(args, [
         f"g = {G.element_to_str(res.g)}",
         f"|g^-1 u cap X| = {res.u_count} < |g^-1 v cap X| = {res.v_count}",
     ], {"verdict": "found", "g": G.element_to_str(res.g),
         "u_count": res.u_count, "v_count": res.v_count})
-    return 0
 
 
 def _cmd_repro(args) -> int:
@@ -418,13 +414,17 @@ def _cmd_repro(args) -> int:
         if not selected:
             raise ValueError(f"unknown check {args.name!r}; one of: "
                              + ", ".join(names + ["all"]))
-    results = [fn() for _, fn in selected]
-    for r in results:
-        print(r.line)
+    lines, results = [], []
+    for name, fn in selected:
+        r = fn()
+        lines.append(r.line)
         if args.verbose or not r.ok:
-            for d in r.details:
-                print("   ", d)
-    return 0 if all(r.ok for r in results) else 1
+            lines += [f"    {d}" for d in r.details]
+        results.append({"check": name, "number": r.number, "name": r.name,
+                        "verdict": "pass" if r.ok else "fail",
+                        "details": r.details})
+    verdict = "pass" if all(r["verdict"] == "pass" for r in results) else "fail"
+    return _emit(args, lines, {"verdict": verdict, "checks": results})
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("cert", _cmd_cert, help="verify or transform rank certificates")
     p.add_argument("action", choices=["verify", "extend", "opposite", "block",
                                       "product", "hom"])
-    p.add_argument("file", nargs="?")
-    p.add_argument("files", nargs="*")
+    p.add_argument("files", nargs="+", metavar="file")
     p.add_argument("--target", type=int)
     p.add_argument("--up", type=int)
     p.add_argument("--map")
@@ -535,12 +534,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "cert":
-        # "cert product a.json b.json" puts the first file in args.file
-        if args.action == "product" and args.file:
-            args.files = [args.file] + args.files
-        elif args.action != "product" and not args.file:
-            parser.error("cert needs a certificate file")
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:

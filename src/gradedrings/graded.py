@@ -53,14 +53,6 @@ class CrossedSystem:
         return self.trivial_sigma and self.trivial_omega
 
 
-def group_ring_system(group: Group, ring: Ring) -> CrossedSystem:
-    return CrossedSystem(group, ring)
-
-
-def skew_system(group: Group, ring: Ring, sigma: dict) -> CrossedSystem:
-    return CrossedSystem(group, ring, sigma=sigma)
-
-
 def twisted_system(group: Group, ring: Ring, omega: dict,
                    omega_inv: dict) -> CrossedSystem:
     return CrossedSystem(group, ring, omega=omega, omega_inv=omega_inv)
@@ -194,7 +186,7 @@ class CrossedProductRing(SparseRing):
 
 
 def group_ring(group: Group, ring: Ring) -> CrossedProductRing:
-    return CrossedProductRing(group_ring_system(group, ring))
+    return CrossedProductRing(CrossedSystem(group, ring))
 
 
 def group_ring_augmentation(ring: CrossedProductRing, a: dict):

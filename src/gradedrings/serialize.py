@@ -13,6 +13,7 @@ import json
 import re
 from fractions import Fraction
 
+from .amenability import InjectionWitness, whole_group
 from .graded import CrossedProductRing, group_ring
 from .groups import Group, group_from_spec, split_top_level
 from .rings import (IntegerModRing, IntegerRing, MatrixRing, ProductRing,
@@ -159,7 +160,6 @@ def translation_certificate_to_json(tring: TranslationRing,
 def translation_certificate_from_json(data: dict):
     """Load a certificate over T(G|all; R).  A subset other than "all" is
     not determined by its name, so it is refused; a missing one is "all"."""
-    from .amenability import whole_group
     subset = data.get("subset", "all")
     if subset != "all":
         raise ValueError(f"cannot rebuild subset {subset!r} from a "
@@ -189,7 +189,6 @@ def injection_witness_to_json(group: Group, w) -> dict:
 
 
 def injection_witness_from_json(data: dict):
-    from .amenability import InjectionWitness
     group = group_from_spec(data["group"])
     p = group.element_from_str
     return group, InjectionWitness(

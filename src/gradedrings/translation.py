@@ -385,6 +385,11 @@ class CompressionInput:
             raise ValueError("F repeats a point")
 
 
+class FolnerInequalityError(ValueError):
+    """n|KF cap X| < m|F cap X| fails: unlike compress_certificate's other
+    ValueErrors, a verified refusal of well-formed input."""
+
+
 @dataclass
 class CompressionResult:
     certificate: RankCertificate  # over the coefficient ring
@@ -416,6 +421,8 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
     With U = KF cap X and F_X = F cap X, the compressed matrices are
     A*((i,f),(j,u)) = A_ij(f,u) and B*((j,u),(i,f)) = B_ji(u,f); the
     strict inequality n|U| < m|F_X| makes the output a BGN certificate.
+    Malformed input raises ValueError; an F too small for that inequality
+    raises its subclass FolnerInequalityError.
     """
     tring, cert = ci.tring, ci.cert
     if cert.ring != tring:
@@ -450,8 +457,9 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
     F_X = [f for f in ci.F if f in X]
     n, m = cert.n, cert.m
     if not n * len(U) < m * len(F_X):
-        raise ValueError(f"Folner inequality fails: n|U| = {n * len(U)} is not "
-                         f"less than m|F_X| = {m * len(F_X)}")
+        raise FolnerInequalityError(
+            f"Folner inequality fails: n|U| = {n * len(U)} is not "
+            f"less than m|F_X| = {m * len(F_X)}")
 
     A_star = _restrict(tring, cert.A, F_X, U)
     B_star = _restrict(tring, cert.B, U, F_X)

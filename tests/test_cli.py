@@ -1,10 +1,11 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from gradedrings.amenability import whole_group
-from gradedrings.cli import main
+from gradedrings.cli import EXIT_CODES, main
 from gradedrings.groups import FreeAbelian
 from gradedrings.rings import RankCertificate, RingMatrix
 from gradedrings.serialize import (certificate_to_json, dump_json,
@@ -13,8 +14,86 @@ from gradedrings.special_algebras import LeavittRing, leavitt_rank_certificate
 from gradedrings.translation import TranslationRing
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def write_translation_cert(path, shift=0, swap=False):
+    """The L(1,2) certificate over T(Z|Z; L(1,2)): A = (s e1*, s e2*)^T,
+    B = (s^-1 e1, s^-1 e2) with s the shift by `shift`, so AB = I.  With
+    swap, B = (s^-1 e2, s^-1 e1) and AB = I fails."""
+    G = FreeAbelian(1)
+    L = LeavittRing(2)
+    T = TranslationRing(G, whole_group(G), L)
+    A = RingMatrix(T, 2, 1, [T.term((shift,), T.fn(L.gen_star(i)))
+                             for i in (1, 2)])
+    B = RingMatrix(T, 1, 2, [T.term((-shift,), T.fn(L.gen(i)))
+                             for i in ((2, 1) if swap else (1, 2))])
+    dump_json(translation_certificate_to_json(T, RankCertificate(T, 1, 2, A, B)),
+              str(path))
+    return str(path)
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Input files for the CLI, by the placeholder an argv names them with."""
+    cert, bad = str(tmp_path / "l2.json"), str(tmp_path / "bad.json")
+    data = certificate_to_json(leavitt_rank_certificate(2))
+    dump_json(data, cert)
+    data["B"][0][0] = "e2"
+    dump_json(data, bad)
+    return {"@cert": cert, "@bad": bad,
+            "@tcert": write_translation_cert(tmp_path / "t.json")}
+
+
+# one command per verdict the CLI can print
+VERDICT_CASES = [
+    ("pass", ["bs-check", "--k", "2", "--r", "2"]),
+    ("fail", ["crossed", "--config", str(DATA / "crossed_bad.json")]),
+    ("witness", ["folner", "--group", "Z", "--k", "ball:1", "--eps", "1/2"]),
+    ("no-witness", ["folner", "--group", "F2", "--k", "ball:1", "--eps", "1",
+                    "--r-max", "2"]),
+    ("infeasible", ["paradox", "--group", "Z", "--v", "{0; 1; 2}",
+                    "--w", "ball:3", "--k", "{-1; 0; 1}"]),
+    ("compressed", ["compress", "--certificate", "@tcert", "--k", "0",
+                    "--f", "0;1"]),
+    ("refused", ["compress", "--certificate", "@tcert", "--k", "0;-1;1",
+                 "--f", "0;1"]),
+    ("valid", ["cert", "verify", "@cert"]),
+    ("invalid", ["cert", "verify", "@bad"]),
+    ("yes", ["monoid", "5 <= 3 in C(2,1)"]),
+    ("no", ["monoid", "1 <= 0 in C(2,1)"]),
+    ("unknown", ["monoid", "2*u <= u + x1 + y1 in M(2,1,1)", "--depth", "0"]),
+    ("found", ["rosenblatt", "--k", "2", "--u", "(0, 0)",
+               "--v", "(0, 0); (1/2, 1)"]),
+]
+
+
+@pytest.mark.parametrize("verdict, argv", VERDICT_CASES,
+                         ids=[c[0] for c in VERDICT_CASES])
+def test_exit_code_is_the_verdicts(verdict, argv, files, capsys):
+    code = main([files.get(a, a) for a in argv] + ["--format", "json"])
+    printed = json.loads(capsys.readouterr().out)["verdict"]
+    assert printed == verdict
+    assert code == EXIT_CODES[printed]
+
+
+def test_verdict_cases_cover_the_table():
+    assert sorted(v for v, _ in VERDICT_CASES) == sorted(EXIT_CODES)
+    assert set(EXIT_CODES.values()) == {0, 1}
+
+
+def test_verdict_missing_from_table_is_internal_error(monkeypatch, capsys):
+    """A verdict with no exit code is a fault in the program: exit 3, and
+    nothing is printed as if it were an answer."""
+    monkeypatch.delitem(EXIT_CODES, "pass")
+    assert run("bs-check", "--k", "2", "--r", "2") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: no exit code for verdict 'pass'\n"
 
 
 def test_folner_witness_exit_codes(capsys):
@@ -61,21 +140,40 @@ def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
 def test_compress_repeated_f_is_input_error(tmp_path, capsys):
     """A repeated point of F is an input fault: exit 2, not a failed
     re-verification (exit 3)."""
-    G = FreeAbelian(1)
-    L = LeavittRing(2)
-    T = TranslationRing(G, whole_group(G), L)
-    A = RingMatrix(T, 2, 1, [T.diag_const(L.gen_star(1)),
-                             T.diag_const(L.gen_star(2))])
-    B = RingMatrix(T, 1, 2, [T.diag_const(L.gen(1)), T.diag_const(L.gen(2))])
-    path = tmp_path / "t.json"
-    dump_json(translation_certificate_to_json(T, RankCertificate(T, 1, 2, A, B)),
-              str(path))
-    assert run("compress", "--certificate", str(path), "--k", "0",
+    path = write_translation_cert(tmp_path / "t.json")
+    assert run("compress", "--certificate", path, "--k", "0",
                "--f", "0;1") == 0
     capsys.readouterr()
-    assert run("compress", "--certificate", str(path), "--k", "0",
+    assert run("compress", "--certificate", path, "--k", "0",
                "--f", "0;1;1") == 2
     assert capsys.readouterr().err == "error: F repeats a point\n"
+
+
+@pytest.mark.parametrize("shift, swap, k, f, message", [
+    (0, False, "0;1", "0;1", "K must be symmetric"),
+    (0, False, "1;-1", "0;1", "K must contain the identity"),
+    (1, False, "0", "0;1", "K does not dominate all entry shifts"),
+    (0, True, "0", "0", "window verification failed at blocks (1,1)"),
+], ids=["asymmetric-k", "no-identity", "short-k", "bad-window"])
+def test_compress_malformed_input_is_input_error(shift, swap, k, f, message,
+                                                 tmp_path, capsys):
+    """Only a failed Folner inequality is a refusal (exit 1); a K or a
+    certificate that the compression cannot take is an input fault."""
+    path = write_translation_cert(tmp_path / "t.json", shift, swap)
+    assert run("compress", "--certificate", path, "--k", k, "--f", f) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_compress_shifted_certificate(tmp_path, capsys):
+    """The shifted certificate is well formed: a K that holds its shifts
+    compresses it, so only K is at fault in the short-k case above."""
+    path = write_translation_cert(tmp_path / "t.json", shift=1)
+    assert run("compress", "--certificate", path, "--k", "0;-1;1",
+               "--f", "0;1;2;3", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "compressed", "n": 6, "m": 8}
 
 
 def test_collapse(capsys):
@@ -83,25 +181,34 @@ def test_collapse(capsys):
                "--k", "ball:1") == 0
 
 
-def test_cert_verify_and_transform(tmp_path, capsys):
-    src = tmp_path / "l2.json"
-    dump_json(certificate_to_json(leavitt_rank_certificate(2)), str(src))
-    assert run("cert", "verify", str(src)) == 0
+def test_cert_verify_and_transform(files, tmp_path, capsys):
+    src = files["@cert"]
+    assert run("cert", "verify", src) == 0
+    assert run("cert", "verify", files["@bad"]) == 1
 
     ext = tmp_path / "l2e.json"
-    assert run("cert", "extend", str(src), "--target", "4",
-               "--out", str(ext)) == 0
+    assert run("cert", "extend", src, "--target", "4", "--out", str(ext)) == 0
     assert run("cert", "verify", str(ext)) == 0
     assert json.loads(ext.read_text())["m"] == 4
 
-    assert run("cert", "opposite", str(src)) == 0
-    assert run("cert", "product", str(src), str(src)) == 0
+    assert run("cert", "opposite", src) == 0
+    assert run("cert", "product", src, src) == 0
+    capsys.readouterr()
+    assert run("cert", "opposite", src, src) == 2
+    assert capsys.readouterr().err == (
+        "error: cert opposite takes exactly one certificate file, got 2\n")
+    with pytest.raises(SystemExit) as exc:
+        run("cert", "verify")
+    assert exc.value.code == 2
 
-    bad = tmp_path / "bad.json"
-    data = certificate_to_json(leavitt_rank_certificate(2))
-    data["B"][0][0] = "e2"
-    dump_json(data, str(bad))
-    assert run("cert", "verify", str(bad)) == 1
+
+@pytest.mark.parametrize("action, message", [
+    ("extend", "cert extend needs --target"),
+    ("hom", "unknown map None (use aug or mod:m)"),
+])
+def test_cert_missing_option_is_input_error(action, message, files, capsys):
+    assert run("cert", action, files["@cert"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cert_missing_file_is_input_error():

@@ -1,8 +1,9 @@
 """Recorded output of the verdict-printing commands, compared byte for byte.
 
 The files under tests/data/golden hold the text and JSON output of the
-report commands, `repro --verbose`, `normalize`, and the `lines()` of all
-seven report types with passing, failing and unsampled checks.  A change to
+report commands, `repro --verbose`, `repro --format json`, `normalize`, and
+the `lines()` of all seven report types with passing, failing and unsampled
+checks.  A change to
 the ring classes or the report types must leave every byte as it is.
 """
 
@@ -13,8 +14,8 @@ import pytest
 
 from gradedrings.amenability import bs_example_check, find_two_to_one_injection
 from gradedrings.cli import main
-from gradedrings.graded import (endo_graded_construction, psi_embedding_check,
-                                skew_system, verify_crossed_system)
+from gradedrings.graded import (CrossedSystem, endo_graded_construction,
+                                psi_embedding_check, verify_crossed_system)
 from gradedrings.groups import Cyclic, FreeGroup
 from gradedrings.rings import IntegerModRing, IntegerRing, ProductRing
 from gradedrings.special_algebras import WeylRing, leavitt_matrix_units
@@ -31,6 +32,7 @@ def _text_and_json(name, argv, code):
 
 CASES = [
     ("repro_verbose", ["repro", "--verbose"], None, 0),
+    ("repro_json", ["repro", "--format", "json"], None, 0),
     *_text_and_json("collapse", ["collapse", "--group", "F2", "--v", "ball:2",
                                  "--w", "ball:3", "--k", "ball:1"], 0),
     *_text_and_json("collapse_mod3", ["collapse", "--group", "Z^2", "--v", "{(0, 0)}",
@@ -86,8 +88,8 @@ def report_lines() -> str:
     reports.append(collapse_matrices(F2, w, Z))
     reports.append(bs_example_check(2, 3))
     swap = lambda r: (r[1], r[0])
-    skew = skew_system(Cyclic(2), ProductRing([Z, Z]),
-                       {0: (lambda r: r, lambda r: r), 1: (swap, swap)})
+    skew = CrossedSystem(Cyclic(2), ProductRing([Z, Z]),
+                         sigma={0: (lambda r: r, lambda r: r), 1: (swap, swap)})
     reports.append(verify_crossed_system(skew, samples=[(1, 0), (0, 1), (2, -3)]))
     reports.append(endo_graded_construction(IntegerModRing(5), Cyclic(2), 2, 1)[1])
     weyl = WeylRing([1], [1])

@@ -4,8 +4,7 @@ from gradedrings import graded, rings
 from gradedrings.graded import (CrossedProductRing, CrossedSystem,
                                 augmentation_is_multiplicative,
                                 endo_graded_construction, group_ring,
-                                group_ring_augmentation, group_ring_system,
-                                psi_embedding_check, skew_system,
+                                group_ring_augmentation, psi_embedding_check,
                                 strong_grading_check, twisted_system,
                                 verify_crossed_system)
 from gradedrings.groups import Cyclic, DirectProduct
@@ -16,7 +15,7 @@ Z = IntegerRing()
 
 
 def test_group_ring_system_verifies():
-    rep = verify_crossed_system(group_ring_system(Cyclic(3), Z))
+    rep = verify_crossed_system(CrossedSystem(Cyclic(3), Z))
     assert rep.ok
 
 
@@ -50,7 +49,7 @@ def test_skew_system_with_product_swap():
     G = Cyclic(2)
     swap = lambda r: (r[1], r[0])
     sigma = {0: (lambda r: r, lambda r: r), 1: (swap, swap)}
-    cs = skew_system(G, P, sigma)
+    cs = CrossedSystem(G, P, sigma=sigma)
     rep = verify_crossed_system(cs, samples=[(1, 0), (0, 1), (2, -3)])
     assert rep.ok, rep.lines()
     R = CrossedProductRing(cs)

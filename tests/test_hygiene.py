@@ -33,6 +33,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def function_imports(source: str) -> list:
+    """(function, line) of each import statement inside a function body."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += [(node.name, n.lineno) for n in ast.walk(node)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert function_imports(path.read_text()) == []
+
+
 # the classes whose __eq__/__hash__ hold the one identity rule (same class,
 # equal key) for groups, rings and subsets
 IDENTITY_BASES = {"Group", "Ring", "SubsetPredicate"}
