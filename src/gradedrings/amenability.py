@@ -55,13 +55,21 @@ def finite_subset(group: Group, elements: Iterable) -> SubsetPredicate:
                            key=frozenset(elems))
 
 
+def _require_bs(group: Group, name: str) -> None:
+    if not isinstance(group, BaumslagSolitar):
+        raise ValueError(f"the subset {name} is defined on BS(1,k) only, "
+                         f"not on {group.name}")
+
+
 def bs_X(group: BaumslagSolitar) -> SubsetPredicate:
     """X = AB in BS(1,k): elements (t, m) with t an integer."""
+    _require_bs(group, "X=AB")
     return SubsetPredicate(group, lambda x: x[0].denominator == 1, "X=AB")
 
 
 def bs_X0(group: BaumslagSolitar) -> SubsetPredicate:
     """X0 = <a^k>B: elements (t, m) with t in kZ."""
+    _require_bs(group, "X0")
     k = group.k
     return SubsetPredicate(
         group, lambda x: x[0].denominator == 1 and x[0].numerator % k == 0, "X0")
@@ -97,10 +105,11 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
     """Look for a finite F with |KF cap X| < (1 + eps) |F cap X|.
 
     By default F runs over the balls of radius 0..r_max, built one at a time
-    so that an early witness stops the search; an explicit list of
-    candidate sets may be supplied instead.  Returns the first FolnerWitness
-    found, re-verified by an independent recount, else a FolnerFailure with
-    the exact ratio for every candidate.
+    so that an early witness stops the search, and counted one sphere at a
+    time (_ball_counts); an explicit list of candidate sets may be supplied
+    instead, each counted in full.  Returns the first FolnerWitness found,
+    re-verified by an independent recount, else a FolnerFailure with the
+    exact ratio for every candidate.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -109,14 +118,18 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
     if not K:
         raise ValueError("K must be nonempty")
     if candidates is None:
-        candidates = (group.ball(r, max_radius=r) for r in range(r_max + 1))
+        if r_max < 0:
+            raise ValueError("r_max must be non-negative")
+        counts = _ball_counts(group, X, K, (group.ball(r, max_radius=r)
+                                            for r in range(r_max + 1)))
+    else:
+        counts = (next(_ball_counts(group, X, K, [list(F)])) for F in candidates)
     ratios = []
-    for idx, F in enumerate(candidates):
-        F = list(F)
-        kf_count, f_count = _counts(group, X, K, F)
+    for idx, (F, kf_count, f_count) in enumerate(counts):
         ratio = Fraction(kf_count, f_count) if f_count else None
         ratios.append((idx, kf_count, f_count, ratio))
         if f_count and kf_count < (1 + eps) * f_count:
+            counts.close()  # drop the running KF before _recount builds one
             w = FolnerWitness(K=K, eps=eps, F=F, kf_count=kf_count, f_count=f_count)
             if _recount(group, X, w) != (kf_count, f_count):
                 raise VerificationError("Folner witness failed its recount")
@@ -124,10 +137,21 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
     return FolnerFailure(eps=eps, r_max=r_max, ratios=ratios)
 
 
-def _counts(group: Group, X: SubsetPredicate, K: Sequence, F: Sequence):
-    """(|KF cap X|, |F cap X|)."""
-    kf = set_product(group, K, F)
-    return sum(1 for g in kf if g in X), sum(1 for f in F if f in X)
+def _ball_counts(group: Group, X: SubsetPredicate, K: Sequence, balls: Iterable):
+    """Yield (B, |KB cap X|, |B cap X|) for nested balls B, each a prefix of
+    the next (Group.balls).  Since K(A u S) = KA u KS, each step multiplies
+    K only by the new sphere S and counts in X only the products not seen
+    before.  A single set F, passed as [F], is counted in full."""
+    kf = set()
+    kf_count = f_count = prev = 0
+    for B in balls:
+        sphere = B[prev:]
+        prev = len(B)
+        new = set_product(group, K, sphere) - kf
+        kf |= new
+        kf_count += sum(1 for g in new if g in X)
+        f_count += sum(1 for f in sphere if f in X)
+        yield B, kf_count, f_count
 
 
 def _recount(group: Group, X: SubsetPredicate, w: FolnerWitness):
@@ -138,11 +162,9 @@ def _recount(group: Group, X: SubsetPredicate, w: FolnerWitness):
 def expansion_profile(group: Group, X: SubsetPredicate, K: Sequence,
                       r_max: int) -> list:
     """Exact ratios |K B_r cap X| / |B_r cap X| for r = 0..r_max."""
-    out = []
-    for F in group.balls(r_max, max_radius=r_max):
-        kf_count, f_count = _counts(group, X, K, F)
-        out.append(Fraction(kf_count, f_count) if f_count else None)
-    return out
+    return [Fraction(kf_count, f_count) if f_count else None
+            for _, kf_count, f_count in _ball_counts(
+                group, X, K, group.balls(r_max, max_radius=r_max))]
 
 
 # ---------------------------------------------------------------------------

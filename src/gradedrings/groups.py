@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 DEFAULT_MAX_RADIUS = 8
@@ -87,6 +88,7 @@ class Group:
         if r > max_radius:
             raise ValueError(f"radius {r} exceeds maximum {max_radius}")
         gens = self.symmetric_generators()
+        mul = self.mul
         e = self.identity()
         seen = {e}
         order = [e]
@@ -96,7 +98,7 @@ class Group:
             nxt = []
             for x in frontier:
                 for g in gens:
-                    y = self.mul(x, g)
+                    y = mul(x, g)
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
@@ -196,7 +198,7 @@ class FreeAbelian(Group):
         return (0,) * self.rank
 
     def mul(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(add, x, y))
 
     def inv(self, x):
         return tuple(-a for a in x)
@@ -393,7 +395,8 @@ def translate_set(group: Group, g, A: Iterable) -> set:
 def set_product(group: Group, K: Iterable, A: Iterable) -> set:
     """The set KA = {k*a : k in K, a in A}, deduplicated."""
     K = list(K)
-    return {group.mul(k, a) for k in K for a in A}
+    mul = group.mul
+    return {mul(k, a) for k in K for a in A}
 
 
 _SPEC_RE_BS = re.compile(r"BS\(1,\s*(\d+)\)")

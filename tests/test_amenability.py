@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -52,6 +53,8 @@ def test_folner_input_validation():
         folner_search(Z, whole_group(Z), [], Fraction(1), 3)
     with pytest.raises(ValueError):
         folner_search(Z, whole_group(Z), Z.ball(1), Fraction(0), 3)
+    with pytest.raises(ValueError, match="r_max must be non-negative"):
+        folner_search(Z, whole_group(Z), Z.ball(1), Fraction(1), -1)
 
 
 def test_folner_with_explicit_candidates():
@@ -61,6 +64,60 @@ def test_folner_with_explicit_candidates():
                       candidates=cand)
     assert isinstance(w, FolnerWitness)
     assert w.f_count == 10 and w.kf_count == 12
+
+
+# ---------------------------------------------------------------------------
+# sphere-by-sphere counting against full counts and the Z^d closed form
+
+
+def _zd_ball_size(d, r):
+    """|B_r| in Z^d over the standard generators: sum_i 2^i C(d,i) C(r,i)."""
+    return sum(2 ** i * math.comb(d, i) * math.comb(r, i) for i in range(d + 1))
+
+
+def _ratio_cases():
+    Z, Z2, Z3, F2, BS = (FreeAbelian(1), FreeAbelian(2), FreeAbelian(3),
+                         FreeGroup(2), BaumslagSolitar(2))
+    return [
+        pytest.param(Z, whole_group(Z), 8, id="Z"),
+        pytest.param(Z2, whole_group(Z2), 8, id="Z^2"),
+        pytest.param(Z3, whole_group(Z3), 6, id="Z^3"),
+        pytest.param(F2, whole_group(F2), 6, id="F2"),
+        pytest.param(BS, bs_X(BS), 7, id="BS(1,2)-AB"),
+        pytest.param(BS, bs_X0(BS), 7, id="BS(1,2)-X0"),
+    ]
+
+
+@pytest.mark.parametrize("group, X, r_max", _ratio_cases())
+def test_sphere_counts_match_full_counts(group, X, r_max):
+    K, eps = group.ball(1), Fraction(1, 20)
+    res = folner_search(group, X, K, eps, r_max)
+    full = folner_search(group, X, K, eps, r_max, candidates=[
+        group.ball(r, max_radius=r) for r in range(r_max + 1)])
+    assert isinstance(res, FolnerFailure) and isinstance(full, FolnerFailure)
+    assert len(res.ratios) == r_max + 1
+    assert res.ratios == full.ratios
+    assert expansion_profile(group, X, K, r_max) == [
+        ratio for _, _, _, ratio in res.ratios]
+
+
+@pytest.mark.parametrize("d, r_max", [(1, 8), (2, 8), (3, 6)])
+def test_zd_rows_are_consecutive_ball_sizes(d, r_max):
+    G = FreeAbelian(d)
+    res = folner_search(G, whole_group(G), G.ball(1), Fraction(1, 20), r_max)
+    assert [(kf, f) for _, kf, f, _ in res.ratios] == [
+        (_zd_ball_size(d, r + 1), _zd_ball_size(d, r)) for r in range(r_max + 1)]
+
+
+def test_z3_witness_radius_follows_the_closed_form():
+    G, eps = FreeAbelian(3), Fraction(1, 4)
+    r = next(r for r in itertools.count()
+             if _zd_ball_size(3, r + 1) < (1 + eps) * _zd_ball_size(3, r))
+    w = folner_search(G, whole_group(G), G.ball(1), eps, r + 5)
+    assert isinstance(w, FolnerWitness)
+    assert w.F == G.ball(r, max_radius=r)
+    assert (w.kf_count, w.f_count) == (_zd_ball_size(3, r + 1),
+                                       _zd_ball_size(3, r))
 
 
 def test_injection_witness_in_free_group():

@@ -116,6 +116,25 @@ def test_folner_bad_subset_is_input_error(capsys):
                "--k", "ball:1", "--eps", "1") == 2
 
 
+def test_folner_negative_r_max_is_input_error(capsys):
+    assert run("folner", "--group", "Z", "--k", "ball:1", "--eps", "1/2",
+               "--r-max", "-1") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: r_max must be non-negative\n"
+
+
+@pytest.mark.parametrize("group, subset, name", [
+    ("F2", "bs-x", "X=AB"), ("Z^2", "bs-x0", "X0")])
+def test_folner_bs_subset_off_bs_is_input_error(group, subset, name, capsys):
+    assert run("folner", "--group", group, "--subset", subset,
+               "--k", "ball:1", "--eps", "1") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: the subset {name} is defined on BS(1,k) only, "
+                   f"not on {group}\n")
+
+
 def test_paradox(capsys, tmp_path):
     out = tmp_path / "w.json"
     assert run("paradox", "--group", "F2", "--v", "ball:1", "--w", "ball:2",
