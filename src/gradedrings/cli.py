@@ -28,7 +28,7 @@ from .groups import (DEFAULT_MAX_RADIUS, BaumslagSolitar, Group,
                      group_from_spec, split_top_level)
 from .monoids import (DEFAULT_CLOSURE_DEPTH, MnklParams, cnk_leq,
                       cnk_normalize, mnkl_leq)
-from .report import Report, VerificationError
+from .report import VerificationError, verdict_of
 from .rings import (IntegerModRing, block_down_certificate,
                     block_up_certificate, extend_certificate, hom_certificate,
                     opposite_certificate, product_certificate,
@@ -90,11 +90,6 @@ def _emit(args, lines: list, payload: dict) -> int:
     return EXIT_CODES[verdict]
 
 
-def _emit_report(args, rep: Report, **payload) -> int:
-    return _emit(args, rep.lines(),
-                 {"verdict": "pass" if rep.ok else "fail", **payload})
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -103,7 +98,11 @@ def _cmd_folner(args) -> int:
     G = group_from_spec(args.group)
     X = _subset(G, args.subset)
     K = _parse_set(G, args.k)
-    res = folner_search(G, X, K, Fraction(args.eps), args.r_max)
+    try:
+        eps = Fraction(args.eps)
+    except ZeroDivisionError:
+        raise ValueError(f"--eps {args.eps} has a zero denominator") from None
+    res = folner_search(G, X, K, eps, args.r_max)
     if isinstance(res, FolnerWitness):
         data = folner_witness_to_json(G, res)
         if args.out:
@@ -160,7 +159,7 @@ def _cmd_collapse(args) -> int:
         return _emit(args, ["no two-to-one injection; collapse matrices not built"],
                      {"verdict": "infeasible"})
     out = collapse_matrices(G, res, R)
-    return _emit_report(args, out, uncovered=len(out.uncovered))
+    return _emit(args, out.lines(), out.to_json())
 
 
 def _cmd_compress(args) -> int:
@@ -328,7 +327,7 @@ def _cmd_crossed(args) -> int:
     if "samples" in cfg:
         samples = [R.element_from_str(s) for s in cfg["samples"]]
     rep = verify_crossed_system(cs, samples)
-    return _emit_report(args, rep, failures=rep.failures)
+    return _emit(args, rep.lines(), rep.to_json())
 
 
 def _omega_table(G: Group, R, table: dict) -> dict:
@@ -344,7 +343,7 @@ def _cmd_endo_graded(args) -> int:
     G = group_from_spec(args.group)
     S = ring_from_spec(args.ring)
     _, rep = endo_graded_construction(S, G, args.n, args.l)
-    return _emit_report(args, rep, failures=rep.failures)
+    return _emit(args, rep.lines(), rep.to_json())
 
 
 def _cmd_psi(args) -> int:
@@ -355,8 +354,7 @@ def _cmd_psi(args) -> int:
                for s in split_top_level(args.samples, ";")]
     rep = psi_embedding_check(ring, samples, window=args.window,
                               component_window=args.component_window)
-    return _emit_report(args, rep, pairs_checked=rep.pairs_checked,
-                        failures=rep.failures)
+    return _emit(args, rep.lines(), rep.to_json())
 
 
 def _cmd_normalize(args) -> int:
@@ -386,7 +384,8 @@ def _algebra_from_spec(spec: str):
 
 
 def _cmd_bs_check(args) -> int:
-    return _emit_report(args, bs_example_check(args.k, args.r))
+    rep = bs_example_check(args.k, args.r)
+    return _emit(args, rep.lines(), rep.to_json())
 
 
 def _cmd_rosenblatt(args) -> int:
@@ -414,17 +413,15 @@ def _cmd_repro(args) -> int:
         if not selected:
             raise ValueError(f"unknown check {args.name!r}; one of: "
                              + ", ".join(names + ["all"]))
-    lines, results = [], []
-    for name, fn in selected:
-        r = fn()
+    results = {name: fn() for name, fn in selected}
+    lines = []
+    for r in results.values():
         lines.append(r.line)
         if args.verbose or not r.ok:
             lines += [f"    {d}" for d in r.details]
-        results.append({"check": name, "number": r.number, "name": r.name,
-                        "verdict": "pass" if r.ok else "fail",
-                        "details": r.details})
-    verdict = "pass" if all(r["verdict"] == "pass" for r in results) else "fail"
-    return _emit(args, lines, {"verdict": verdict, "checks": results})
+    return _emit(args, lines, {
+        "verdict": verdict_of(*results.values()),
+        "checks": [{"check": name, **r.to_json()} for name, r in results.items()]})
 
 
 # ---------------------------------------------------------------------------

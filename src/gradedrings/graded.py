@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .groups import Group
-from .report import Report, VerificationError
+from .report import Report, VerificationError, check_row
 from .rings import MatrixRing, Ring, RingMatrix, SparseRing, _add_term, mat_mul
 from .special_algebras import WeylRing, weyl_component_basis, weyl_coordinates
 
@@ -65,7 +65,6 @@ class CrossedSystemReport(Report):
     cond3_ok: bool   # normalization w(g,1) = w(1,g) = 1, identity acts trivially
     units_ok: bool   # w w^-1 = w^-1 w = 1
     central_ok: Optional[bool]  # sampled centrality for trivial-sigma systems
-    failures: list = field(default_factory=list)
 
     CHECKS = (("cond1_ok", "conjugation condition (i)"),
               ("cond2_ok", "cocycle condition (ii)"),
@@ -322,7 +321,6 @@ class EndoGradedReport(Report):
     closure_ok: bool
     t1_diagonal_ok: bool
     strong: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
 
     CHECKS = (("dimension_ok", "total rank equals n*l"),
               ("partition_ok", "components partition the matrix units"),
@@ -330,8 +328,7 @@ class EndoGradedReport(Report):
               ("t1_diagonal_ok", "identity component is block diagonal"))
 
     def _extra(self):
-        return [(f"strong grading at {v.g}: "
-                 + (f"pass ({v.witness})" if v.found else "FAIL"), v.found)
+        return [check_row(f"strong grading at {v.g}", v.found, v.witness)
                 for v in self.strong]
 
 
@@ -445,11 +442,13 @@ class PsiReport(Report):
     additive_ok: bool
     multiplicative_ok: bool
     pairs_checked: int
-    failures: list = field(default_factory=list)
 
     CHECKS = (("unital_ok", "unitality (Psi of 1 is the identity)"),
               ("additive_ok", "additivity on samples"),
               ("multiplicative_ok", "multiplicativity on {self.pairs_checked} pairs"))
+
+    def to_json(self):
+        return {**super().to_json(), "pairs_checked": self.pairs_checked}
 
 
 def _weyl_basis_elems(ring: WeylRing, x: int) -> list:
@@ -523,6 +522,8 @@ def psi_embedding_check(ring: WeylRing, samples: Sequence[dict],
     """Verify the translation-ring embedding of the graded algebra on a
     finite window: unitality, additivity, and multiplicativity of the block
     map, row by row, with the inner index sums taken over whole rows."""
+    if window < 0 or (component_window is not None and component_window < 0):
+        raise ValueError("window and component_window must be non-negative")
     degs = {d for s in samples for d in _homogeneous_parts(ring, s)}
     cw = component_window if component_window is not None \
         else max(2, max((abs(d) for d in degs), default=0) + 1)

@@ -1,12 +1,16 @@
-"""Verdict reports: a fixed table of named sub-checks, printed one per line.
+"""Verdict reports, the one place where sub-check results become `ok`,
+pass/FAIL text and the "pass"/"fail" JSON verdict.
 
-A report class lists its sub-checks in CHECKS as (field, label) pairs in
-print order.  Each field holds True, False, or None for a check that was not
-run; a label may name other fields of the report as "{self.field}".  The
-verdict `ok` holds when no sub-check is False.
+A report is a list of (line, passed) rows, passed None for a row that
+counts rather than checks: one "label: pass/FAIL" row per (field, label)
+pair of CHECKS whose field is not None (a label may name other fields as
+"{self.field}"), then the rows of `_extra()`, then the `failures`
+messages.  `ok` holds when no row is False.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 
 class VerificationError(Exception):
@@ -14,26 +18,45 @@ class VerificationError(Exception):
     return: an internal fault, never a verdict about the input."""
 
 
+def check_row(label: str, passed: bool, witness: str = "") -> tuple:
+    """"label: pass", "label: pass (witness)" or "label: FAIL"."""
+    if not passed:
+        return f"{label}: FAIL", False
+    return f"{label}: pass" + (f" ({witness})" if witness else ""), True
+
+
+def verdict_of(*reports: "Report") -> str:
+    """The JSON verdict of one or more reports taken together."""
+    return "pass" if all(rep.ok for rep in reports) else "fail"
+
+
+@dataclass
 class Report:
-    CHECKS: tuple = ()
+    failures: list = field(default_factory=list, kw_only=True)
+
+    CHECKS = ()
 
     def _extra(self) -> list:
-        """(line, passed) rows printed after CHECKS; passed is None for a
-        row that reports a count rather than a check."""
         return []
 
-    def _rows(self) -> list:
-        rows = []
-        for attr, label in self.CHECKS:
-            passed = getattr(self, attr)
-            if passed is not None:
-                rows.append((f"{label.format(self=self)}: "
-                             f"{'pass' if passed else 'FAIL'}", passed))
-        return rows + self._extra()
+    def rows(self) -> list:
+        rows = [check_row(label.format(self=self), passed)
+                for attr, label in self.CHECKS
+                if (passed := getattr(self, attr)) is not None]
+        return rows + self._extra() + [(f, None) for f in self.failures]
 
     @property
     def ok(self) -> bool:
-        return all(passed for _, passed in self._rows() if passed is not None)
+        return all(passed for _, passed in self.rows() if passed is not None)
 
     def lines(self) -> list:
-        return [line for line, _ in self._rows()] + getattr(self, "failures", [])
+        return [line for line, _ in self.rows()]
+
+    def summary_row(self, label: str) -> tuple:
+        """This report as a row of another: "label: pass" or all its lines."""
+        if self.ok:
+            return check_row(label, True)
+        return f"{label}: " + "; ".join(self.lines()), False
+
+    def to_json(self) -> dict:
+        return {"verdict": verdict_of(self), "failures": self.failures}

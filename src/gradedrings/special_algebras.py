@@ -18,6 +18,7 @@ with  y x_i = a_i x_i y + b_i.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .report import Report, VerificationError
@@ -154,20 +155,19 @@ def leavitt_iso_check(n: int, base: Optional[Ring] = None) -> bool:
     return L.eq(acc, L.one())
 
 
+@dataclass
 class MatrixUnitReport(Report):
+    product_law_ok: bool = True
+    sum_identity_ok: bool = True
+    degrees_ok: bool = True
+    chain_ok: bool = True
+
     CHECKS = (
         ("product_law_ok", "product law (eps_ij eps_km = delta_jk eps_im)"),
         ("sum_identity_ok", "sum identity (sum eps_ii = 1)"),
         ("degrees_ok", "all units homogeneous of degree 0"),
         ("chain_ok", "chain containment span_l in span_{{l+1}}"),
     )
-
-    def __init__(self):
-        self.product_law_ok = True
-        self.sum_identity_ok = True
-        self.degrees_ok = True
-        self.chain_ok = True
-        self.failures: list[str] = []
 
 
 MAX_MATRIX_UNITS = 64
@@ -210,8 +210,7 @@ def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
     acc = L.zero()
     for i in range(N):
         acc = L.add(acc, eps[i][i])
-    if not L.eq(acc, L.one()):
-        rep.sum_identity_ok = False
+    rep.sum_identity_ok = L.eq(acc, L.one())
     # span_l sits inside span_{l+1}: alpha beta* = sum_i (alpha e_i)(beta e_i)*
     for (alpha, beta) in [(words[0], words[0]), (words[0], words[-1])]:
         lhs = L.monomial(alpha, beta)

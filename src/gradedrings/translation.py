@@ -11,7 +11,7 @@ set, and the left/right translation-ring identification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
@@ -217,7 +217,6 @@ class FiniteGroupIsoReport(Report):
     action_ok: bool           # A_g D_f A_{g^-1} = D_{g.f}
     unital_ok: bool
     bijective_ok: bool        # {D_{delta_x} A_g} hits every matrix unit once
-    failures: list = field(default_factory=list)
 
     CHECKS = (("shift_mult_ok", "shift multiplicativity"),
               ("diag_mult_ok", "diagonal multiplicativity"),
@@ -286,10 +285,8 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
             if not got.eq(D(moved)):
                 rep.action_ok = False
                 rep.failures.append(f"conjugation law fails at g = {g}")
-    if not A_cached(group.identity()).is_identity():
-        rep.unital_ok = False
-    if not D_of[0].is_identity():
-        rep.unital_ok = False
+    rep.unital_ok = (A_cached(group.identity()).is_identity()
+                     and D_of[0].is_identity())
     units = set()
     for x in elems:
         delta = RingMatrix.from_support(R, N, N, {(idx[x], idx[x]): R.one()})
@@ -327,6 +324,9 @@ class CollapseResult(Report):
 
     def _extra(self):
         return [(f"uncovered targets: {len(self.uncovered)}", None)]
+
+    def to_json(self):
+        return {**super().to_json(), "uncovered": len(self.uncovered)}
 
 
 def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> CollapseResult:

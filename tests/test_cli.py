@@ -124,6 +124,13 @@ def test_folner_negative_r_max_is_input_error(capsys):
     assert err == "error: r_max must be non-negative\n"
 
 
+def test_folner_zero_denominator_eps_is_input_error(capsys):
+    assert run("folner", "--group", "Z", "--k", "ball:1", "--eps", "1/0") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --eps 1/0 has a zero denominator\n"
+
+
 @pytest.mark.parametrize("group, subset, name", [
     ("F2", "bs-x", "X=AB"), ("Z^2", "bs-x0", "X0")])
 def test_folner_bs_subset_off_bs_is_input_error(group, subset, name, capsys):
@@ -269,6 +276,16 @@ def test_endo_graded(capsys):
 
 def test_psi(capsys):
     assert run("psi", "--samples", "x1; y", "--window", "3") == 0
+
+
+@pytest.mark.parametrize("windows", [["--window", "-1"],
+                                     ["--window", "2", "--component-window", "-3"]])
+def test_psi_negative_window_is_input_error(windows, capsys):
+    """An empty window checks nothing, so it must not print a pass."""
+    assert run("psi", "--samples", "x1", *windows) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: window and component_window must be non-negative\n"
 
 
 def test_normalize(monkeypatch, capsys):

@@ -204,6 +204,14 @@ def test_psi_embedding_window():
     assert rep.pairs_checked == len(samples) ** 2
 
 
+@pytest.mark.parametrize("window, component_window", [(-1, None), (2, -3)])
+def test_psi_embedding_refuses_a_negative_window(window, component_window):
+    W = WeylRing([1], [1])
+    with pytest.raises(ValueError, match="must be non-negative"):
+        psi_embedding_check(W, [W.x(1)], window=window,
+                            component_window=component_window)
+
+
 def test_psi_embedding_two_generators():
     W = WeylRing([1, 1], [1, 0])
     samples = [W.one(), W.x(1), W.x(2), W.y()]

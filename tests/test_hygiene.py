@@ -98,3 +98,16 @@ def test_tracer_targets_exist(monkeypatch):
     finally:
         tracer.uninstall()
     assert lib.graded.psi_embedding_check is original
+
+
+def assert_statements(source: str) -> list:
+    """Line numbers of the assert statements in a module."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_in_library(path):
+    """A soundness check must still run under python -O, which strips
+    every assert statement."""
+    assert assert_statements(path.read_text()) == []
