@@ -122,11 +122,18 @@ def _cmd_folner(args) -> int:
         "ratios": [[i, kf, f, str(r)] for i, kf, f, r in res.ratios]})
 
 
-def _cmd_paradox(args) -> int:
+def _injection_sets(args):
+    """The group and V, W, K of paradox and collapse.  An empty V is an
+    input error: the empty map would pass without a single element checked."""
     G = group_from_spec(args.group)
     V = _parse_set(G, args.v)
-    W = _parse_set(G, args.w)
-    K = _parse_set(G, args.k)
+    if not V:
+        raise ValueError("--v is empty: no element to match")
+    return G, V, _parse_set(G, args.w), _parse_set(G, args.k)
+
+
+def _cmd_paradox(args) -> int:
+    G, V, W, K = _injection_sets(args)
     res = find_two_to_one_injection(G, V, W, K)
     s = G.element_to_str
     if isinstance(res, InjectionWitness):
@@ -149,10 +156,7 @@ def _cmd_paradox(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
-    G = group_from_spec(args.group)
-    V = _parse_set(G, args.v)
-    W = _parse_set(G, args.w)
-    K = _parse_set(G, args.k)
+    G, V, W, K = _injection_sets(args)
     R = ring_from_spec(args.ring)
     res = find_two_to_one_injection(G, V, W, K)
     if not isinstance(res, InjectionWitness):

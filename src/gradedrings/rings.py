@@ -132,6 +132,9 @@ class SparseRing(Ring):
     def eq(self, a, b):
         return a.keys() == b.keys() and all(self.base.eq(a[k], b[k]) for k in a)
 
+    def is_zero(self, a):
+        return not a  # eq(a, {}), as eq is structural
+
 
 class IntegerRing(Ring):
     name = "Z"
@@ -154,6 +157,9 @@ class IntegerRing(Ring):
 
     def eq(self, a, b):
         return a == b
+
+    def is_zero(self, a):
+        return a == 0
 
     def from_int(self, n):
         return n
@@ -218,6 +224,9 @@ class IntegerModRing(Ring):
 
     def eq(self, a, b):
         return a % self.m == b % self.m
+
+    def is_zero(self, a):
+        return a % self.m == 0
 
     def from_int(self, n):
         return n % self.m

@@ -76,8 +76,19 @@ def _matrix_to_json(ring: Ring, M: RingMatrix, element_to_json) -> list:
 
 
 def _matrix_from_json(ring: Ring, data: list, element_from_json) -> RingMatrix:
-    return RingMatrix.from_rows(
-        ring, [[element_from_json(ring, v) for v in row] for row in data])
+    """Each distinct entry text is parsed once and its element reused, as
+    RingMatrix.from_support shares one zero; other entries (lists) are
+    parsed one by one."""
+    parsed = {}
+
+    def element(v):
+        if not isinstance(v, str):
+            return element_from_json(ring, v)
+        if v not in parsed:
+            parsed[v] = element_from_json(ring, v)
+        return parsed[v]
+
+    return RingMatrix.from_rows(ring, [[element(v) for v in row] for row in data])
 
 
 def element_to_jsonable(ring: Ring, x):

@@ -136,6 +136,8 @@ class TranslationRing(SparseRing):
 
     # ring interface --------------------------------------------------------
 
+    is_zero = Ring.is_zero  # eq below is not structural, so not SparseRing's
+
     def eq(self, a, b):
         """On a finite group, equality of the entries over X x X.  On an
         infinite group, structural equality of the terms: that is equality
@@ -434,16 +436,24 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
         raise ValueError("K must contain the identity")
     if any(G.inv(k) not in Kset for k in K):
         raise ValueError("K must be symmetric")
-    shifts = {g for M in cert.A.entries + cert.B.entries for g in M}
-    if not shifts <= Kset:
+    shifts_A = {g for M in cert.A.entries for g in M}
+    shifts_B = {g for M in cert.B.entries for g in M}
+    if not shifts_A | shifts_B <= Kset:
         raise ValueError("K does not dominate all entry shifts")
 
     U = sorted({G.mul(k, f) for k in K for f in ci.F if G.mul(k, f) in X},
                key=G.element_key)
     # entrywise check that AB = I over the translation ring on the window
-    # U x U, which holds F_X x F_X since K contains the identity
-    for x, y in product(U, repeat=2):
-        for i, i2 in product(range(cert.m), repeat=2):
+    # U x U, which holds F_X x F_X since K contains the identity.  By the
+    # shift rule of tr_entry, A_ij B_ji2 can be nonzero at (x, y) only when
+    # y = (gh)^-1 x for a shift g of A and a shift h of B; every other y
+    # with y != x is 0 on both sides, so only these y and x are summed, in
+    # U order, which keeps the first failure of the full U x U scan
+    upos = {u: t for t, u in enumerate(U)}
+    back = {G.identity()} | {G.inv(G.mul(g, h)) for g in shifts_A for h in shifts_B}
+    for x in U:
+        ys = sorted({upos[y] for y in (G.mul(q, x) for q in back) if y in upos})
+        for y, (i, i2) in product([U[t] for t in ys], product(range(cert.m), repeat=2)):
             acc = S.zero()
             for j in range(cert.n):
                 acc = S.add(acc, tr_mul_oracle_entry(

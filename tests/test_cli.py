@@ -207,6 +207,17 @@ def test_collapse(capsys):
                "--k", "ball:1") == 0
 
 
+@pytest.mark.parametrize("command, w", [("paradox", "{}"), ("collapse", "ball:1")])
+def test_empty_v_is_input_error(command, w, capsys):
+    """The empty map matches no element, so it must not print a witness or
+    a pass."""
+    assert run(command, "--group", "Z", "--v", "{}", "--w", w,
+               "--k", "ball:1") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --v is empty: no element to match\n"
+
+
 def test_cert_verify_and_transform(files, tmp_path, capsys):
     src = files["@cert"]
     assert run("cert", "verify", src) == 0

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from gradedrings.amenability import (InjectionWitness, bs_X,
@@ -17,7 +19,8 @@ from gradedrings.serialize import (certificate_from_json, certificate_to_json,
                                    translation_certificate_from_json,
                                    translation_certificate_to_json)
 from gradedrings.special_algebras import LeavittRing, leavitt_rank_certificate
-from gradedrings.translation import TranslationRing
+from gradedrings.translation import (CompressionInput, TranslationRing,
+                                     compress_certificate)
 
 from fractions import Fraction
 
@@ -71,6 +74,31 @@ def test_translation_certificate_round_trip():
     T2, back = translation_certificate_from_json(data)
     assert T2 == T
     assert back.A.eq(A.reinterpret(T2)) and back.B.eq(B.reinterpret(T2))
+
+
+def test_compressed_certificate_round_trip_shares_parsed_entries():
+    """The compressed |F| = 48 certificate over L(1,2) is mostly "0": each
+    distinct entry text is parsed once, and the shared elements are not
+    changed by verifying the certificate."""
+    G = FreeAbelian(1)
+    L = LeavittRing(2)
+    T = TranslationRing(G, whole_group(G), L)
+    A = RingMatrix(T, 2, 1, [T.diag_const(L.gen_star(1)), T.diag_const(L.gen_star(2))])
+    B = RingMatrix(T, 1, 2, [T.diag_const(L.gen(1)), T.diag_const(L.gen(2))])
+    res = compress_certificate(CompressionInput(
+        T, RankCertificate(T, 1, 2, A, B), [(-1,), (0,), (1,)],
+        [(v,) for v in range(48)]))
+    data = certificate_to_json(res.certificate)
+    back = certificate_from_json(data)
+    assert certificate_to_json(back) == data
+    for M, rows in ((back.A, data["A"]), (back.B, data["B"])):
+        texts = {v for row in rows for v in row}
+        assert len({id(x) for x in M.entries}) == len(texts)
+    entries = back.A.entries + back.B.entries
+    snapshot = copy.deepcopy(entries)
+    v = verify_certificate(back)
+    assert v and v.bgn
+    assert entries == snapshot
 
 
 def test_translation_certificate_refuses_a_subset_it_cannot_rebuild(

@@ -263,6 +263,106 @@ def test_compressed_entries_follow_tr_entry(G, n, shifts, flip, K, F):
         assert L.eq(B_star[col, row], tr_entry(T, cert.B[j, i], u, f))
 
 
+def _dense_window_failure(T, cert, K, F):
+    """The window check over all of U x U, as compress_certificate made it
+    before it summed only the reachable entries: its first failure message,
+    or None."""
+    G, S = T.group, T.base.base
+    U = sorted({G.mul(k, f) for k in K for f in F if G.mul(k, f) in T.X},
+               key=G.element_key)
+    for x, y, i, i2 in product(U, U, range(cert.m), range(cert.m)):
+        acc = S.zero()
+        for j in range(cert.n):
+            acc = S.add(acc, tr_mul_oracle_entry(T, cert.A[i, j], cert.B[j, i2], x, y))
+        want = S.one() if (i == i2 and x == y) else S.zero()
+        if not S.eq(acc, want):
+            return (f"window verification failed at blocks ({i+1},{i2+1}), "
+                    f"indices ({G.element_to_str(x)}, {G.element_to_str(y)})")
+    return None
+
+
+def _window_failure(T, cert, K, F):
+    try:
+        compress_certificate(CompressionInput(T, cert, K, F))
+    except ValueError as exc:
+        if str(exc).startswith("window verification failed"):
+            return str(exc)
+    return None
+
+
+def _swap_b(T, cert, K, F):
+    B = cert.B.entries
+    return RankCertificate(T, cert.n, cert.m, cert.A,
+                           RingMatrix(T, cert.n, cert.m, [B[1], B[0]] + B[2:]))
+
+
+def _flip_b_at_one_point(T, cert, K, F):
+    """Negate B_11 at one point of F only, so that A and B disagree there."""
+    L, p = T.base.base, F[len(F) // 2]
+    ((g, f),) = cert.B[0, 0].items()
+    flipped = T.term(g, T.fn(f.const, {**f.overrides, p: L.neg(f(p))}))
+    return RankCertificate(T, cert.n, cert.m, cert.A,
+                           RingMatrix(T, cert.n, cert.m, [flipped] + cert.B.entries[1:]))
+
+
+def _extra_shift_in_a(T, cert, K, F):
+    """Add to A_11 a term e2* at one point p of F for each shift in K: row p
+    of block (1,2) then fails at one column per shift, and p is not the
+    identity, so on F2 the column (k h)^-1 p differs from p (k h)^-1."""
+    L, p = T.base.base, F[len(F) // 2]
+    extra = T.zero()
+    for k in K:
+        extra = T.add(extra, T.term(k, T.fn(L.zero(), {p: L.gen_star(2)})))
+    A = RingMatrix(T, cert.m, cert.n, [T.add(cert.A[0, 0], extra)] + cert.A.entries[1:])
+    return RankCertificate(T, cert.n, cert.m, A, cert.B)
+
+
+@pytest.mark.parametrize("G,n,shifts,flip,K,F", _COMPRESSIONS)
+def test_window_check_agrees_with_the_dense_scan(G, n, shifts, flip, K, F):
+    T, cert = _leavitt_shifted_tcert(G, n, shifts, flip)
+    assert _window_failure(T, cert, K, F) is None
+    assert _dense_window_failure(T, cert, K, F) is None
+    for mutate in (_swap_b, _flip_b_at_one_point, _extra_shift_in_a):
+        bad = mutate(T, cert, K, F)
+        want = _dense_window_failure(T, bad, K, F)
+        assert want is not None, mutate.__name__
+        assert _window_failure(T, bad, K, F) == want, mutate.__name__
+
+
+def test_window_check_sums_the_diagonal_no_shift_reaches():
+    """With B_i = e_i s instead of e_i s^-1, every A_i B_j is the shift s^2:
+    no product of shifts reaches the diagonal, where AB is 0, not 1, and
+    (x, x) for the first x of U is the first failure."""
+    T, cert = _leavitt_shifted_tcert(_Z1, 2, [(1,), (1,)], None)
+    L = T.base.base
+    B = RingMatrix(T, 1, 2, [T.mul(T.diag_const(L.gen(i)), T.shift((1,)))
+                             for i in (1, 2)])
+    bad = RankCertificate(T, 1, 2, cert.A, B)
+    F = [(v,) for v in range(9)]
+    want = "window verification failed at blocks (1,1), indices (0, 0)"
+    assert _dense_window_failure(T, bad, _KZ, F) == want
+    assert _window_failure(T, bad, _KZ, F) == want
+
+
+@pytest.mark.parametrize("shifts", [[(0,), (0,)], [(1,), (0,)]],
+                         ids=["diagonal", "shifted"])
+def test_window_check_calls_grow_with_the_support(shifts, monkeypatch):
+    """At |F| = 48 the full scan makes m^2 |U|^2 = 10,000 oracle calls; the
+    reachable entries are at most |K|^2 + 1 per row x."""
+    import gradedrings.translation as translation
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tr_mul_oracle_entry(*args)
+
+    monkeypatch.setattr(translation, "tr_mul_oracle_entry", counted)
+    T, cert = _leavitt_shifted_tcert(_Z1, 2, shifts, None)
+    res = compress_certificate(CompressionInput(T, cert, _KZ, [(v,) for v in range(48)]))
+    assert len(res.U) == 50
+    assert 0 < len(calls) <= cert.m ** 2 * len(res.U) * (len(_KZ) ** 2 + 1)
+
+
 def test_finite_group_eq_compares_entries():
     G = Cyclic(2)
     T = TranslationRing(G, whole_group(G), Z)
