@@ -29,10 +29,10 @@ from .groups import (DEFAULT_MAX_RADIUS, BaumslagSolitar, Group,
 from .monoids import (DEFAULT_CLOSURE_DEPTH, MnklParams, cnk_leq,
                       cnk_normalize, mnkl_leq)
 from .report import VerificationError, verdict_of
-from .rings import (IntegerModRing, block_down_certificate,
+from .rings import (IntegerModRing, IntegerRing, block_down_certificate,
                     block_up_certificate, extend_certificate, hom_certificate,
                     opposite_certificate, product_certificate,
-                    truncate_certificate, verify_certificate)
+                    verify_certificate)
 from .serialize import (certificate_from_json, certificate_to_json, dump_json,
                         folner_witness_to_json, injection_witness_to_json,
                         load_json, ring_from_spec,
@@ -219,8 +219,6 @@ def _cmd_cert(args) -> int:
     if args.action == "extend":
         if args.target is None:
             raise ValueError("cert extend needs --target")
-        if cert.m > cert.n + 1:
-            cert = truncate_certificate(cert)
         return _cert_emit(args, extend_certificate(cert, args.target))
     if args.action == "opposite":
         return _cert_emit(args, opposite_certificate(cert))
@@ -238,6 +236,8 @@ def _cmd_cert(args) -> int:
         m = re.fullmatch(r"mod:(\d+)", args.map or "")
         if not m:
             raise ValueError(f"unknown map {args.map!r} (use aug or mod:m)")
+        if not isinstance(cert.ring, IntegerRing):
+            raise ValueError("mod:m needs a certificate over Z")
         target = IntegerModRing(int(m.group(1)))
         return _cert_emit(args, hom_certificate(cert, target.from_int, target))
     raise ValueError(f"unknown cert action {args.action!r}")

@@ -21,6 +21,8 @@ DEFAULT_CLOSURE_DEPTH = 10
 
 def cnk_normalize(n: int, k: int, lam: int) -> int:
     """Canonical coefficient: lam itself below n+k, else folded mod k above n."""
+    if min(n, k) < 1:
+        raise ValueError("n, k must be positive")
     if lam < 0:
         raise ValueError("coefficient must be non-negative")
     if lam < n + k:

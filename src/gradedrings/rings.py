@@ -512,39 +512,43 @@ def _checked(cert: RankCertificate, msg: str,
     return cert
 
 
-def _require_valid(cert: RankCertificate):
+def _require_valid(cert: RankCertificate, need_bgn: bool = False) -> None:
+    """Check a transform's input: raise ValueError unless AB = I (and
+    n < m when need_bgn)."""
     v = verify_certificate(cert)
     if not v:
         raise ValueError(f"input certificate invalid at {v.position}")
-    return v
+    if need_bgn and not v.bgn:
+        raise ValueError(f"input certificate ({cert.n}, {cert.m}) is not BGN: "
+                         "needs n < m")
 
 
 def extend_certificate(cert: RankCertificate, target_m: int) -> RankCertificate:
-    """Stretch a BGN certificate with m = n+1 to one with m = target_m.
+    """Stretch any BGN certificate (n < m) to one with m = target_m > n.
 
-    Follows the epimorphism chain psi -> reshuffle -> xi -> reshuffle: the
-    new A is built by stacking diag(A, I) over the previous stage, and B
-    symmetrically, so that A'B' = diag(AB, I) = I at each step.
+    The input is first cut to (n, n+1): the first n+1 rows of A and columns
+    of B, since the leading block of AB = I_m is I_{n+1}.  Then follows the
+    epimorphism chain psi -> reshuffle -> xi -> reshuffle: the new A is built
+    by stacking diag(A, I) over the previous stage, and B symmetrically, so
+    that A'B' = diag(AB, I) = I at each step.
     """
-    v = _require_valid(cert)
-    if not v.bgn or cert.m != cert.n + 1:
-        raise ValueError("extend_certificate needs a BGN certificate with m = n+1")
-    if target_m <= cert.n:
+    _require_valid(cert, need_bgn=True)
+    n, R = cert.n, cert.ring
+    if target_m <= n:
         raise ValueError("target must exceed n")
-    R = cert.ring
-    n = cert.n
-    A_step, B_step = cert.A, cert.B
-    A_cur, B_cur = cert.A, cert.B
-    m_cur = cert.m
-    while m_cur < target_m:
+    if cert.m == n + 1 == target_m:
+        return cert
+    A_step = RingMatrix(R, n + 1, n, cert.A.entries[:(n + 1) * n])
+    B_step = RingMatrix.from_rows(R, [row[:n + 1] for row in cert.B.to_rows()])
+    A_cur, B_cur = A_step, B_step
+    for m_cur in range(n + 1, target_m):
         # xi = diag(A_step, I_{m_cur - n}) applied after the current chain
         pad = m_cur - n
         xi = _block_diag(R, A_step, RingMatrix.identity(R, pad))
         xi_sec = _block_diag(R, B_step, RingMatrix.identity(R, pad))
         A_cur = mat_mul(xi, A_cur)
         B_cur = mat_mul(B_cur, xi_sec)
-        m_cur += 1
-    return _checked(RankCertificate(R, n, m_cur, A_cur, B_cur),
+    return _checked(RankCertificate(R, n, target_m, A_cur, B_cur),
                     "extended certificate failed re-verification")
 
 
@@ -618,54 +622,33 @@ def _group_blocks(M: RingMatrix, mring: MatrixRing) -> RingMatrix:
 
 
 def product_certificate(certs: Sequence[RankCertificate]) -> RankCertificate:
-    """Combine BGN certificates with m = n+1 into one over the product ring.
+    """Combine BGN certificates into one over the product ring.
 
-    Inputs are first brought to the common shape (b, b+1) where b is the
-    largest n among them, then merged componentwise.
+    Each input is extended to (n, b+1), where b is the largest n among them,
+    and its domain padded with zeros: [A | 0] is (b+1) x b and [B ; 0] is
+    b x (b+1), with the same product AB = I_{b+1}.  The results are then
+    merged componentwise.
     """
     if not certs:
         raise ValueError("need at least one certificate")
-    steps = []
-    for c in certs:
-        v = verify_certificate(c)
-        if not v:
-            raise ValueError(f"factor certificate invalid at {v.position}")
-        if not v.bgn:
-            raise ValueError("every factor must be a BGN certificate")
-        steps.append(c if c.m == c.n + 1 else truncate_certificate(c))
-    b = max(c.n for c in steps)
-    shaped = [_reshape_to(c, b) for c in steps]
+    b = max(c.n for c in certs)
+    shaped = [extend_certificate(c, b + 1) for c in certs]
     if len(shaped) == 1:
         return shaped[0]
     prod = ProductRing([c.ring for c in shaped])
-    A = RingMatrix(prod, b + 1, b, list(zip(*(c.A.entries for c in shaped))))
-    B = RingMatrix(prod, b, b + 1, list(zip(*(c.B.entries for c in shaped))))
-    return _checked(RankCertificate(prod, b, b + 1, A, B),
+    A = zip(*(RingMatrix.from_support(c.ring, b + 1, b, _placed(c.A)).entries
+              for c in shaped))
+    B = zip(*(RingMatrix.from_support(c.ring, b, b + 1, _placed(c.B)).entries
+              for c in shaped))
+    return _checked(RankCertificate(prod, b, b + 1, RingMatrix(prod, b + 1, b, A),
+                                    RingMatrix(prod, b, b + 1, B)),
                     "product certificate failed re-verification")
 
 
 def truncate_certificate(cert: RankCertificate) -> RankCertificate:
-    """Cut an (n, m) BGN certificate down to (n, n+1) by dropping the extra
-    codomain coordinates; the leading block of AB = I_m is still I_{n+1}."""
-    R = cert.ring
-    m2 = cert.n + 1
-    A2 = RingMatrix.from_rows(R, cert.A.to_rows()[:m2])
-    B2 = RingMatrix.from_rows(R, [row[:m2] for row in cert.B.to_rows()])
-    return _checked(RankCertificate(R, cert.n, m2, A2, B2),
-                    "truncated certificate failed re-verification")
-
-
-def _reshape_to(cert: RankCertificate, b: int) -> RankCertificate:
-    """Turn an (n, n+1) certificate into a (b, b+1) one, b >= n."""
-    if cert.n == b:
-        return cert
-    R = cert.ring
-    wide = extend_certificate(cert, b + 1)  # shape (n, b+1)
-    # pad the domain with zeros: A' = [A | 0] is (b+1) x b, B' = [B ; 0]
-    A2 = RingMatrix.from_support(R, b + 1, b, _placed(wide.A))
-    B2 = RingMatrix.from_support(R, b, b + 1, _placed(wide.B))
-    return _checked(RankCertificate(R, b, b + 1, A2, B2),
-                    "reshaped certificate failed re-verification")
+    """Cut an (n, m) BGN certificate down to (n, n+1): the extension of it
+    to n+1."""
+    return extend_certificate(cert, cert.n + 1)
 
 
 def hom_certificate(cert: RankCertificate, phi: Callable, target: Ring) -> RankCertificate:

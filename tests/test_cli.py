@@ -153,6 +153,17 @@ def test_paradox(capsys, tmp_path):
     assert "Hall" in capsys.readouterr().out
 
 
+def test_paradox_set_starting_with_minus(capsys):
+    """A set option whose value starts with "-" is written --k=... or in
+    braces; as a separate word argparse reads it as an option: exit 2."""
+    argv = ["paradox", "--group", "Z", "--v", "{0; 1}", "--w", "ball:2"]
+    assert run(*argv, "--k=-1;0;1") == 0
+    assert run(*argv, "--k", "{-1; 0; 1}") == 0
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--k", "-1;0;1")
+    assert exc.value.code == 2
+
+
 def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
     """A failed recount is a fault in the program: exit 3, never 1."""
     monkeypatch.setattr("gradedrings.cli.verify_hall_violation",
@@ -248,6 +259,21 @@ def test_cert_missing_option_is_input_error(action, message, files, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_cert_input_errors(tmp_path, capsys):
+    """An invalid (1, 3) certificate to extend, and mod:m on a ring other
+    than Z, are input errors: exit 2, not an internal error."""
+    data = certificate_to_json(leavitt_rank_certificate(3))
+    data["B"][0][1] = "0"
+    bad = str(tmp_path / "bad3.json")
+    dump_json(data, bad)
+    assert run("cert", "extend", bad, "--target", "5") == 2
+    assert capsys.readouterr().err == "error: input certificate invalid at (2, 2)\n"
+    l2 = str(tmp_path / "l2.json")
+    dump_json(certificate_to_json(leavitt_rank_certificate(2)), l2)
+    assert run("cert", "hom", l2, "--map", "mod:3") == 2
+    assert capsys.readouterr().err == "error: mod:m needs a certificate over Z\n"
+
+
 def test_cert_missing_file_is_input_error():
     assert run("cert", "verify", "/nonexistent.json") == 2
 
@@ -260,6 +286,12 @@ def test_monoid_verdicts(capsys):
     assert run("monoid", "3*x1 <= 2*x1 in M(2,1,1)") == 1
     assert "psi_1" in capsys.readouterr().out
     assert run("monoid", "gibberish") == 2
+
+
+@pytest.mark.parametrize("expression", ["2*a <= a in C(2,0)", "2*a <= a in C(0,1)"])
+def test_monoid_cnk_needs_positive_parameters(expression, capsys):
+    assert run("monoid", expression) == 2
+    assert capsys.readouterr().err == "error: n, k must be positive\n"
 
 
 def test_crossed_config(tmp_path):

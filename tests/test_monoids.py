@@ -105,6 +105,12 @@ def test_cnk_rejects_negative():
         cnk_normalize(2, 1, -1)
 
 
+@pytest.mark.parametrize("n, k", [(2, 0), (0, 1)])
+def test_cnk_needs_positive_parameters(n, k):
+    with pytest.raises(ValueError, match="n, k must be positive"):
+        cnk_normalize(n, k, 2)
+
+
 # M(n,k,l) ---------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedrings.amenability import whole_group
+from gradedrings.checks import _stack_twice
 from gradedrings.graded import CrossedProductRing, group_ring, twisted_system
 from gradedrings.groups import (BaumslagSolitar, Cyclic, DirectProduct,
                                 FreeAbelian, FreeGroup)
@@ -86,6 +87,59 @@ def test_truncate_certificate():
     cert = truncate_certificate(leavitt_rank_certificate(3))
     assert (cert.n, cert.m) == (1, 2)
     assert verify_certificate(cert)
+    # an (n, n+1) input is returned as it is, not verified a second time
+    base = leavitt_rank_certificate(2)
+    assert truncate_certificate(base) is base
+
+
+def _invalid_l3():
+    """L(1,3) with its last B entry zeroed: AB fails first at (3, 3)."""
+    cert = leavitt_rank_certificate(3)
+    L = cert.ring
+    B = RingMatrix(L, 1, 3, [L.gen(1), L.gen(2), L.zero()])
+    return RankCertificate(L, 1, 3, cert.A, B)
+
+
+@pytest.mark.parametrize("transform", [
+    lambda c: extend_certificate(c, 5),
+    truncate_certificate,
+    opposite_certificate,
+    lambda c: block_up_certificate(c, 1),
+    block_down_certificate,
+    lambda c: product_certificate([leavitt_rank_certificate(2), c]),
+    lambda c: hom_certificate(c, lambda x: x, c.ring),
+], ids=["extend", "truncate", "opposite", "block_up", "block_down",
+        "product", "hom"])
+def test_transforms_refuse_invalid_input(transform):
+    """A bad input is the caller's fault (ValueError), never a failed
+    re-verification of the output (VerificationError)."""
+    with pytest.raises(ValueError, match=r"input certificate invalid at \(3, 3\)"):
+        transform(_invalid_l3())
+
+
+def test_extend_and_product_refuse_non_bgn_input():
+    ident = RankCertificate(Z, 2, 2, RingMatrix.identity(Z, 2),
+                            RingMatrix.identity(Z, 2))
+    for transform in (lambda c: extend_certificate(c, 3),
+                      lambda c: product_certificate([c])):
+        with pytest.raises(ValueError, match="not BGN"):
+            transform(ident)
+
+
+@pytest.mark.parametrize("base", [None, IntegerModRing(5)], ids=["Z", "Z/5"])
+def test_extend_cuts_a_wide_certificate_first(base):
+    """Extending L(1,3) equals extending its (1, 2) leading block, which
+    the test cuts by hand: the first two rows of A and columns of B."""
+    cert = leavitt_rank_certificate(3, base)
+    L = cert.ring
+    cut = RankCertificate(L, 1, 2, RingMatrix(L, 2, 1, [cert.A[0, 0], cert.A[1, 0]]),
+                          RingMatrix(L, 1, 2, [cert.B[0, 0], cert.B[0, 1]]))
+    for target in range(2, 7):
+        ext, ref = extend_certificate(cert, target), extend_certificate(cut, target)
+        assert (ext.n, ext.m) == (ref.n, ref.m) == (1, target)
+        for X, Y in ((ext.A, ref.A), (ext.B, ref.B)):
+            assert all(L.eq(X[i, j], Y[i, j])
+                       for i in range(X.rows) for j in range(X.cols))
 
 
 def test_opposite_is_involution():
@@ -121,6 +175,17 @@ def test_product_certificate():
     v = verify_certificate(prod)
     assert v and v.bgn
     assert isinstance(prod.ring, ProductRing)
+
+
+def test_product_pads_factors_with_smaller_n():
+    """A (2, 4) factor sets b = 2; the (1, 3) and (1, 2) factors are
+    extended to (1, 3) and padded with a zero domain column to (2, 3)."""
+    prod = product_certificate([_stack_twice(leavitt_rank_certificate(2)),
+                                leavitt_rank_certificate(3),
+                                leavitt_rank_certificate(2)])
+    assert (prod.n, prod.m) == (2, 3)
+    v = verify_certificate(prod)
+    assert v and v.bgn
 
 
 def test_hom_certificate_mod_m():
