@@ -6,8 +6,7 @@ algebras.
 """
 
 from .groups import (BaumslagSolitar, Cyclic, DirectProduct, FreeAbelian,
-                     FreeGroup, Group, group_from_spec,
-                     set_product, translate_set)
+                     FreeGroup, Group, group_from_spec, set_product)
 from .rings import (IntegerModRing, IntegerRing, MatrixRing, ProductRing,
                     RankCertificate, RationalRing, Ring, RingMatrix,
                     block_down_certificate, block_up_certificate,
@@ -17,13 +16,12 @@ from .rings import (IntegerModRing, IntegerRing, MatrixRing, ProductRing,
 from .monoids import (MnklParams, cnk_generating_number, cnk_leq,
                       cnk_normalize, mnkl_leq, mnkl_phi, mnkl_psi)
 from .amenability import (FolnerWitness, InjectionWitness, SubsetPredicate,
-                          bs_X, bs_X0, bs_example_check, expansion_profile,
+                          bs_X, bs_X0, bs_example_check,
                           find_two_to_one_injection, folner_search,
                           rosenblatt_find, whole_group)
 from .translation import (CoeffFn, CompressionInput, TranslationRing,
                           collapse_matrices, compress_certificate,
-                          finite_group_iso, right_translation_iso, tr_entry,
-                          tr_transpose)
+                          finite_group_iso, tr_entry, tr_transpose)
 from .graded import (CrossedProductRing, CrossedSystem,
                      endo_graded_construction, group_ring,
                      group_ring_augmentation, psi_embedding_check,

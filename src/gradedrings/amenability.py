@@ -100,16 +100,14 @@ class FolnerFailure:
 
 
 def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
-                  eps: Fraction, r_max: int,
-                  candidates: Optional[Iterable[Sequence]] = None):
+                  eps: Fraction, r_max: int):
     """Look for a finite F with |KF cap X| < (1 + eps) |F cap X|.
 
-    By default F runs over the balls of radius 0..r_max, built one at a time
-    so that an early witness stops the search, and counted one sphere at a
-    time (_ball_counts); an explicit list of candidate sets may be supplied
-    instead, each counted in full.  Returns the first FolnerWitness found,
-    re-verified by an independent recount, else a FolnerFailure with the
-    exact ratio for every candidate.
+    F runs over the balls of radius 0..r_max, built one at a time so that an
+    early witness stops the search, and counted one sphere at a time
+    (_ball_counts).  Returns the first FolnerWitness found, re-verified by an
+    independent recount, else a FolnerFailure with the exact ratio for every
+    radius.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -117,13 +115,10 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
     K = list(K)
     if not K:
         raise ValueError("K must be nonempty")
-    if candidates is None:
-        if r_max < 0:
-            raise ValueError("r_max must be non-negative")
-        counts = _ball_counts(group, X, K, (group.ball(r, max_radius=r)
-                                            for r in range(r_max + 1)))
-    else:
-        counts = (next(_ball_counts(group, X, K, [list(F)])) for F in candidates)
+    if r_max < 0:
+        raise ValueError("r_max must be non-negative")
+    counts = _ball_counts(group, X, K, (group.ball(r, max_radius=r)
+                                        for r in range(r_max + 1)))
     ratios = []
     for idx, (F, kf_count, f_count) in enumerate(counts):
         ratio = Fraction(kf_count, f_count) if f_count else None
@@ -141,7 +136,7 @@ def _ball_counts(group: Group, X: SubsetPredicate, K: Sequence, balls: Iterable)
     """Yield (B, |KB cap X|, |B cap X|) for nested balls B, each a prefix of
     the next (Group.balls).  Since K(A u S) = KA u KS, each step multiplies
     K only by the new sphere S and counts in X only the products not seen
-    before.  A single set F, passed as [F], is counted in full."""
+    before."""
     kf = set()
     kf_count = f_count = prev = 0
     for B in balls:
@@ -157,14 +152,6 @@ def _ball_counts(group: Group, X: SubsetPredicate, K: Sequence, balls: Iterable)
 def _recount(group: Group, X: SubsetPredicate, w: FolnerWitness):
     kf = {group.mul(k, f) for k in w.K for f in w.F}
     return (len([g for g in kf if g in X]), len([f for f in w.F if f in X]))
-
-
-def expansion_profile(group: Group, X: SubsetPredicate, K: Sequence,
-                      r_max: int) -> list:
-    """Exact ratios |K B_r cap X| / |B_r cap X| for r = 0..r_max."""
-    return [Fraction(kf_count, f_count) if f_count else None
-            for _, kf_count, f_count in _ball_counts(
-                group, X, K, group.balls(r_max, max_radius=r_max))]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Subcommands cover every construction in the library: folner, paradox,
 collapse, compress, cert (verify/extend/opposite/block/product/hom), monoid,
 crossed, endo-graded, psi, normalize, bs-check, rosenblatt, and repro.
-Exit codes: 0 or 1 from EXIT_CODES for a printed verdict (1 is a verified
-negative), 2 on input errors, 3 on an internal error (never a verdict).
+Exit codes: 0, 1 or 4 from EXIT_CODES for a printed verdict (1 is a
+verified negative, 4 an undecided "unknown"), 2 on input errors, 3 on an
+internal error (never a verdict).
 """
 
 from __future__ import annotations
@@ -68,11 +69,12 @@ def _subset(group: Group, name: str):
     raise ValueError(f"unknown subset spec: {name!r} (use all, bs-x, bs-x0)")
 
 
-# The one place a verdict becomes an exit code; 1 means a verified "no".
+# The one place a verdict becomes an exit code; 1 means a verified "no" and
+# 4 a search that ended without deciding.
 EXIT_CODES = {
     "pass": 0, "witness": 0, "compressed": 0, "valid": 0, "yes": 0, "found": 0,
     "fail": 1, "no-witness": 1, "infeasible": 1, "refused": 1, "invalid": 1,
-    "no": 1, "unknown": 1,
+    "no": 1, "unknown": 4,
 }
 
 
@@ -104,7 +106,8 @@ def _cmd_folner(args) -> int:
         raise ValueError(f"--eps {args.eps} has a zero denominator") from None
     res = folner_search(G, X, K, eps, args.r_max)
     if isinstance(res, FolnerWitness):
-        data = folner_witness_to_json(G, res)
+        used = args.format == "json" or args.out  # text prints no payload
+        data = folner_witness_to_json(G, res) if used else {}
         if args.out:
             dump_json(data, args.out)
         return _emit(args, [
@@ -137,7 +140,8 @@ def _cmd_paradox(args) -> int:
     res = find_two_to_one_injection(G, V, W, K)
     s = G.element_to_str
     if isinstance(res, InjectionWitness):
-        data = injection_witness_to_json(G, res)
+        used = args.format == "json" or args.out  # text prints no payload
+        data = injection_witness_to_json(G, res) if used else {}
         if args.out:
             dump_json(data, args.out)
         return _emit(args, [f"two-to-one injection found: |V| = {len(V)}, "
@@ -304,16 +308,11 @@ def _parse_m_side(params: MnklParams, text: str) -> tuple:
         c = int(m.group(1)) if m.group(1) else 1
         if m.group(2) == "u":
             vec[0] += c
-        elif m.group(3):
-            i = int(m.group(3))
-            if not 1 <= i <= params.l:
-                raise ValueError(f"index in {term!r} out of range 1..{params.l}")
-            vec[i] += c
         else:
-            i = int(m.group(4))
+            i = int(m.group(3) or m.group(4))
             if not 1 <= i <= params.l:
                 raise ValueError(f"index in {term!r} out of range 1..{params.l}")
-            vec[params.l + i] += c
+            vec[i if m.group(3) else params.l + i] += c
     return tuple(vec)
 
 

@@ -199,18 +199,6 @@ def group_ring_augmentation(ring: CrossedProductRing, a: dict):
     return out
 
 
-def augmentation_is_multiplicative(ring: CrossedProductRing,
-                                   pairs: Sequence[tuple]) -> bool:
-    S = ring.base
-    for a, b in pairs:
-        lhs = group_ring_augmentation(ring, ring.mul(a, b))
-        rhs = S.mul(group_ring_augmentation(ring, a),
-                    group_ring_augmentation(ring, b))
-        if not S.eq(lhs, rhs):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # strong grading
 

@@ -386,12 +386,6 @@ class DirectProduct(Group):
         return out
 
 
-def translate_set(group: Group, g, A: Iterable) -> set:
-    """Left translate gA."""
-    group.check_element(g)
-    return {group.mul(g, a) for a in A}
-
-
 def set_product(group: Group, K: Iterable, A: Iterable) -> set:
     """The set KA = {k*a : k in K, a in A}, deduplicated."""
     K = list(K)

@@ -61,15 +61,6 @@ def cnk_leq_canonical(n: int, lam: int, mu: int) -> bool:
     return mu >= lam or mu >= n
 
 
-def cnk_leq_oracle(n: int, k: int, lam: int, mu: int, bound: int = 400) -> bool:
-    """Brute force: try all z up to a bound sufficient to cover one full period."""
-    target = cnk_normalize(n, k, mu)
-    for z in range(0, max(bound, n + 2 * k) + 1):
-        if cnk_normalize(n, k, lam + z) == target:
-            return True
-    return False
-
-
 def cnk_reach_oracle(n: int, k: int, bound: int):
     """Brute-force order oracle for a whole coefficient range at once.
 

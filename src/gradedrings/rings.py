@@ -54,9 +54,6 @@ class Ring:
     def eq(self, a, b) -> bool:
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def from_int(self, n: int):
         out, one = self.zero(), self.one()
         for _ in range(abs(n)):

@@ -434,8 +434,6 @@ def _parse_sum(s: str, parse_factor, ring: Ring):
                 terms.append((sign, "".join(tok).strip()))
                 tok = []
                 sign = 1
-            elif not tok:
-                pass
             if ch == "-":
                 sign = -sign
         else:

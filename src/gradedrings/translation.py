@@ -6,14 +6,14 @@ elsewhere; coefficient functions are constants with finitely many overrides,
 so infinite index sets stay finitely describable.  The module also provides
 the finite-group matrix-ring isomorphism, the rank-collapse matrices built
 from a two-to-one injection witness, certificate compression along a Folner
-set, and the left/right translation-ring identification.
+set, and right translation rings, whose terms propagate on the right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
 
 from .amenability import InjectionWitness, SubsetPredicate, verify_injection_witness
 from .groups import Group
@@ -480,7 +480,7 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
 
 
 # ---------------------------------------------------------------------------
-# right translation rings and the inversion isomorphism
+# right translation rings
 
 
 class RightTranslationRing(TranslationRing):
@@ -503,33 +503,3 @@ class RightTranslationRing(TranslationRing):
                 _add_term(out, G.mul(g, k),
                           F.mul(f, F.moved(h, lambda x: G.mul(x, ginv))), F)
         return out
-
-
-def inverted_subset(X: SubsetPredicate) -> SubsetPredicate:
-    G = X.group
-    return SubsetPredicate(G, lambda p: G.inv(p) in X, f"{X.name}^-1",
-                           key=("inverse", X.key))
-
-
-def right_translation_iso(rring: RightTranslationRing, M: dict):
-    """The identification M*(x^-1, y^-1) = M(x, y) of the right translation
-    ring over X with the left one over X^-1.
-
-    Term form: (g, f) maps to the left term (g, p -> f(p^-1)).  Returns
-    (left translation ring, image element).
-    """
-    G, F = rring.group, rring.base
-    lring = TranslationRing(G, inverted_subset(rring.X), F.base)
-    return lring, {g: F.moved(f, G.inv) for g, f in M.items()}
-
-
-def right_translation_iso_check(rring: RightTranslationRing,
-                                samples: Sequence[tuple]) -> bool:
-    """(MN)* = M* N* for each sampled pair, compared in canonical term form."""
-    for M, N in samples:
-        lring, lhs = right_translation_iso(rring, rring.mul(M, N))
-        _, Mi = right_translation_iso(rring, M)
-        _, Ni = right_translation_iso(rring, N)
-        if not lring.eq(lhs, lring.mul(Mi, Ni)):
-            return False
-    return True

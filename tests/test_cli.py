@@ -83,7 +83,8 @@ def test_exit_code_is_the_verdicts(verdict, argv, files, capsys):
 
 def test_verdict_cases_cover_the_table():
     assert sorted(v for v, _ in VERDICT_CASES) == sorted(EXIT_CODES)
-    assert set(EXIT_CODES.values()) == {0, 1}
+    assert set(EXIT_CODES.values()) == {0, 1, 4}
+    assert [v for v, code in EXIT_CODES.items() if code == 4] == ["unknown"]
 
 
 def test_verdict_missing_from_table_is_internal_error(monkeypatch, capsys):
@@ -151,6 +152,25 @@ def test_paradox(capsys, tmp_path):
     assert run("paradox", "--group", "Z", "--v", "{0; 1; 2}",
                "--w", "ball:3", "--k", "{-1; 0; 1}") == 1
     assert "Hall" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("serializer, argv", [
+    ("injection_witness_to_json", ["paradox", "--group", "F2", "--v", "ball:1",
+                                   "--w", "ball:2", "--k", "ball:1"]),
+    ("folner_witness_to_json", ["folner", "--group", "Z", "--k", "ball:1",
+                                "--eps", "1/2"]),
+])
+def test_text_witness_builds_no_payload(serializer, argv, monkeypatch, capsys):
+    """Text output without --out prints summary lines only, so the witness
+    serializer never runs; JSON output still calls it once."""
+    calls = []
+    monkeypatch.setattr(f"gradedrings.cli.{serializer}",
+                        lambda *args: calls.append(args) or {})
+    assert run(*argv) == 0
+    assert calls == []
+    assert "found" in capsys.readouterr().out
+    assert run(*argv, "--format", "json") == 0
+    assert len(calls) == 1
 
 
 def test_paradox_set_starting_with_minus(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from gradedrings.groups import (BaumslagSolitar, Cyclic, DirectProduct,
                                 FreeAbelian, FreeGroup, group_from_spec,
-                                set_product, translate_set)
+                                set_product)
 
 
 def test_free_group_reduction():
@@ -138,5 +138,5 @@ def test_group_from_spec():
 def test_set_operations():
     Z = FreeAbelian(1)
     A = [(0,), (1,)]
-    assert translate_set(Z, (2,), A) == {(2,), (3,)}
+    assert set_product(Z, [(2,)], A) == {(2,), (3,)}
     assert set_product(Z, [(-1,), (1,)], A) == {(-1,), (0,), (1,), (2,)}

@@ -3,19 +3,17 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedrings.amenability import (InjectionWitness, bs_X,
+from gradedrings.amenability import (InjectionWitness,
                                      find_two_to_one_injection, finite_subset,
                                      whole_group)
-from gradedrings.groups import (BaumslagSolitar, Cyclic, DirectProduct,
-                                FreeAbelian, FreeGroup)
+from gradedrings.groups import Cyclic, DirectProduct, FreeAbelian, FreeGroup
 from gradedrings.rings import (IntegerModRing, IntegerRing, RankCertificate,
                                RingMatrix, verify_certificate)
 from gradedrings.special_algebras import LeavittRing
 from gradedrings.translation import (CoeffFn, CompressionInput,
                                      RightTranslationRing, TranslationRing,
                                      collapse_matrices, compress_certificate,
-                                     finite_group_iso, right_translation_iso,
-                                     right_translation_iso_check, tr_entry,
+                                     finite_group_iso, tr_entry,
                                      tr_mul_oracle_entry, tr_transpose)
 
 Z = IntegerRing()
@@ -401,15 +399,3 @@ def test_finite_group_eq_is_entrywise_equality(G, cls, proper, data):
     pts = [x for x in elems if x in X]
     same = all(_entry(T, a, x, y) == _entry(T, b, x, y) for x in pts for y in pts)
     assert T.eq(a, b) == same
-
-
-def test_right_translation_iso():
-    G = BaumslagSolitar(2)
-    R = RightTranslationRing(G, bs_X(G), Z)
-    a, b = G.generators()
-    M = R.term(a, R.fn(1))
-    N = R.term(b, R.fn(2, {G.identity(): 3}))
-    assert right_translation_iso_check(R, [(M, N), (N, M), (M, M)])
-    lring, img = right_translation_iso(R, M)
-    assert lring.X.name.endswith("^-1")
-    assert set(img) == {a}
