@@ -486,16 +486,30 @@ class Invalid:
 
 
 def verify_certificate(cert: RankCertificate):
-    """Recompute A*B and compare with the identity.
+    """Check AB = I_m exactly, over the support of A and B.
+
+    Row i of AB sums a_ik * b_kj over the pairs with a_ik and b_kj both
+    nonzero only, k ascending (the ring need not be commutative).  An entry
+    that no such pair reaches is 0, so only the reached columns and the
+    diagonal (i, i) are compared with the identity, in ascending j.  The
+    cost is one scan of B for its nonzero entries plus the products over the
+    support, and the first failure is still the first in row-major order.
 
     Returns Valid(bgn=True) when AB = I_m and n < m, Valid(bgn=False) when
     AB = I_m and n >= m, else Invalid with the first failing position.
     """
-    prod = mat_mul(cert.A, cert.B)
-    ident = RingMatrix.identity(cert.ring, cert.m)
-    for i, j in product(range(cert.m), repeat=2):
-        if not cert.ring.eq(prod[i, j], ident[i, j]):
-            return Invalid(position=(i + 1, j + 1))
+    R, zero, one = cert.ring, cert.ring.zero(), cert.ring.one()
+    b_rows = [[(j, b) for j, b in enumerate(cert.B.row(k)) if not R.is_zero(b)]
+              for k in range(cert.n)]
+    for i in range(cert.m):
+        sums = {i: zero}
+        for k, a in enumerate(cert.A.row(i)):
+            if not R.is_zero(a):
+                for j, b in b_rows[k]:
+                    sums[j] = R.add(sums.get(j, zero), R.mul(a, b))
+        for j in sorted(sums):
+            if not R.eq(sums[j], one if j == i else zero):
+                return Invalid(position=(i + 1, j + 1))
     return Valid(bgn=cert.n < cert.m)
 
 

@@ -5,8 +5,6 @@ fails with the detail lines on any violation.  The CLI `repro` subcommand
 runs the same check functions, so the two cannot disagree.
 """
 
-import pytest
-
 from gradedrings import checks
 
 

@@ -10,9 +10,9 @@ from gradedrings.checks import _stack_twice
 from gradedrings.graded import CrossedProductRing, group_ring, twisted_system
 from gradedrings.groups import (BaumslagSolitar, Cyclic, DirectProduct,
                                 FreeAbelian, FreeGroup)
-from gradedrings.rings import (IntegerModRing, IntegerRing, MatrixRing,
-                               ProductRing, RankCertificate, RationalRing,
-                               RingMatrix, block_down_certificate,
+from gradedrings.rings import (IntegerModRing, IntegerRing, Invalid,
+                               MatrixRing, ProductRing, RankCertificate,
+                               RationalRing, RingMatrix, block_down_certificate,
                                block_up_certificate, extend_certificate,
                                hom_certificate, mat_mul, opposite_certificate,
                                product_certificate, truncate_certificate,
@@ -288,6 +288,113 @@ def test_mat_mul_keeps_the_order_of_each_product():
     assert L.eq(mat_mul(A, B)[0, 0], L.one())
     op = L.opposite()
     assert L.eq(mat_mul(A.reinterpret(op), B.reinterpret(op))[0, 0], L.from_int(2))
+
+
+def _verify_reference(cert):
+    """The dense check as (valid, bgn, position): the triple-loop product,
+    then all m x m entries against the identity in row-major order."""
+    R, prod = cert.ring, _mat_mul_reference(cert.A, cert.B)
+    for i in range(cert.m):
+        for j in range(cert.m):
+            if not R.eq(prod[i, j], R.one() if i == j else R.zero()):
+                return False, None, (i + 1, j + 1)
+    return True, cert.n < cert.m, None
+
+
+def _verdict(v):
+    return bool(v), getattr(v, "bgn", None), getattr(v, "position", None)
+
+
+def _leavitt_code(m):
+    """Rows of A = (e_w*) and B = (e_w) over L(1,2) for the prefix code
+    w = 1, 21, ..., 2^(m-2)1, 2^(m-1): e_v* e_w = delta_vw, so AB = I_m."""
+    L = _L2
+    words = [(2,) * k + (1,) for k in range(m - 1)] + [(2,) * (m - 1)]
+    b = [functools.reduce(L.mul, map(L.gen, w), L.one()) for w in words]
+    a = [functools.reduce(L.mul, map(L.gen_star, reversed(w)), L.one()) for w in words]
+    return [[x] for x in a], [b]
+
+
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+_CERT_RINGS = [
+    (Z, st.integers(-3, 3)),
+    (IntegerModRing(5), st.integers(0, 4)),
+    (_L2, _leavitt_elements(_L2)),
+    (_L2.opposite(), _leavitt_elements(_L2)),  # is_zero through eq
+]
+
+
+@st.composite
+def _certificate(draw, ring, elements):
+    """A valid (n, m) certificate, m <= 4, moved by elementary row and
+    column operations, then kept, changed at one entry of A or B, given a
+    zero row of A, or replaced by random entries.  Over Z and Z/5 it starts
+    from [I | 0] and [I; C], so n >= m; over L(1,2) it may start from the
+    (1, m) prefix-code certificate instead, so n < m too."""
+    R = ring
+    entry = st.one_of(st.just(R.zero()), elements)
+    one, zero = R.one(), R.zero()
+    m = draw(st.integers(1, 4))
+    if R in (_L2, _L2.opposite()) and draw(st.booleans()):
+        a, b = _leavitt_code(m)  # over the opposite ring: A = B^t, B = A^t
+        A, B = (a, b) if R == _L2 else (_transpose(b), _transpose(a))
+    else:
+        A = [[one if i == j else zero for j in range(m)] for i in range(m)]
+        B = [row[:] for row in A]
+    n = len(B) + draw(st.integers(0, 2))
+    A = [row + [zero] * (n - len(B)) for row in A]
+    B += [[draw(entry) for _ in range(m)] for _ in range(n - len(B))]
+    A, B = RingMatrix.from_rows(R, A), RingMatrix.from_rows(R, B)
+    for _ in range(draw(st.integers(0, 4))):
+        # A -> EA and B -> BE^-1 (rows), or A -> AE and B -> E^-1 B (columns)
+        size = draw(st.sampled_from([m, n]))
+        s, t = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        if s == t:
+            continue
+        c = draw(elements)
+        E, E_inv = (RingMatrix.from_support(
+            R, size, size, {**{(i, i): one for i in range(size)}, (s, t): x})
+            for x in (c, R.neg(c)))
+        if size == m:
+            A, B = _mat_mul_reference(E, A), _mat_mul_reference(B, E_inv)
+        else:
+            A, B = _mat_mul_reference(A, E), _mat_mul_reference(E_inv, B)
+    change = draw(st.sampled_from(["none", "A", "B", "zero row", "random"]))
+    if change in ("A", "B"):
+        M = A if change == "A" else B
+        M.entries[draw(st.integers(0, len(M.entries) - 1))] = draw(entry)
+    elif change == "zero row":
+        i = draw(st.integers(0, m - 1))
+        A.entries[i * n:(i + 1) * n] = [zero] * n
+    elif change == "random":
+        A.entries = [draw(entry) for _ in A.entries]
+        B.entries = [draw(entry) for _ in B.entries]
+    return RankCertificate(R, n, m, A, B)
+
+
+@pytest.mark.parametrize("ring,elements", _CERT_RINGS,
+                         ids=[r.name for r, _ in _CERT_RINGS])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_verify_certificate_agrees_with_the_dense_scan(ring, elements, data):
+    """Summing over the support of A and B only gives the dense scan's
+    verdict, bgn flag and first failing position."""
+    cert = data.draw(_certificate(ring, elements))
+    assert _verdict(verify_certificate(cert)) == _verify_reference(cert)
+
+
+@pytest.mark.parametrize("A,position", [
+    ([[1, 0], [0, 0]], (2, 2)),  # row 2 of A is zero: (2, 2) is never reached
+    ([[1, 0], [3, 1]], (2, 1)),  # a reached nonzero entry left of the diagonal
+], ids=["unreached-diagonal", "left-of-diagonal"])
+def test_verify_certificate_reports_the_first_row_major_failure(A, position):
+    cert = RankCertificate(Z, 2, 2, RingMatrix.from_rows(Z, A),
+                           RingMatrix.identity(Z, 2))
+    assert verify_certificate(cert) == Invalid(position=position)
+    assert _verify_reference(cert) == (False, None, position)
 
 
 @pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0), (0, -1)])

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gradedrings.rings import IntegerModRing, IntegerRing
+from gradedrings.rings import IntegerModRing
 from gradedrings.special_algebras import (LeavittRing, WeylRing,
                                           leavitt_iso_check,
                                           leavitt_matrix_units,
