@@ -415,9 +415,6 @@ class RingMatrix:
         R = self.ring
         return all(R.eq(a, b) for a, b in zip(self.entries, other.entries))
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self.eq(RingMatrix.identity(self.ring, self.rows))
-
     def reinterpret(self, ring: Ring) -> "RingMatrix":
         """Same entries viewed over another ring (e.g. the opposite ring)."""
         return RingMatrix(ring, self.rows, self.cols, list(self.entries))
@@ -448,6 +445,57 @@ def mat_mul(A: RingMatrix, B: RingMatrix) -> RingMatrix:
                 acc = R.add(acc, R.mul(a, b[km + j]))
             out.append(acc)
     return RingMatrix(R, A.rows, m, out)
+
+
+# Support form: a matrix as one dict per row, {j: m_ij} over its nonzero
+# entries.  A product or comparison in this form costs the pairs it meets,
+# not rows x cols, and is still exact over every entry: an absent entry is 0.
+
+
+def support_rows(M: RingMatrix) -> list:
+    """Row i of M as {j: m_ij} over its nonzero entries, j ascending."""
+    R, c, e = M.ring, M.cols, M.entries
+    return [{j: x for j, x in enumerate(e[i * c:(i + 1) * c]) if not R.is_zero(x)}
+            for i in range(M.rows)]
+
+
+def support_mul(R: Ring, P: list, Q: list) -> list:
+    """The product of two matrices in support form, in support form.
+
+    Row i sums p_ik * q_kj over the stored pairs only, k ascending (the ring
+    need not be commutative).  A skipped pair has a zero factor, and a stored
+    zero only adds zero products, so every entry is the dense one.
+    """
+    mul, add = R.mul, R.add
+    out = []
+    for row in P:
+        acc = {}
+        for k in sorted(row):
+            a = row[k]
+            for j, b in Q[k].items():
+                ab = mul(a, b)
+                acc[j] = add(acc[j], ab) if j in acc else ab
+        out.append(acc)
+    return out
+
+
+def _first_difference(R: Ring, P: list, Q: list):
+    """The first (i, j), 0-based and row-major, at which two matrices in
+    support form differ, reading an absent entry as zero; None if none."""
+    if len(P) != len(Q):
+        raise ValueError(f"row count mismatch: {len(P)} vs {len(Q)}")
+    zero, eq = R.zero(), R.eq
+    for i, (p, q) in enumerate(zip(P, Q)):
+        bad = [j for j in p.keys() | q.keys() if not eq(p.get(j, zero), q.get(j, zero))]
+        if bad:
+            return i, min(bad)
+    return None
+
+
+def support_eq(R: Ring, P: list, Q: list) -> bool:
+    """Entrywise R.eq of two matrices in support form with the same number
+    of rows; an absent entry reads as zero."""
+    return _first_difference(R, P, Q) is None
 
 
 @dataclass
@@ -488,28 +536,18 @@ class Invalid:
 def verify_certificate(cert: RankCertificate):
     """Check AB = I_m exactly, over the support of A and B.
 
-    Row i of AB sums a_ik * b_kj over the pairs with a_ik and b_kj both
-    nonzero only, k ascending (the ring need not be commutative).  An entry
-    that no such pair reaches is 0, so only the reached columns and the
-    diagonal (i, i) are compared with the identity, in ascending j.  The
-    cost is one scan of B for its nonzero entries plus the products over the
-    support, and the first failure is still the first in row-major order.
+    AB is summed with support_mul from one scan of each matrix, and compared
+    with the identity over the entries it reaches plus the diagonal, in
+    row-major order, so the first failure is the dense one.
 
     Returns Valid(bgn=True) when AB = I_m and n < m, Valid(bgn=False) when
     AB = I_m and n >= m, else Invalid with the first failing position.
     """
-    R, zero, one = cert.ring, cert.ring.zero(), cert.ring.one()
-    b_rows = [[(j, b) for j, b in enumerate(cert.B.row(k)) if not R.is_zero(b)]
-              for k in range(cert.n)]
-    for i in range(cert.m):
-        sums = {i: zero}
-        for k, a in enumerate(cert.A.row(i)):
-            if not R.is_zero(a):
-                for j, b in b_rows[k]:
-                    sums[j] = R.add(sums.get(j, zero), R.mul(a, b))
-        for j in sorted(sums):
-            if not R.eq(sums[j], one if j == i else zero):
-                return Invalid(position=(i + 1, j + 1))
+    R = cert.ring
+    AB = support_mul(R, support_rows(cert.A), support_rows(cert.B))
+    at = _first_difference(R, AB, [{i: R.one()} for i in range(cert.m)])
+    if at is not None:
+        return Invalid(position=(at[0] + 1, at[1] + 1))
     return Valid(bgn=cert.n < cert.m)
 
 

@@ -71,8 +71,20 @@ def ring_to_spec(ring: Ring) -> str:
 
 
 def _matrix_to_json(ring: Ring, M: RingMatrix, element_to_json) -> list:
-    """M as rows of element_to_json(ring, entry); _matrix_from_json reads it."""
-    return [[element_to_json(ring, x) for x in row] for row in M.to_rows()]
+    """M as rows of element_to_json(ring, entry); _matrix_from_json reads it.
+
+    Each distinct entry object is converted once, as RingMatrix.from_support
+    shares one zero; keying by id is sound because M keeps every entry
+    alive, so no id is reused while the memo lives."""
+    converted = {}
+
+    def element(x):
+        key = id(x)
+        if key not in converted:
+            converted[key] = element_to_json(ring, x)
+        return converted[key]
+
+    return [[element(x) for x in row] for row in M.to_rows()]
 
 
 def _matrix_from_json(ring: Ring, data: list, element_from_json) -> RingMatrix:

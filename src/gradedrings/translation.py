@@ -19,7 +19,7 @@ from .amenability import InjectionWitness, SubsetPredicate, verify_injection_wit
 from .groups import Group
 from .report import Report
 from .rings import (RankCertificate, Ring, RingMatrix, SparseRing, _add_term,
-                    _checked, mat_mul)
+                    _checked, support_eq, support_mul)
 
 
 class CoeffFn:
@@ -238,6 +238,8 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     multiplication laws on all generator pairs, the conjugation action
     A_g D_f A_g^-1 = D_{g.f} with (g.f)(x) = f(g^-1 x), unitality, and that
     the products D_{delta_x} A_g enumerate every matrix unit exactly once.
+    Every matrix is built once, in support form, and every product is a
+    rings.support_mul, so a law costs the pairs it meets, not N^3.
     """
     elems = group.elements()
     N = len(elems)
@@ -245,61 +247,64 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
         raise ValueError(f"group order {N} exceeds bound {FINITE_ISO_MAX_ORDER}")
     idx = {x: i for i, x in enumerate(elems)}
     R = ring
+    one = R.one()
     rep = FiniteGroupIsoReport(group.name, ring.name, True, True, True, True, True)
 
-    def D(f: dict) -> RingMatrix:
-        return RingMatrix.from_support(R, N, N, {(i, i): f[x] for x, i in idx.items()})
+    # every matrix below is in support form (rings.support_rows)
+    def D(f: dict) -> list:
+        return [{i: f[x]} for i, x in enumerate(elems)]
 
-    def A(g) -> RingMatrix:
+    def A(g) -> list:
         ginv = group.inv(g)
-        return RingMatrix.from_support(
-            R, N, N, {(i, idx[group.mul(ginv, x)]): R.one() for i, x in enumerate(elems)})
+        return [{idx[group.mul(ginv, x)]: one} for x in elems]
 
     A_of = {g: A(g) for g in elems}
 
-    def A_cached(g) -> RingMatrix:
+    def A_cached(g) -> list:
         # a faulty group may return a product or inverse outside elems
         return A_of[g] if g in A_of else A(g)
 
     # sample coefficient functions: all-ones, a delta, and a counting table
     samples = [
-        {x: R.one() for x in elems},
-        {x: (R.one() if x == elems[0] else R.zero()) for x in elems},
+        {x: one for x in elems},
+        {x: (one if x == elems[0] else R.zero()) for x in elems},
         {x: R.from_int(i + 1) for i, x in enumerate(elems)},
     ]
     D_of = [D(f) for f in samples]
 
     for g in elems:
         for h in elems:
-            if not mat_mul(A_of[g], A_of[h]).eq(A_cached(group.mul(g, h))):
+            if not support_eq(R, support_mul(R, A_of[g], A_of[h]),
+                              A_cached(group.mul(g, h))):
                 rep.shift_mult_ok = False
                 rep.failures.append(f"A_g A_h != A_gh at ({g}, {h})")
     for f1, D1 in zip(samples, D_of):
         for f2, D2 in zip(samples, D_of):
             prod = {x: R.mul(f1[x], f2[x]) for x in elems}
-            if not mat_mul(D1, D2).eq(D(prod)):
+            if not support_eq(R, support_mul(R, D1, D2), D(prod)):
                 rep.diag_mult_ok = False
     for g in elems:
         ginv = group.inv(g)
         for f, Df in zip(samples, D_of):
             moved = {x: f[group.mul(ginv, x)] for x in elems}
-            got = mat_mul(mat_mul(A_of[g], Df), A_cached(ginv))
-            if not got.eq(D(moved)):
+            got = support_mul(R, support_mul(R, A_of[g], Df), A_cached(ginv))
+            if not support_eq(R, got, D(moved)):
                 rep.action_ok = False
                 rep.failures.append(f"conjugation law fails at g = {g}")
-    rep.unital_ok = (A_cached(group.identity()).is_identity()
-                     and D_of[0].is_identity())
+    identity = [{i: one} for i in range(N)]
+    rep.unital_ok = (support_eq(R, A_cached(group.identity()), identity)
+                     and support_eq(R, D_of[0], identity))
     units = set()
     for x in elems:
-        delta = RingMatrix.from_support(R, N, N, {(idx[x], idx[x]): R.one()})
+        delta = [{}] * N
+        delta[idx[x]] = {idx[x]: one}
         for g in elems:
-            M = mat_mul(delta, A_of[g])
-            support = [(i, j) for i in range(N) for j in range(N)
-                       if not R.is_zero(M[i, j])]
-            if len(support) != 1 or not R.eq(M[support[0]], R.one()):
+            nonzero = [((i, j), m) for i, row in enumerate(support_mul(R, delta, A_of[g]))
+                       for j, m in row.items() if not R.is_zero(m)]
+            if len(nonzero) != 1 or not R.eq(nonzero[0][1], one):
                 rep.bijective_ok = False
             else:
-                units.add(support[0])
+                units.add(nonzero[0][0])
     if len(units) != N * N:
         rep.bijective_ok = False
     return rep
@@ -336,7 +341,9 @@ def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> Collapse
     on V x W and verify the truncated collapse identities exactly.
 
     The last identity holds only as a projection onto Im alpha union Im beta
-    on a truncation; the uncovered right-hand elements are reported.
+    on a truncation; the uncovered right-hand elements are reported.  The
+    identities are checked in support form (rings.support_mul), where each
+    slice has one entry per row, so no |W| x |W| matrix is built.
     """
     ok, msg = verify_injection_witness(group, w)
     if not ok:
@@ -349,24 +356,37 @@ def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> Collapse
         empty = RingMatrix.zero(R, 1, max(len(W), 1))
         return CollapseResult(empty, empty, True, True, True, True, True, list(W))
 
-    def slice_of(mapping) -> RingMatrix:
-        return RingMatrix.from_support(
-            R, len(V), len(W), {(i, widx[mapping[x]]): R.one() for i, x in enumerate(V)})
+    # the slices in support form (rings.support_rows), one row per x in V
+    def slice_of(mapping) -> list:
+        return [{widx[mapping[x]]: R.one()} for x in V]
 
-    M = slice_of(w.alpha)
-    N = slice_of(w.beta)
-    I_V = RingMatrix.identity(R, len(V))
-    Z_V = RingMatrix.zero(R, len(V), len(V))
+    def as_matrix(rows) -> RingMatrix:
+        return RingMatrix.from_support(R, len(V), len(W), {
+            (i, j): x for i, row in enumerate(rows) for j, x in row.items()})
+
+    def transposed(rows) -> list:
+        out = [{} for _ in W]
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                out[j][i] = x
+        return out
+
+    Ms, Ns = slice_of(w.alpha), slice_of(w.beta)
+    Mt, Nt = transposed(Ms), transposed(Ns)
+    I_V = [{i: R.one()} for i in range(len(V))]
+    Z_V = [{} for _ in V]
     covered = {widx[w.alpha[x]] for x in V} | {widx[w.beta[x]] for x in V}
-    proj = RingMatrix.from_support(R, len(W), len(W), {(i, i): R.one() for i in covered})
+    proj = [{j: R.one()} if j in covered else {} for j in range(len(W))]
+    # M^t M + N^t N is the block row (M^t N^t) times the block column (M; N)
+    stacked = [{**mt, **{len(V) + i: x for i, x in nt.items()}}
+               for mt, nt in zip(Mt, Nt)]
     return CollapseResult(
-        M, N,
-        mmt_ok=mat_mul(M, M.transpose()).eq(I_V),
-        nnt_ok=mat_mul(N, N.transpose()).eq(I_V),
-        mnt_ok=mat_mul(M, N.transpose()).eq(Z_V),
-        nmt_ok=mat_mul(N, M.transpose()).eq(Z_V),
-        projection_ok=mat_mul(M.transpose(), M)
-            .add(mat_mul(N.transpose(), N)).eq(proj),
+        as_matrix(Ms), as_matrix(Ns),
+        mmt_ok=support_eq(R, support_mul(R, Ms, Mt), I_V),
+        nnt_ok=support_eq(R, support_mul(R, Ns, Nt), I_V),
+        mnt_ok=support_eq(R, support_mul(R, Ms, Nt), Z_V),
+        nmt_ok=support_eq(R, support_mul(R, Ns, Mt), Z_V),
+        projection_ok=support_eq(R, support_mul(R, stacked, Ms + Ns), proj),
         uncovered=[W[i] for i in range(len(W)) if i not in covered],
     )
 

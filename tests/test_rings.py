@@ -15,7 +15,8 @@ from gradedrings.rings import (IntegerModRing, IntegerRing, Invalid,
                                RationalRing, RingMatrix, block_down_certificate,
                                block_up_certificate, extend_certificate,
                                hom_certificate, mat_mul, opposite_certificate,
-                               product_certificate, truncate_certificate,
+                               product_certificate, support_eq, support_mul,
+                               support_rows, truncate_certificate,
                                verify_certificate)
 from gradedrings.special_algebras import (LeavittRing, WeylRing,
                                           leavitt_rank_certificate)
@@ -281,13 +282,16 @@ def test_mat_mul_agrees_with_the_dense_triple_loop(ring, elements, data):
 def test_mat_mul_keeps_the_order_of_each_product():
     """Over L(1,2), (e1, 0, e2)(e1*, e1, e2*)^t = e1 e1* + e2 e2* = 1, while
     the products taken as b*a (the same matrices over the opposite ring)
-    sum to e1* e1 + e2* e2 = 2."""
+    sum to e1* e1 + e2* e2 = 2.  The same holds in support form."""
     L = _L2
     A = RingMatrix(L, 1, 3, [L.gen(1), L.zero(), L.gen(2)])
     B = RingMatrix(L, 3, 1, [L.gen_star(1), L.gen(1), L.gen_star(2)])
     assert L.eq(mat_mul(A, B)[0, 0], L.one())
     op = L.opposite()
     assert L.eq(mat_mul(A.reinterpret(op), B.reinterpret(op))[0, 0], L.from_int(2))
+    P, Q = support_rows(A), support_rows(B)
+    assert support_eq(L, support_mul(L, P, Q), [{0: L.one()}])
+    assert support_eq(op, support_mul(op, P, Q), [{0: L.from_int(2)}])
 
 
 def _verify_reference(cert):
@@ -395,6 +399,75 @@ def test_verify_certificate_reports_the_first_row_major_failure(A, position):
                            RingMatrix.identity(Z, 2))
     assert verify_certificate(cert) == Invalid(position=position)
     assert _verify_reference(cert) == (False, None, position)
+
+
+_SUPPORT_RINGS = [
+    (Z, st.integers(-3, 3)),
+    (IntegerModRing(5), st.integers(0, 4)),
+    (_L2, _leavitt_elements(_L2)),
+    (_L2.opposite(), _leavitt_elements(_L2)),
+]
+
+
+def test_support_rows_keeps_the_nonzero_entries_in_column_order():
+    M = RingMatrix.from_rows(Z, [[0, 2, 0, -1], [0, 0, 0, 0], [5, 0, 0, 0]])
+    rows = support_rows(M)
+    assert rows == [{1: 2, 3: -1}, {}, {0: 5}]
+    assert [list(row) for row in rows] == [[1, 3], [], [0]]
+
+
+@st.composite
+def _with_stored_zeros(draw, M):
+    """The support rows of M, with an explicit zero stored at some of the
+    positions where M is zero."""
+    rows = support_rows(M)
+    zeros = [(i, j) for i in range(M.rows) for j in range(M.cols)
+             if j not in rows[i]]
+    for i, j in draw(st.lists(st.sampled_from(zeros), unique=True) if zeros
+                     else st.just([])):
+        rows[i][j] = M.ring.zero()
+    return rows
+
+
+@st.composite
+def _candidate(draw, ring, elements, P):
+    """A matrix of P's shape: P itself, P with one entry redrawn (possibly
+    to zero, possibly to the same value), or a fresh draw."""
+    entry = st.one_of(st.just(ring.zero()), elements)
+    kind = draw(st.sampled_from(["same", "one-entry", "fresh"]))
+    entries = list(P.entries)
+    if kind == "one-entry":
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(entry)
+    elif kind == "fresh":
+        entries = draw(st.lists(entry, min_size=len(entries), max_size=len(entries)))
+    return RingMatrix(ring, P.rows, P.cols, entries)
+
+
+@pytest.mark.parametrize("ring,elements", _SUPPORT_RINGS,
+                         ids=[r.name for r, _ in _SUPPORT_RINGS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_support_mul_and_eq_agree_with_mat_mul(ring, elements, data):
+    """Over rectangular shapes, zero rows, zero columns and stored zeros,
+    the support-form product has the dense product's entries, and
+    support_eq answers as RingMatrix.eq does."""
+    A, B = data.draw(_mat_mul_pair(ring, elements))
+    P, Q = data.draw(_with_stored_zeros(A)), data.draw(_with_stored_zeros(B))
+    dense = mat_mul(A, B)
+    got = support_mul(ring, P, Q)
+    assert len(got) == A.rows
+    assert all(0 <= j < B.cols for row in got for j in row)
+    assert RingMatrix.from_support(ring, A.rows, B.cols, {
+        (i, j): x for i, row in enumerate(got) for j, x in row.items()}).eq(dense)
+    C = data.draw(_candidate(ring, elements, dense))
+    want = dense.eq(C)
+    assert support_eq(ring, got, data.draw(_with_stored_zeros(C))) == want
+    assert support_eq(ring, data.draw(_with_stored_zeros(C)), got) == want
+
+
+def test_support_eq_refuses_a_row_count_mismatch():
+    with pytest.raises(ValueError, match="row count mismatch"):
+        support_eq(Z, [{}], [{}, {}])
 
 
 @pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0), (0, -1)])

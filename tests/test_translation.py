@@ -7,10 +7,12 @@ from gradedrings.amenability import (InjectionWitness,
                                      find_two_to_one_injection, finite_subset,
                                      whole_group)
 from gradedrings.groups import Cyclic, DirectProduct, FreeAbelian, FreeGroup
+from gradedrings import translation
 from gradedrings.rings import (IntegerModRing, IntegerRing, RankCertificate,
-                               RingMatrix, verify_certificate)
+                               RingMatrix, mat_mul, verify_certificate)
 from gradedrings.special_algebras import LeavittRing
-from gradedrings.translation import (CoeffFn, CompressionInput,
+from gradedrings.translation import (CoeffFn, CollapseResult, CompressionInput,
+                                     FiniteGroupIsoReport,
                                      RightTranslationRing, TranslationRing,
                                      collapse_matrices, compress_certificate,
                                      finite_group_iso, tr_entry,
@@ -156,6 +158,156 @@ def test_finite_group_iso_reports_faulty_groups(group, failing, failures):
     assert len(rep.failures) == failures
 
 
+def _finite_group_iso_reference(group, ring):
+    """finite_group_iso as dense products: every A_g and D_f an N x N
+    RingMatrix, every law a mat_mul compared with RingMatrix.eq."""
+    elems = group.elements()
+    N, R = len(elems), ring
+    idx = {x: i for i, x in enumerate(elems)}
+    rep = FiniteGroupIsoReport(group.name, ring.name, True, True, True, True, True)
+
+    def D(f):
+        return RingMatrix.from_support(R, N, N, {(i, i): f[x] for x, i in idx.items()})
+
+    def A(g):
+        ginv = group.inv(g)
+        return RingMatrix.from_support(
+            R, N, N, {(i, idx[group.mul(ginv, x)]): R.one() for i, x in enumerate(elems)})
+
+    samples = [
+        {x: R.one() for x in elems},
+        {x: (R.one() if x == elems[0] else R.zero()) for x in elems},
+        {x: R.from_int(i + 1) for i, x in enumerate(elems)},
+    ]
+    for g in elems:
+        for h in elems:
+            if not mat_mul(A(g), A(h)).eq(A(group.mul(g, h))):
+                rep.shift_mult_ok = False
+                rep.failures.append(f"A_g A_h != A_gh at ({g}, {h})")
+    for f1 in samples:
+        for f2 in samples:
+            prod = {x: R.mul(f1[x], f2[x]) for x in elems}
+            if not mat_mul(D(f1), D(f2)).eq(D(prod)):
+                rep.diag_mult_ok = False
+    for g in elems:
+        ginv = group.inv(g)
+        for f in samples:
+            moved = {x: f[group.mul(ginv, x)] for x in elems}
+            if not mat_mul(mat_mul(A(g), D(f)), A(ginv)).eq(D(moved)):
+                rep.action_ok = False
+                rep.failures.append(f"conjugation law fails at g = {g}")
+    I = RingMatrix.identity(R, N)
+    rep.unital_ok = A(group.identity()).eq(I) and D(samples[0]).eq(I)
+    units = set()
+    for x in elems:
+        delta = RingMatrix.from_support(R, N, N, {(idx[x], idx[x]): R.one()})
+        for g in elems:
+            M = mat_mul(delta, A(g))
+            support = [(i, j) for i in range(N) for j in range(N)
+                       if not R.is_zero(M[i, j])]
+            if len(support) != 1 or not R.eq(M[support[0]], R.one()):
+                rep.bijective_ok = False
+            else:
+                units.add(support[0])
+    if len(units) != N * N:
+        rep.bijective_ok = False
+    return rep
+
+
+_ISO_GROUPS = ([Cyclic(m) for m in range(1, 9)]
+               + [DirectProduct([Cyclic(2), Cyclic(2)]),
+                  DirectProduct([Cyclic(2), Cyclic(4)]),
+                  DirectProduct([Cyclic(2), Cyclic(2), Cyclic(2)]),
+                  _BadInv(3), _BadMul(3), _BadMul(4)])
+
+
+@pytest.mark.parametrize("group", _ISO_GROUPS,
+                         ids=[f"{type(G).__name__}-{G.name}" for G in _ISO_GROUPS])
+@pytest.mark.parametrize("ring", [Z, IntegerModRing(5)], ids=["Z", "Z5"])
+def test_finite_group_iso_agrees_with_the_dense_products(group, ring):
+    """Every report field and every failures entry, in order, is the dense
+    reference's: the groups of acceptance check 7 and three faulty ones."""
+    assert finite_group_iso(group, ring) == _finite_group_iso_reference(group, ring)
+
+
+def _collapse_reference(w, ring):
+    """collapse_matrices after its witness check, as dense products."""
+    V, W, R = list(w.V), list(w.W), ring
+    widx = {x: i for i, x in enumerate(W)}
+
+    def slice_of(mapping):
+        return RingMatrix.from_support(
+            R, len(V), len(W), {(i, widx[mapping[x]]): R.one() for i, x in enumerate(V)})
+
+    M, N = slice_of(w.alpha), slice_of(w.beta)
+    I_V = RingMatrix.identity(R, len(V))
+    Z_V = RingMatrix.zero(R, len(V), len(V))
+    covered = {widx[w.alpha[x]] for x in V} | {widx[w.beta[x]] for x in V}
+    proj = RingMatrix.from_support(R, len(W), len(W), {(i, i): R.one() for i in covered})
+    return CollapseResult(
+        M, N,
+        mmt_ok=mat_mul(M, M.transpose()).eq(I_V),
+        nnt_ok=mat_mul(N, N.transpose()).eq(I_V),
+        mnt_ok=mat_mul(M, N.transpose()).eq(Z_V),
+        nmt_ok=mat_mul(N, M.transpose()).eq(Z_V),
+        projection_ok=mat_mul(M.transpose(), M).add(mat_mul(N.transpose(), N)).eq(proj),
+        uncovered=[W[i] for i in range(len(W)) if i not in covered])
+
+
+def _same_collapse(got, want):
+    for M, M0 in ((got.M, want.M), (got.N, want.N)):
+        assert (M.rows, M.cols) == (M0.rows, M0.cols) and M.eq(M0)
+    for name, _ in CollapseResult.CHECKS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.uncovered == want.uncovered
+    assert got.failures == want.failures
+    assert got.rows() == want.rows()
+
+
+def _unchecked_witness(alpha, beta, V, W):
+    return InjectionWitness(V, W, [], dict(zip(V, alpha)), dict(zip(V, beta)))
+
+
+_V1 = [(0,), (1,), (2,)]
+_W1 = [(y,) for y in range(-2, 6)]
+
+
+@pytest.mark.parametrize("alpha, beta, failing", [
+    ([(0,), (2,), (4,)], [(1,), (3,), (5,)], set()),
+    ([(0,), (0,), (4,)], [(1,), (3,), (5,)], {"mmt_ok", "projection_ok"}),
+    ([(0,), (2,), (4,)], [(1,), (3,), (3,)], {"nnt_ok", "projection_ok"}),
+    ([(0,), (2,), (4,)], [(1,), (0,), (5,)], {"mnt_ok", "nmt_ok", "projection_ok"}),
+], ids=["valid", "alpha-not-injective", "beta-not-injective", "images-overlap"])
+@pytest.mark.parametrize("ring", [Z, IntegerModRing(2)], ids=["Z", "Z2"])
+def test_collapse_identities_fail_where_the_dense_products_fail(
+        monkeypatch, alpha, beta, failing, ring):
+    """With the witness check switched off, a non-injective alpha or beta,
+    or overlapping images, fails exactly the identities the dense products
+    fail."""
+    monkeypatch.setattr(translation, "verify_injection_witness",
+                        lambda group, w: (True, "ok"))
+    w = _unchecked_witness(alpha, beta, _V1, _W1)
+    got = collapse_matrices(FreeAbelian(1), w, ring)
+    _same_collapse(got, _collapse_reference(w, ring))
+    assert {name for name, _ in CollapseResult.CHECKS if not getattr(got, name)} == failing
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_collapse_agrees_with_the_dense_products_on_any_maps(data):
+    """Any maps alpha, beta: V -> W, checked by the support form and by the
+    dense products, give the same report."""
+    nv, nw = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    V, W = [(x,) for x in range(nv)], [(y,) for y in range(nw)]
+    maps = st.lists(st.sampled_from(W), min_size=nv, max_size=nv)
+    w = _unchecked_witness(data.draw(maps), data.draw(maps), V, W)
+    ring = data.draw(st.sampled_from([Z, IntegerModRing(2), IntegerModRing(5)]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(translation, "verify_injection_witness", lambda group, w: (True, "ok"))
+        got = collapse_matrices(FreeAbelian(1), w, ring)
+    _same_collapse(got, _collapse_reference(w, ring))
+
+
 def test_collapse_matrices_identities():
     F2 = FreeGroup(2)
     w = find_two_to_one_injection(F2, F2.ball(1), F2.ball(2), F2.ball(1))
@@ -164,6 +316,7 @@ def test_collapse_matrices_identities():
     assert res.ok, res.lines()
     # the unreached part of W stays uncovered by the projection
     assert len(res.uncovered) == len(w.W) - 2 * len(w.V)
+    _same_collapse(res, _collapse_reference(w, Z))
 
 
 def _leavitt_tcert():
