@@ -23,8 +23,7 @@ from .amenability import (FolnerWitness, InjectionWitness, bs_X, bs_X0,
                           verify_hall_violation, whole_group)
 from .graded import (CrossedProductRing, CrossedSystem,
                      endo_graded_construction, group_ring_augmentation,
-                     psi_embedding_check, twisted_system,
-                     verify_crossed_system)
+                     psi_embedding_check, verify_crossed_system)
 from .groups import (DEFAULT_MAX_RADIUS, BaumslagSolitar, Group,
                      group_from_spec, split_top_level)
 from .monoids import (DEFAULT_CLOSURE_DEPTH, MnklParams, cnk_leq,
@@ -227,7 +226,7 @@ def _cmd_cert(args) -> int:
     if args.action == "opposite":
         return _cert_emit(args, opposite_certificate(cert))
     if args.action == "block":
-        if args.up:
+        if args.up is not None:
             return _cert_emit(args, block_up_certificate(cert, args.up))
         return _cert_emit(args, block_down_certificate(cert))
     if args.action == "hom":
@@ -323,7 +322,7 @@ def _cmd_crossed(args) -> int:
     if "omega" in cfg:
         omega = _omega_table(G, R, cfg["omega"])
         omega_inv = _omega_table(G, R, cfg["omega_inv"])
-        cs = twisted_system(G, R, omega, omega_inv)
+        cs = CrossedSystem(G, R, omega=omega, omega_inv=omega_inv)
     else:
         cs = CrossedSystem(G, R)
     samples = None

@@ -2,17 +2,18 @@
 
 A rank certificate is a pair of matrices (A: m x n, B: n x m) over a ring
 with A*B = I_m, witnessing a module epimorphism R^n -> R^m.  When n < m the
-certificate witnesses bounded generating number.  All arithmetic is exact;
-presented rings (Leavitt, Weyl, crossed products, translation rings) plug in
-through the same Ring interface, share the SparseRing representation, and
-keep their own product rules and normal forms.
+certificate witnesses bounded generating number.  All arithmetic is exact.
+Matrices are stored dense, and every matrix product, mat_mul included, is
+support_mul over their nonzero entries (support form, below).  Presented
+rings (Leavitt, Weyl, crossed products, translation rings) plug in through
+the same Ring interface, share the SparseRing representation, and keep
+their own product rules and normal forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Sequence
 
 from .groups import split_top_level
@@ -377,6 +378,13 @@ class RingMatrix:
         return cls(ring, rows, cols, entries)
 
     @classmethod
+    def from_support_rows(cls, ring: Ring, cols: int, rows: Sequence[dict]) -> "RingMatrix":
+        """The matrix with cols columns whose row i holds the entries of the
+        support row rows[i] ({j: m_ij}, see support_rows) and zero elsewhere."""
+        return cls.from_support(ring, len(rows), cols, {
+            (i, j): x for i, row in enumerate(rows) for j, x in row.items()})
+
+    @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
         return cls.from_support(ring, n, n, {(i, i): ring.one() for i in range(n)})
 
@@ -424,27 +432,6 @@ class RingMatrix:
         rows = ["[" + ", ".join(R.element_to_str(x) for x in self.row(i)) + "]"
                 for i in range(self.rows)]
         return f"RingMatrix({R.name}, [" + ", ".join(rows) + "])"
-
-
-def mat_mul(A: RingMatrix, B: RingMatrix) -> RingMatrix:
-    """Exact matrix product.  Each entry sums a_ik * b_kj over the nonzero
-    left entries a_ik of its row only, in that order (the ring need not be
-    commutative); a row of zeros gives zeros."""
-    if A.ring != B.ring:
-        raise ValueError(f"ring mismatch: {A.ring} vs {B.ring}")
-    if A.cols != B.rows:
-        raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
-    R = A.ring
-    m, b = B.cols, B.entries
-    out = []
-    for i in range(A.rows):
-        left = [(k * m, a) for k, a in enumerate(A.row(i)) if not R.is_zero(a)]
-        for j in range(m):
-            acc = R.zero()
-            for km, a in left:
-                acc = R.add(acc, R.mul(a, b[km + j]))
-            out.append(acc)
-    return RingMatrix(R, A.rows, m, out)
 
 
 # Support form: a matrix as one dict per row, {j: m_ij} over its nonzero
@@ -496,6 +483,19 @@ def support_eq(R: Ring, P: list, Q: list) -> bool:
     """Entrywise R.eq of two matrices in support form with the same number
     of rows; an absent entry reads as zero."""
     return _first_difference(R, P, Q) is None
+
+
+def mat_mul(A: RingMatrix, B: RingMatrix) -> RingMatrix:
+    """Exact matrix product: support_mul of the support rows of A and B, so
+    each entry is the exact sum of its products (the ring need not be
+    commutative), and a zero entry on either side adds nothing."""
+    if A.ring != B.ring:
+        raise ValueError(f"ring mismatch: {A.ring} vs {B.ring}")
+    if A.cols != B.rows:
+        raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
+    R = A.ring
+    return RingMatrix.from_support_rows(
+        R, B.cols, support_mul(R, support_rows(A), support_rows(B)))
 
 
 @dataclass
@@ -577,9 +577,9 @@ def extend_certificate(cert: RankCertificate, target_m: int) -> RankCertificate:
 
     The input is first cut to (n, n+1): the first n+1 rows of A and columns
     of B, since the leading block of AB = I_m is I_{n+1}.  Then follows the
-    epimorphism chain psi -> reshuffle -> xi -> reshuffle: the new A is built
-    by stacking diag(A, I) over the previous stage, and B symmetrically, so
-    that A'B' = diag(AB, I) = I at each step.
+    epimorphism chain psi -> reshuffle -> xi -> reshuffle: each step takes
+    A to diag(A, I) A and B to B diag(B, I), so that A'B' = diag(AB, I) = I.
+    The chain runs in support form and is made dense once, at the end.
     """
     _require_valid(cert, need_bgn=True)
     n, R = cert.n, cert.ring
@@ -587,29 +587,21 @@ def extend_certificate(cert: RankCertificate, target_m: int) -> RankCertificate:
         raise ValueError("target must exceed n")
     if cert.m == n + 1 == target_m:
         return cert
-    A_step = RingMatrix(R, n + 1, n, cert.A.entries[:(n + 1) * n])
-    B_step = RingMatrix.from_rows(R, [row[:n + 1] for row in cert.B.to_rows()])
+    A_step = support_rows(cert.A)[:n + 1]
+    B_step = [{j: x for j, x in row.items() if j <= n} for row in support_rows(cert.B)]
     A_cur, B_cur = A_step, B_step
-    for m_cur in range(n + 1, target_m):
-        # xi = diag(A_step, I_{m_cur - n}) applied after the current chain
-        pad = m_cur - n
-        xi = _block_diag(R, A_step, RingMatrix.identity(R, pad))
-        xi_sec = _block_diag(R, B_step, RingMatrix.identity(R, pad))
-        A_cur = mat_mul(xi, A_cur)
-        B_cur = mat_mul(B_cur, xi_sec)
-    return _checked(RankCertificate(R, n, target_m, A_cur, B_cur),
+    for _ in range(n + 1, target_m):
+        # diag(A, I) A_cur: A acts on the first n rows, the rest pass through
+        A_cur = support_mul(R, A_step, A_cur[:n]) + A_cur[n:]
+        # B_cur diag(B, I): B acts on the columns < n, column j >= n moves to j+1
+        low = support_mul(R, [{k: x for k, x in row.items() if k < n} for row in B_cur],
+                          B_step)
+        B_cur = [{**p, **{k + 1: x for k, x in row.items() if k >= n}}
+                 for p, row in zip(low, B_cur)]
+    return _checked(RankCertificate(R, n, target_m,
+                                    RingMatrix.from_support_rows(R, n, A_cur),
+                                    RingMatrix.from_support_rows(R, target_m, B_cur)),
                     "extended certificate failed re-verification")
-
-
-def _placed(M: RingMatrix, i0: int = 0, j0: int = 0) -> dict:
-    """The entries of M as a support with M's corner at (i0, j0)."""
-    return {(i0 + i, j0 + j): M[i, j] for i in range(M.rows) for j in range(M.cols)}
-
-
-def _block_diag(ring: Ring, top: RingMatrix, bottom: RingMatrix) -> RingMatrix:
-    return RingMatrix.from_support(
-        ring, top.rows + bottom.rows, top.cols + bottom.cols,
-        {**_placed(top), **_placed(bottom, top.rows, top.cols)})
 
 
 def opposite_certificate(cert: RankCertificate) -> RankCertificate:
@@ -640,10 +632,9 @@ def block_down_certificate(cert: RankCertificate) -> RankCertificate:
 
 
 def _flatten_blocks(M: RingMatrix, base: Ring, s: int) -> RingMatrix:
-    support = {}
-    for i, j in product(range(M.rows), range(M.cols)):
-        support.update(_placed(M[i, j], i * s, j * s))
-    return RingMatrix.from_support(base, M.rows * s, M.cols * s, support)
+    return RingMatrix(base, M.rows * s, M.cols * s,
+                      [M[i // s, j // s][i % s, j % s]
+                       for i in range(M.rows * s) for j in range(M.cols * s)])
 
 
 def block_up_certificate(cert: RankCertificate, s: int) -> RankCertificate:
@@ -685,9 +676,10 @@ def product_certificate(certs: Sequence[RankCertificate]) -> RankCertificate:
     if len(shaped) == 1:
         return shaped[0]
     prod = ProductRing([c.ring for c in shaped])
-    A = zip(*(RingMatrix.from_support(c.ring, b + 1, b, _placed(c.A)).entries
+    A = zip(*(RingMatrix.from_support_rows(c.ring, b, support_rows(c.A)).entries
               for c in shaped))
-    B = zip(*(RingMatrix.from_support(c.ring, b, b + 1, _placed(c.B)).entries
+    B = zip(*(RingMatrix.from_support_rows(c.ring, b + 1,
+                                           support_rows(c.B) + [{}] * (b - c.n)).entries
               for c in shaped))
     return _checked(RankCertificate(prod, b, b + 1, RingMatrix(prod, b + 1, b, A),
                                     RingMatrix(prod, b, b + 1, B)),

@@ -360,10 +360,6 @@ def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> Collapse
     def slice_of(mapping) -> list:
         return [{widx[mapping[x]]: R.one()} for x in V]
 
-    def as_matrix(rows) -> RingMatrix:
-        return RingMatrix.from_support(R, len(V), len(W), {
-            (i, j): x for i, row in enumerate(rows) for j, x in row.items()})
-
     def transposed(rows) -> list:
         out = [{} for _ in W]
         for i, row in enumerate(rows):
@@ -381,7 +377,8 @@ def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> Collapse
     stacked = [{**mt, **{len(V) + i: x for i, x in nt.items()}}
                for mt, nt in zip(Mt, Nt)]
     return CollapseResult(
-        as_matrix(Ms), as_matrix(Ns),
+        RingMatrix.from_support_rows(R, len(W), Ms),
+        RingMatrix.from_support_rows(R, len(W), Ns),
         mmt_ok=support_eq(R, support_mul(R, Ms, Mt), I_V),
         nnt_ok=support_eq(R, support_mul(R, Ns, Nt), I_V),
         mnt_ok=support_eq(R, support_mul(R, Ms, Nt), Z_V),

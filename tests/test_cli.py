@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from gradedrings.amenability import whole_group
+from gradedrings.checks import _stack_twice
 from gradedrings.cli import EXIT_CODES, main
 from gradedrings.groups import FreeAbelian
-from gradedrings.rings import RankCertificate, RingMatrix
+from gradedrings.rings import RankCertificate, RingMatrix, block_up_certificate
 from gradedrings.serialize import (certificate_to_json, dump_json,
                                    translation_certificate_to_json)
 from gradedrings.special_algebras import LeavittRing, leavitt_rank_certificate
@@ -292,6 +293,18 @@ def test_cert_input_errors(tmp_path, capsys):
     dump_json(certificate_to_json(leavitt_rank_certificate(2)), l2)
     assert run("cert", "hom", l2, "--map", "mod:3") == 2
     assert capsys.readouterr().err == "error: mod:m needs a certificate over Z\n"
+
+
+def test_cert_block_up_zero_is_input_error(tmp_path, capsys):
+    """--up 0 asks for block size 0, an input error; it does not fall back
+    to block down, even on a certificate over a matrix ring."""
+    m2 = str(tmp_path / "m2.json")
+    dump_json(certificate_to_json(block_up_certificate(
+        _stack_twice(leavitt_rank_certificate(2)), 2)), m2)
+    assert run("cert", "block", m2) == 0
+    capsys.readouterr()
+    assert run("cert", "block", m2, "--up", "0") == 2
+    assert capsys.readouterr().err == "error: block size must be >= 1\n"
 
 
 def test_cert_missing_file_is_input_error():

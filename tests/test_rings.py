@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedrings.amenability import whole_group
 from gradedrings.checks import _stack_twice
-from gradedrings.graded import CrossedProductRing, group_ring, twisted_system
+from gradedrings.graded import CrossedProductRing, CrossedSystem, group_ring
 from gradedrings.groups import (BaumslagSolitar, Cyclic, DirectProduct,
                                 FreeAbelian, FreeGroup)
 from gradedrings.rings import (IntegerModRing, IntegerRing, Invalid,
@@ -401,6 +401,106 @@ def test_verify_certificate_reports_the_first_row_major_failure(A, position):
     assert _verify_reference(cert) == (False, None, position)
 
 
+def _dense_block_diag(M, pad):
+    """diag(M, I_pad) as a dense matrix."""
+    R = M.ring
+    zero = R.zero()
+    rows = [row + [zero] * pad for row in M.to_rows()]
+    rows += [[zero] * M.cols + [R.one() if s == t else zero for s in range(pad)]
+             for t in range(pad)]
+    return RingMatrix.from_rows(R, rows)
+
+
+def _extend_reference(cert, target_m):
+    """(A, B) of extend_certificate as the dense chain: the cut to
+    (n, n+1), then A <- diag(A_cut, I) A and B <- B diag(B_cut, I), each a
+    dense triple-loop product."""
+    R, n = cert.ring, cert.n
+    A_cut = RingMatrix.from_rows(R, cert.A.to_rows()[:n + 1])
+    B_cut = RingMatrix.from_rows(R, [row[:n + 1] for row in cert.B.to_rows()])
+    A, B = A_cut, B_cut
+    for pad in range(1, target_m - n):
+        A = _mat_mul_reference(_dense_block_diag(A_cut, pad), A)
+        B = _mat_mul_reference(B, _dense_block_diag(B_cut, pad))
+    return A.to_rows(), B.to_rows()
+
+
+def _product_reference(certs):
+    """(A, B) of product_certificate as rows: each factor's dense chain to
+    b+1, with zero columns appended to A and zero rows to B up to n = b,
+    then merged componentwise (a single factor stays over its ring)."""
+    b = max(c.n for c in certs)
+    parts = []
+    for c in certs:
+        A, B = _extend_reference(c, b + 1)
+        zero = c.ring.zero()
+        parts.append(([row + [zero] * (b - c.n) for row in A],
+                      B + [[zero] * (b + 1) for _ in range(b - c.n)]))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple([[tuple(xs) for xs in zip(*rows)] for rows in zip(*Ms)]
+                 for Ms in zip(*parts))
+
+
+def _same_entries(R, M, rows):
+    return ((M.rows, M.cols) == (len(rows), len(rows[0]))
+            and all(R.eq(M[i, j], x) for i, row in enumerate(rows)
+                    for j, x in enumerate(row)))
+
+
+@st.composite
+def _bgn_certificate(draw):
+    """A valid BGN certificate over L(1,k) (k = 2, 3, 4; base Z or Z/5) or
+    over op(L(1,2)): the (1, k) one, for k = 2 possibly stacked to (2, 4),
+    so m > n+1 occurs, then moved by up to two elementary row and column
+    operations (A -> EA and B -> BE^-1, or A -> AE and B -> E^-1 B)."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    cert = leavitt_rank_certificate(k, draw(st.sampled_from([None, IntegerModRing(5)])))
+    L = cert.ring
+    if k == 2 and draw(st.booleans()):
+        cert = _stack_twice(cert)
+    if k == 2 and draw(st.booleans()):
+        cert = opposite_certificate(cert)
+    R, n, m, A, B = cert.ring, cert.n, cert.m, cert.A, cert.B
+    for _ in range(draw(st.integers(0, 2))):
+        size = draw(st.sampled_from([m, n]))
+        s, t = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        if s == t:
+            continue
+        c = draw(_leavitt_elements(L))
+        E, E_inv = (RingMatrix.from_support(
+            R, size, size, {**{(i, i): R.one() for i in range(size)}, (s, t): x})
+            for x in (c, R.neg(c)))
+        if size == m:
+            A, B = _mat_mul_reference(E, A), _mat_mul_reference(B, E_inv)
+        else:
+            A, B = _mat_mul_reference(A, E), _mat_mul_reference(E_inv, B)
+    return RankCertificate(R, n, m, A, B)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bgn_certificate())
+def test_extend_agrees_with_the_dense_block_chain(cert):
+    """The support-form chain has, at every target up to n+6, the entries of
+    the dense diag(A, I) chain after the cut to (n, n+1)."""
+    for target in range(cert.n + 1, cert.n + 7):
+        ext = extend_certificate(cert, target)
+        A, B = _extend_reference(cert, target)
+        assert (ext.n, ext.m) == (cert.n, target)
+        assert _same_entries(cert.ring, ext.A, A) and _same_entries(cert.ring, ext.B, B)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_bgn_certificate(), min_size=1, max_size=3))
+def test_product_agrees_with_the_dense_padding(certs):
+    """Each factor is the dense chain to b+1 with zero padding to n = b."""
+    prod = product_certificate(certs)
+    A, B = _product_reference(certs)
+    b = max(c.n for c in certs)
+    assert (prod.n, prod.m) == (b, b + 1)
+    assert _same_entries(prod.ring, prod.A, A) and _same_entries(prod.ring, prod.B, B)
+
+
 _SUPPORT_RINGS = [
     (Z, st.integers(-3, 3)),
     (IntegerModRing(5), st.integers(0, 4)),
@@ -449,11 +549,11 @@ def _candidate(draw, ring, elements, P):
 @given(data=st.data())
 def test_support_mul_and_eq_agree_with_mat_mul(ring, elements, data):
     """Over rectangular shapes, zero rows, zero columns and stored zeros,
-    the support-form product has the dense product's entries, and
-    support_eq answers as RingMatrix.eq does."""
+    the support-form product has the entries of the dense triple loop
+    (mat_mul's reference), and support_eq answers as RingMatrix.eq does."""
     A, B = data.draw(_mat_mul_pair(ring, elements))
     P, Q = data.draw(_with_stored_zeros(A)), data.draw(_with_stored_zeros(B))
-    dense = mat_mul(A, B)
+    dense = _mat_mul_reference(A, B)
     got = support_mul(ring, P, Q)
     assert len(got) == A.rows
     assert all(0 <= j < B.cols for row in got for j in row)
@@ -516,7 +616,8 @@ def _sparse_rings():
     for W in (WeylRing([1], [1]), WeylRing([1, -1], [1, 0])):
         out.append((W, [W.x(i) for i in range(1, W.n + 1)] + [W.y()]))
     RG = group_ring(Cyclic(4), Z4)
-    tw = CrossedProductRing(twisted_system(Cyclic(4), Z, omega, dict(omega)))
+    tw = CrossedProductRing(CrossedSystem(Cyclic(4), Z, omega=omega,
+                                           omega_inv=dict(omega)))
     for C in (RG, tw):
         out.append((C, [C.term(C.base.one(), g) for g in range(4)]))
     out.append((T, [T.shift(a), T.shift(F2.inv(b)), T.diag(T.fn(0, {a: 2})),
@@ -595,7 +696,8 @@ def test_twisted_rings_compare_by_system():
     def build():
         omega = {(g, h): (-1 if g + h >= 4 else 1)
                  for g in range(4) for h in range(4)}
-        return CrossedProductRing(twisted_system(Cyclic(4), Z, omega, dict(omega)))
+        return CrossedProductRing(CrossedSystem(Cyclic(4), Z, omega=omega,
+                                                omega_inv=dict(omega)))
 
     a, b = build(), build()
     assert a == a and a != b

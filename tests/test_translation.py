@@ -9,7 +9,7 @@ from gradedrings.amenability import (InjectionWitness,
 from gradedrings.groups import Cyclic, DirectProduct, FreeAbelian, FreeGroup
 from gradedrings import translation
 from gradedrings.rings import (IntegerModRing, IntegerRing, RankCertificate,
-                               RingMatrix, mat_mul, verify_certificate)
+                               RingMatrix, verify_certificate)
 from gradedrings.special_algebras import LeavittRing
 from gradedrings.translation import (CoeffFn, CollapseResult, CompressionInput,
                                      FiniteGroupIsoReport,
@@ -17,6 +17,7 @@ from gradedrings.translation import (CoeffFn, CollapseResult, CompressionInput,
                                      collapse_matrices, compress_certificate,
                                      finite_group_iso, tr_entry,
                                      tr_mul_oracle_entry, tr_transpose)
+from test_rings import _mat_mul_reference
 
 Z = IntegerRing()
 
@@ -160,7 +161,9 @@ def test_finite_group_iso_reports_faulty_groups(group, failing, failures):
 
 def _finite_group_iso_reference(group, ring):
     """finite_group_iso as dense products: every A_g and D_f an N x N
-    RingMatrix, every law a mat_mul compared with RingMatrix.eq."""
+    RingMatrix, every law a dense triple-loop product compared with
+    RingMatrix.eq."""
+    mul = _mat_mul_reference
     elems = group.elements()
     N, R = len(elems), ring
     idx = {x: i for i, x in enumerate(elems)}
@@ -181,19 +184,19 @@ def _finite_group_iso_reference(group, ring):
     ]
     for g in elems:
         for h in elems:
-            if not mat_mul(A(g), A(h)).eq(A(group.mul(g, h))):
+            if not mul(A(g), A(h)).eq(A(group.mul(g, h))):
                 rep.shift_mult_ok = False
                 rep.failures.append(f"A_g A_h != A_gh at ({g}, {h})")
     for f1 in samples:
         for f2 in samples:
             prod = {x: R.mul(f1[x], f2[x]) for x in elems}
-            if not mat_mul(D(f1), D(f2)).eq(D(prod)):
+            if not mul(D(f1), D(f2)).eq(D(prod)):
                 rep.diag_mult_ok = False
     for g in elems:
         ginv = group.inv(g)
         for f in samples:
             moved = {x: f[group.mul(ginv, x)] for x in elems}
-            if not mat_mul(mat_mul(A(g), D(f)), A(ginv)).eq(D(moved)):
+            if not mul(mul(A(g), D(f)), A(ginv)).eq(D(moved)):
                 rep.action_ok = False
                 rep.failures.append(f"conjugation law fails at g = {g}")
     I = RingMatrix.identity(R, N)
@@ -202,7 +205,7 @@ def _finite_group_iso_reference(group, ring):
     for x in elems:
         delta = RingMatrix.from_support(R, N, N, {(idx[x], idx[x]): R.one()})
         for g in elems:
-            M = mat_mul(delta, A(g))
+            M = mul(delta, A(g))
             support = [(i, j) for i in range(N) for j in range(N)
                        if not R.is_zero(M[i, j])]
             if len(support) != 1 or not R.eq(M[support[0]], R.one()):
@@ -231,7 +234,9 @@ def test_finite_group_iso_agrees_with_the_dense_products(group, ring):
 
 
 def _collapse_reference(w, ring):
-    """collapse_matrices after its witness check, as dense products."""
+    """collapse_matrices after its witness check, as dense triple-loop
+    products."""
+    mul = _mat_mul_reference
     V, W, R = list(w.V), list(w.W), ring
     widx = {x: i for i, x in enumerate(W)}
 
@@ -246,11 +251,11 @@ def _collapse_reference(w, ring):
     proj = RingMatrix.from_support(R, len(W), len(W), {(i, i): R.one() for i in covered})
     return CollapseResult(
         M, N,
-        mmt_ok=mat_mul(M, M.transpose()).eq(I_V),
-        nnt_ok=mat_mul(N, N.transpose()).eq(I_V),
-        mnt_ok=mat_mul(M, N.transpose()).eq(Z_V),
-        nmt_ok=mat_mul(N, M.transpose()).eq(Z_V),
-        projection_ok=mat_mul(M.transpose(), M).add(mat_mul(N.transpose(), N)).eq(proj),
+        mmt_ok=mul(M, M.transpose()).eq(I_V),
+        nnt_ok=mul(N, N.transpose()).eq(I_V),
+        mnt_ok=mul(M, N.transpose()).eq(Z_V),
+        nmt_ok=mul(N, M.transpose()).eq(Z_V),
+        projection_ok=mul(M.transpose(), M).add(mul(N.transpose(), N)).eq(proj),
         uncovered=[W[i] for i in range(len(W)) if i not in covered])
 
 
