@@ -23,7 +23,8 @@ from .amenability import (FolnerWitness, InjectionWitness, bs_X, bs_X0,
                           verify_hall_violation, whole_group)
 from .graded import (CrossedProductRing, CrossedSystem,
                      endo_graded_construction, group_ring_augmentation,
-                     psi_embedding_check, verify_crossed_system)
+                     psi_embedding_check, twisted_system,
+                     verify_crossed_system)
 from .groups import (DEFAULT_MAX_RADIUS, BaumslagSolitar, Group,
                      group_from_spec, split_top_level)
 from .monoids import (DEFAULT_CLOSURE_DEPTH, MnklParams, cnk_leq,
@@ -322,7 +323,7 @@ def _cmd_crossed(args) -> int:
     if "omega" in cfg:
         omega = _omega_table(G, R, cfg["omega"])
         omega_inv = _omega_table(G, R, cfg["omega_inv"])
-        cs = CrossedSystem(G, R, omega=omega, omega_inv=omega_inv)
+        cs = twisted_system(G, R, omega, omega_inv)
     else:
         cs = CrossedSystem(G, R)
     samples = None

@@ -113,7 +113,11 @@ def element_to_jsonable(ring: Ring, x):
 
 def element_from_jsonable(ring: Ring, data):
     if isinstance(ring, MatrixRing):
-        return _matrix_from_json(ring.base, data, element_from_jsonable)
+        x = _matrix_from_json(ring.base, data, element_from_jsonable)
+        if (x.rows, x.cols) != (ring.size, ring.size):
+            raise ValueError(f"{ring.name} entry is {x.rows}x{x.cols}, "
+                             f"not {ring.size}x{ring.size}")
+        return x
     if isinstance(ring, ProductRing):
         return tuple(element_from_jsonable(f, v) for f, v in zip(ring.factors, data))
     return ring.element_from_str(data)

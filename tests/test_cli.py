@@ -307,6 +307,20 @@ def test_cert_block_up_zero_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: block size must be >= 1\n"
 
 
+@pytest.mark.parametrize("action", ["verify", "block", "opposite"])
+def test_cert_misshaped_matrix_ring_entry_is_input_error(action, tmp_path,
+                                                         capsys):
+    """An M2(Z) entry must be 2x2.  With 2x1 blocks in A and 1x2 blocks in B
+    the product AB is I_2 in every entry, so only the shape check on reading
+    stops the file."""
+    bad = str(tmp_path / "m2bad.json")
+    dump_json({"ring": "M2(Z)", "n": 2, "m": 1,
+               "A": [[[["1"], ["0"]], [["0"], ["1"]]]],
+               "B": [[[["1", "0"]]], [[["0", "1"]]]]}, bad)
+    assert run("cert", action, bad) == 2
+    assert capsys.readouterr().err == "error: M2(Z) entry is 2x1, not 2x2\n"
+
+
 def test_cert_missing_file_is_input_error():
     assert run("cert", "verify", "/nonexistent.json") == 2
 

@@ -4,7 +4,8 @@ from gradedrings import graded, rings
 from gradedrings.graded import (CrossedProductRing, CrossedSystem,
                                 endo_graded_construction, group_ring,
                                 group_ring_augmentation, psi_embedding_check,
-                                strong_grading_check, verify_crossed_system)
+                                strong_grading_check, twisted_system,
+                                verify_crossed_system)
 from gradedrings.groups import Cyclic, DirectProduct
 from gradedrings.rings import IntegerModRing, IntegerRing, ProductRing, RingMatrix
 from gradedrings.special_algebras import LeavittRing, WeylRing
@@ -22,7 +23,7 @@ def test_twisted_c2xc2():
     G = DirectProduct([Cyclic(2), Cyclic(2)])
     omega = {(g, h): Z.from_int((-1) ** (g[1] * h[0]))
              for g in G.elements() for h in G.elements()}
-    cs = CrossedSystem(G, Z, omega=omega, omega_inv=omega)
+    cs = twisted_system(G, Z, omega, omega)
     rep = verify_crossed_system(cs)
     assert rep.ok, rep.lines()
     R = CrossedProductRing(cs)
@@ -74,7 +75,7 @@ def test_augmentation_needs_group_ring():
     G = Cyclic(2)
     omega = {(g, h): Z.from_int((-1) ** (g * h)) for g in G.elements()
              for h in G.elements()}
-    R = CrossedProductRing(CrossedSystem(G, Z, omega=omega, omega_inv=omega))
+    R = CrossedProductRing(twisted_system(G, Z, omega, omega))
     with pytest.raises(ValueError):
         group_ring_augmentation(R, R.one())
 

@@ -120,7 +120,6 @@ UNREAD_ALLOWED = {
     "truncate_certificate": "bench-bound: traced as a certificate transform",
     "injection_witness_from_json": "bench-bound: traced as a loader",
     "translation_certificate_to_json": "bench-bound: traced as a serializer",
-    "twisted_system": "bench-bound: builds the rewrite workload's twisted ring",
     "cnk_normalize_oracle": "test reference for cnk_normalize",
     "finite_subset": "planned caller: verify of Folner files (ROADMAP item 3)",
     "tr_transpose": "planned caller: whole-group certificates (ROADMAP item 6)",
