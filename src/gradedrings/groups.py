@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, neg
 from typing import Iterable, Sequence
 
 DEFAULT_MAX_RADIUS = 8
@@ -129,21 +129,26 @@ class FreeGroup(Group):
         self.rank = rank
         self.key = (rank,)
         self.name = f"F{rank}"
+        # letter <-> name: generator i is the i-th letter, its inverse the
+        # same letter in upper case
+        self._names = {}
+        for i, ch in enumerate(_GEN_NAMES[:rank], 1):
+            self._names[i], self._names[-i] = ch, ch.upper()
+        self._letters = {ch: a for a, ch in self._names.items()}
 
     def identity(self):
         return ()
 
     def mul(self, x, y):
-        word = list(x)
-        for letter in y:
-            if word and word[-1] == -letter:
-                word.pop()
-            else:
-                word.append(letter)
-        return tuple(word)
+        # x and y are reduced, so letters cancel only where x meets y
+        n = len(x)
+        i, m = 0, min(n, len(y))
+        while i < m and x[n - 1 - i] == -y[i]:
+            i += 1
+        return x[:n - i] + y[i:]
 
     def inv(self, x):
-        return tuple(-letter for letter in reversed(x))
+        return tuple(map(neg, reversed(x)))
 
     def generators(self):
         return [(i,) for i in range(1, self.rank + 1)]
@@ -165,23 +170,27 @@ class FreeGroup(Group):
     def element_to_str(self, x):
         if not x:
             return "1"
-        return " ".join(
-            _GEN_NAMES[abs(a) - 1].upper() if a < 0 else _GEN_NAMES[a - 1]
-            for a in x
-        )
+        names = self._names
+        return " ".join([names[a] for a in x])
 
     def element_from_str(self, s):
-        s = s.strip()
-        if s in ("", "1"):
-            return ()
+        """Parse a word of generator letters (upper case for inverses),
+        separated by any whitespace or none, and reduce it; "1" is the
+        identity."""
+        letters = self._letters
         word = []
-        for tok in s.split():
-            for ch in tok:
-                idx = _GEN_NAMES.index(ch.lower()) + 1
-                if idx > self.rank:
-                    raise ValueError(f"generator {ch!r} out of range for {self.name}")
-                word.append(-idx if ch.isupper() else idx)
-        return self.mul((), tuple(word))
+        for ch in s:
+            a = letters.get(ch)
+            if a is not None:
+                if word and word[-1] == -a:
+                    word.pop()
+                else:
+                    word.append(a)
+            elif not ch.isspace():
+                if s.strip() == "1":
+                    return ()
+                raise ValueError(f"{ch!r} in {s!r} is not a letter of {self.name}")
+        return tuple(word)
 
 
 class FreeAbelian(Group):
@@ -230,10 +239,10 @@ class FreeAbelian(Group):
 
     def element_from_str(self, s):
         s = s.strip().strip("()")
-        parts = [p for p in re.split(r"[,\s]+", s) if p]
+        parts = s.replace(",", " ").split()
         if len(parts) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {s!r}")
-        return tuple(int(p) for p in parts)
+        return tuple(map(int, parts))
 
 
 class BaumslagSolitar(Group):
@@ -257,11 +266,19 @@ class BaumslagSolitar(Group):
     def mul(self, x, y):
         t, m = x
         s, n = y
-        return (t + Fraction(self.k) ** m * s, m + n)
+        if not s:
+            return (t, m + n)
+        if m >= 0:
+            return (t + s * self.k ** m, m + n)
+        return (t + s / self.k ** -m, m + n)
 
     def inv(self, x):
         t, m = x
-        return (-(Fraction(self.k) ** (-m)) * t, -m)
+        if not t:
+            return (t, -m)
+        if m > 0:
+            return (-t / self.k ** m, -m)
+        return (-t * self.k ** -m, -m)
 
     def generators(self):
         # a = (1, 0), b = (0, 1)

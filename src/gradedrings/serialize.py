@@ -204,26 +204,31 @@ def translation_certificate_from_json(data: dict):
 
 
 def injection_witness_to_json(group: Group, w) -> dict:
-    s = group.element_to_str
+    """Each distinct element of V, W, K and the images is printed once."""
+    s = {x: group.element_to_str(x)
+         for x in {*w.V, *w.W, *w.K, *w.alpha.values(), *w.beta.values()}}
     return {
         "group": group.name,
-        "V": [s(x) for x in w.V],
-        "W": [s(x) for x in w.W],
-        "K": [s(x) for x in w.K],
-        "alpha": [[s(x), s(w.alpha[x])] for x in w.V],
-        "beta": [[s(x), s(w.beta[x])] for x in w.V],
+        "V": [s[x] for x in w.V],
+        "W": [s[x] for x in w.W],
+        "K": [s[x] for x in w.K],
+        "alpha": [[s[x], s[w.alpha[x]]] for x in w.V],
+        "beta": [[s[x], s[w.beta[x]]] for x in w.V],
     }
 
 
 def injection_witness_from_json(data: dict):
+    """Each distinct text is parsed once."""
     group = group_from_spec(data["group"])
-    p = group.element_from_str
+    pairs = data["alpha"] + data["beta"]
+    texts = {*data["V"], *data["W"], *data["K"], *(t for pair in pairs for t in pair)}
+    p = {t: group.element_from_str(t) for t in texts}
     return group, InjectionWitness(
-        V=[p(x) for x in data["V"]],
-        W=[p(x) for x in data["W"]],
-        K=[p(x) for x in data["K"]],
-        alpha={p(a): p(b) for a, b in data["alpha"]},
-        beta={p(a): p(b) for a, b in data["beta"]},
+        V=[p[x] for x in data["V"]],
+        W=[p[x] for x in data["W"]],
+        K=[p[x] for x in data["K"]],
+        alpha={p[a]: p[b] for a, b in data["alpha"]},
+        beta={p[a]: p[b] for a, b in data["beta"]},
     )
 
 

@@ -293,16 +293,16 @@ class WeylRing(_MonomialAlgebra):
         return out
 
     def _y_times_word(self, w: tuple) -> dict:
+        """y x_w = sum_j a_{w1}...a_{w(j-1)} b_{wj} x_{w without wj}
+        + a_{w1}...a_{wk} x_w y, by a loop over the letters of w."""
         S = self.base
-        if not w:
-            return {((), 1): S.one()}
-        i = w[0]
-        rest = self._y_times_word(w[1:])
-        out = {}
-        for (wr, lr), c in rest.items():
-            # y x_i rest = a_i x_i (y rest) + b_i rest
-            _add_term(out, ((i,) + wr, lr), S.mul(self.a[i - 1], c), S)
-        _add_term(out, (w[1:], 0), self.b[i - 1], S)
+        signs = [S.one()]  # signs[j] = a_{w1}...a_{wj}
+        for i in w:
+            signs.append(S.mul(signs[-1], self.a[i - 1]))
+        out = {(w, 1): signs[-1]}
+        for j in range(len(w) - 1, -1, -1):
+            _add_term(out, (w[:j] + w[j + 1:], 0),
+                      S.mul(signs[j], self.b[w[j] - 1]), S)
         return out
 
     def degree_terms(self, a) -> set:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gradedrings.cli import main
 from gradedrings.groups import (BaumslagSolitar, Cyclic, DirectProduct,
                                 FreeAbelian, FreeGroup, group_from_spec,
                                 set_product)
@@ -140,3 +141,137 @@ def test_set_operations():
     A = [(0,), (1,)]
     assert set_product(Z, [(2,)], A) == {(2,), (3,)}
     assert set_product(Z, [(-1,), (1,)], A) == {(-1,), (0,), (1,), (2,)}
+
+
+# the group kernels against references kept here ----------------------------
+
+
+def _reduce_reference(letters_list):
+    """Free reduction of a letter list, one letter at a time."""
+    word = []
+    for a in letters_list:
+        if word and word[-1] == -a:
+            word.pop()
+        else:
+            word.append(a)
+    return tuple(word)
+
+
+def _parse_word_reference(G, s):
+    """FreeGroup.element_from_str as it was before the letter tables."""
+    s = s.strip()
+    if s in ("", "1"):
+        return ()
+    word = []
+    for tok in s.split():
+        for ch in tok:
+            idx = "abcdefghijklmnopqrstuvwxyz".index(ch.lower()) + 1
+            if idx > G.rank:
+                raise ValueError(f"generator {ch!r} out of range for {G.name}")
+            word.append(-idx if ch.isupper() else idx)
+    return _reduce_reference(word)
+
+
+@st.composite
+def free_words(draw, rank, count):
+    """count reduced words of F_rank, from random unreduced letter lists."""
+    letter = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
+    return [_reduce_reference(draw(st.lists(letter, max_size=12)))
+            for _ in range(count)]
+
+
+@given(st.data())
+def test_free_group_mul_matches_letter_by_letter_reduction(data):
+    rank = data.draw(st.integers(1, 3))
+    G = FreeGroup(rank)
+    x, y, z = data.draw(free_words(rank, 3))
+    for w in (x, y, z):
+        G.check_element(w)
+    xy = G.mul(x, y)
+    assert type(xy) is tuple and xy == _reduce_reference(x + y)
+    G.check_element(xy)
+    assert G.mul(G.mul(x, y), z) == G.mul(x, G.mul(y, z))
+    tail = _reduce_reference(G.inv(x[len(x) // 2:]) + y)   # cancels half of x
+    assert G.mul(x, tail) == _reduce_reference(x + tail)
+    assert G.inv(x) == tuple(-a for a in reversed(x))
+    assert G.mul(x, G.inv(x)) == G.mul(G.inv(x), x) == G.identity()
+    assert G.inv(G.mul(x, y)) == G.mul(G.inv(y), G.inv(x))
+
+
+@st.composite
+def bs_elements(draw, k):
+    t = Fraction(draw(st.integers(-40, 40)), k ** draw(st.integers(0, 6)))
+    return (t, draw(st.integers(-6, 6)))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@given(data=st.data())
+def test_bs_mul_and_inv_match_the_fraction_power_formula(k, data):
+    G = BaumslagSolitar(k)
+    x, y = data.draw(bs_elements(k)), data.draw(bs_elements(k))
+    (t, m), (s, n) = x, y
+    xy, xi = G.mul(x, y), G.inv(x)
+    assert xy == (t + Fraction(k) ** m * s, m + n)
+    assert xi == (-(Fraction(k) ** (-m)) * t, -m)
+    for g in (xy, xi):
+        assert type(g[0]) is Fraction and type(g[1]) is int
+        G.check_element(g)
+    assert G.mul(x, xi) == G.mul(xi, x) == G.identity()
+
+
+@given(st.data())
+def test_print_parse_round_trip(data):
+    rank = data.draw(st.integers(1, 3))
+    F = FreeGroup(rank)
+    for w in data.draw(free_words(rank, 2)):
+        assert F.element_from_str(F.element_to_str(w)) == w
+    d = data.draw(st.integers(1, 3))
+    Zd = FreeAbelian(d)
+    v = tuple(data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                 min_size=d, max_size=d)))
+    assert Zd.element_from_str(Zd.element_to_str(v)) == v
+    for k in (2, 3):
+        B = BaumslagSolitar(k)
+        g = data.draw(bs_elements(k))
+        back = B.element_from_str(B.element_to_str(g))
+        assert back == g and type(back[0]) is Fraction
+
+
+word_text = st.text(alphabet="abcABC1 \t\n\r\x0b\x0c  ", max_size=16)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@given(s=word_text)
+def test_parser_agrees_with_the_old_parser(rank, s):
+    G = FreeGroup(rank)
+    try:
+        want = _parse_word_reference(G, s)
+    except ValueError:
+        with pytest.raises(ValueError):
+            G.element_from_str(s)
+        return
+    assert G.element_from_str(s) == want
+
+
+@pytest.mark.parametrize("text, word", [
+    ("a\tA b", (2,)), (" a  b ", (1, 2)), ("aA", ()), ("  1 ", ()),
+    ("ab\nBA", ()), ("a b", (1, 2)), ("", ()), ("bA aB", ()),
+])
+def test_parser_whitespace_and_unreduced_input(text, word):
+    G = FreeGroup(2)
+    assert G.element_from_str(text) == _parse_word_reference(G, text) == word
+
+
+MALFORMED_WORDS = ["2", "a-b", "a,b", "c", "a 1", "1 1", "(a)", "a^-1", "1a"]
+
+
+@pytest.mark.parametrize("text", MALFORMED_WORDS)
+def test_malformed_word_names_the_character_and_the_group(text, capsys):
+    G = FreeGroup(2)
+    with pytest.raises(ValueError) as exc:
+        G.element_from_str(text)
+    bad = next(ch for ch in text if ch not in "abAB \t")
+    assert repr(bad) in str(exc.value) and "F2" in str(exc.value)
+    assert main(["paradox", "--group", "F2", "--v", text, "--w", "ball:2",
+                 "--k", "ball:1"]) == 2
+    assert "F2" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +137,56 @@ def test_folner_witness_json():
     data = folner_witness_to_json(Z, w)
     assert data["counts"] == {"KF_in_X": w.kf_count, "F_in_X": w.f_count}
     assert len(data["F"]) == len(w.F)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+A_TO_INV_B = {1: -2, -1: 2, 2: 1, -2: -1}   # the automorphism a -> B, b -> a
+
+
+@pytest.mark.parametrize("name, relabel", [
+    ("plain", lambda w: w),
+    ("relabelled", lambda w: tuple(A_TO_INV_B[a] for a in w)),
+])
+def test_injection_witness_json_matches_the_golden_file(name, relabel, tmp_path):
+    """F2 ball3 -> ball4, with V and W in ball order or relabelled, writes
+    the bytes of the golden file, and the file loads back to the witness."""
+    F2 = FreeGroup(2)
+    V = [relabel(x) for x in F2.ball(3)]
+    W = [relabel(x) for x in F2.ball(4)]
+    w = find_two_to_one_injection(F2, V, W, F2.ball(1))
+    path = tmp_path / "w.json"
+    dump_json(injection_witness_to_json(F2, w), str(path))
+    golden = DATA / f"injection_f2_ball3_4_{name}.json"
+    assert path.read_bytes() == golden.read_bytes()
+    G, back = injection_witness_from_json(load_json(str(golden)))
+    assert (G, back.V, back.W, back.alpha, back.beta) == (F2, V, W, w.alpha, w.beta)
+
+
+def test_injection_witness_json_converts_each_distinct_element_once(monkeypatch):
+    F2 = FreeGroup(2)
+    w = find_two_to_one_injection(F2, F2.ball(2), F2.ball(3), F2.ball(1))
+    calls = []
+    for method in ("element_to_str", "element_from_str"):
+        original = getattr(FreeGroup, method)
+        monkeypatch.setattr(FreeGroup, method, lambda self, x, f=original:
+                            calls.append(x) or f(self, x))
+    data = injection_witness_to_json(F2, w)
+    assert sorted(calls, key=F2.element_key) == F2.ball(3)
+    calls.clear()
+    injection_witness_from_json(data)
+    assert sorted(calls) == sorted(set(data["W"]))
+
+
+def test_injection_witness_with_an_image_outside_w_serializes_and_is_rejected():
+    F2 = FreeGroup(2)
+    w = find_two_to_one_injection(F2, F2.ball(1), F2.ball(2), F2.ball(1))
+    x = w.V[0]
+    outside = (1, 1, 1)
+    w.alpha[x] = outside
+    data = injection_witness_to_json(F2, w)
+    assert data["alpha"][0] == [F2.element_to_str(x), "a a a"]
+    assert "a a a" not in data["W"]
+    G, back = injection_witness_from_json(data)
+    assert back.alpha[x] == outside
+    ok, msg = verify_injection_witness(G, back)
+    assert not ok and "outside W" in msg

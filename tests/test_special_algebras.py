@@ -108,6 +108,40 @@ def _word(W, gens, rng):
     return out
 
 
+def _y_times_word_recursive(W, w):
+    """y x_w by recursion on the first letter: y x_i rest = a_i x_i (y rest)
+    + b_i rest (the form WeylRing used before its loop)."""
+    if not w:
+        return {((), 1): 1}
+    i = w[0]
+    out = {}
+    for (wr, lr), c in _y_times_word_recursive(W, w[1:]).items():
+        key = ((i,) + wr, lr)
+        out[key] = out.get(key, 0) + W.a[i - 1] * c
+    key = (w[1:], 0)
+    out[key] = out.get(key, 0) + W.b[i - 1]
+    return {key: c for key, c in out.items() if c}
+
+
+@given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3), st.data())
+def test_weyl_y_times_word_matches_the_recursive_form(a, data):
+    b = data.draw(st.lists(st.integers(-3, 3), min_size=len(a), max_size=len(a)))
+    W = WeylRing(a, b)
+    w = tuple(data.draw(st.lists(st.integers(1, len(a)), max_size=10)))
+    assert W._y_times_word(w) == _y_times_word_recursive(W, w)
+    assert W.eq(W.mul(W.y(), {(w, 0): 1}), _y_times_word_recursive(W, w))
+
+
+def test_weyl_long_word_does_not_recurse():
+    """y x^5000 = 5000 x^4999 + x^5000 y when a = b = 1; with a = -1 the
+    5000 constant terms cancel in pairs."""
+    word = (1,) * 5000
+    W = WeylRing([1], [1])
+    assert W.mul(W.y(), {(word, 0): 1}) == {(word[1:], 0): 5000, (word, 1): 1}
+    W = WeylRing([-1], [1])
+    assert W.mul(W.y(), {(word, 0): 1}) == {(word, 1): 1}
+
+
 def test_weyl_nontrivial_unit_needs_inverse():
     with pytest.raises(ValueError):
         WeylRing([2], [1])
