@@ -372,10 +372,10 @@ def _verifies(cert: RankCertificate, need_bgn: bool = False) -> bool:
 def _stack_twice(cert: RankCertificate) -> RankCertificate:
     """Duplicate a (1,2) certificate into a (2,4) block-diagonal one."""
     R = cert.ring
-    A = RingMatrix.from_support(R, 4, 2, {(2 * r + c, c): cert.A[r, 0]
-                                          for r in range(2) for c in range(2)})
-    B = RingMatrix.from_support(R, 2, 4, {(c, 2 * r + c): cert.B[0, r]
-                                          for r in range(2) for c in range(2)})
+    A = RingMatrix.from_support_rows(R, 2, [{c: cert.A[r, 0]}
+                                            for r in range(2) for c in range(2)])
+    B = RingMatrix.from_support_rows(R, 4, [{2 * r + c: cert.B[0, r] for r in range(2)}
+                                            for c in range(2)])
     return _checked(RankCertificate(R, 2, 4, A, B),
                     "stacked certificate failed re-verification", need_bgn=True)
 

@@ -344,7 +344,8 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
     mring = MatrixRing(S, N)
 
     def unit(a, b) -> RingMatrix:
-        return RingMatrix.from_support(S, N, N, {(pos[a], pos[b]): S.one()})
+        return RingMatrix.from_support_rows(
+            S, N, [{pos[b]: S.one()} if t == pos[a] else {} for t in range(N)])
 
     components, unit_positions = {}, {}
     for g in elems:
@@ -370,9 +371,8 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
     comp_of, matrix_of, starts = {}, {}, {g: {} for g in elems}
     for g in elems:
         for (a, b), u in zip(unit_positions[g], components[g]):
-            t = pos[a] * N + pos[b]
-            if ([s for s, x in enumerate(u.entries) if not S.is_zero(x)] != [t]
-                    or not S.eq(u.entries[t], S.one())):
+            if ([(s, t) for s, row in enumerate(u.support) for t in row]
+                    != [(pos[a], pos[b])] or not S.eq(u[pos[a], pos[b]], S.one())):
                 rep.closure_ok = False
                 rep.failures.append(f"T_{g} matrix labelled {a}, {b} is not that unit")
             comp_of[(a, b)], matrix_of[(a, b)] = g, u
@@ -412,7 +412,8 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
         for s, ia, ib in v.terms:
             c = S.from_int(s)
             prod = mat_mul(components[v.g][ia], components[group.inv(v.g)][ib])
-            acc = acc.add(RingMatrix(S, N, N, [S.mul(c, x) for x in prod.entries]))
+            acc = acc.add(RingMatrix.from_support_rows(S, N, [
+                {j: S.mul(c, x) for j, x in row.items()} for row in prod.support]))
         if not acc.eq(identity):
             v.found = False
             rep.failures.append(f"strong grading witness at {v.g} does not "

@@ -126,6 +126,9 @@ class FreeGroup(Group):
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be >= 1")
+        if rank > len(_GEN_NAMES):
+            raise ValueError(f"rank {rank} exceeds 26: only the letters a-z "
+                             "name free generators")
         self.rank = rank
         self.key = (rank,)
         self.name = f"F{rank}"

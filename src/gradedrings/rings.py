@@ -3,11 +3,11 @@
 A rank certificate is a pair of matrices (A: m x n, B: n x m) over a ring
 with A*B = I_m, witnessing a module epimorphism R^n -> R^m.  When n < m the
 certificate witnesses bounded generating number.  All arithmetic is exact.
-Matrices are stored dense, and every matrix product, mat_mul included, is
-support_mul over their nonzero entries (support form, below).  Presented
-rings (Leavitt, Weyl, crossed products, translation rings) plug in through
-the same Ring interface, share the SparseRing representation, and keep
-their own product rules and normal forms.
+A matrix stores only its nonzero entries, one dict per row (support form,
+below), and every matrix product, mat_mul included, is support_mul over
+those rows.  Presented rings (Leavitt, Weyl, crossed products, translation
+rings) plug in through the same Ring interface, share the SparseRing
+representation, and keep their own product rules and normal forms.
 """
 
 from __future__ import annotations
@@ -340,24 +340,34 @@ class MatrixRing(Ring):
         return a.eq(b)
 
     def is_zero(self, a):
-        return all(self.base.is_zero(x) for x in a.entries)
+        return not any(a.support)
 
 
 class RingMatrix:
-    """Rectangular matrix over an exact ring, entries row-major."""
+    """Rectangular matrix over an exact ring, not mutated once built.  Row i
+    is stored as a dict {j: m_ij} over its nonzero entries: an absent entry
+    is 0, and no entry that ring.is_zero reads as zero is stored."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "support")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries: Sequence):
-        if rows < 1 or cols < 1:
-            raise ValueError("dimensions must be positive")
+        """The rows x cols matrix with the given entries, row-major."""
         entries = list(entries)
+        self._store(ring, cols, [dict(enumerate(entries[i * cols:(i + 1) * cols]))
+                                 for i in range(rows)])
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        self.ring = ring
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+
+    def _store(self, ring: Ring, cols: int, rows: Sequence[dict]):
+        if not rows or cols < 1:
+            raise ValueError("dimensions must be positive")
+        is_zero, support = ring.is_zero, []
+        for i, row in enumerate(rows):
+            if row and not 0 <= min(row) <= max(row) < cols:
+                raise ValueError(f"row {i} has a column outside a "
+                                 f"{len(rows)}x{cols} matrix")
+            support.append({j: x for j, x in row.items() if not is_zero(x)})
+        self.ring, self.rows, self.cols, self.support = ring, len(rows), cols, support
 
     @classmethod
     def from_rows(cls, ring: Ring, rows: Sequence[Sequence]) -> "RingMatrix":
@@ -366,84 +376,72 @@ class RingMatrix:
         return cls(ring, len(rows), len(rows[0]), [x for row in rows for x in row])
 
     @classmethod
-    def from_support(cls, ring: Ring, rows: int, cols: int,
-                     support: dict) -> "RingMatrix":
-        """The rows x cols matrix with entry x at each (i, j): x of support
-        and zero everywhere else.  An index outside the shape raises."""
-        entries = [ring.zero()] * (rows * cols)
-        for (i, j), x in support.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"index ({i}, {j}) outside a {rows}x{cols} matrix")
-            entries[i * cols + j] = x
-        return cls(ring, rows, cols, entries)
-
-    @classmethod
     def from_support_rows(cls, ring: Ring, cols: int, rows: Sequence[dict]) -> "RingMatrix":
         """The matrix with cols columns whose row i holds the entries of the
-        support row rows[i] ({j: m_ij}, see support_rows) and zero elsewhere."""
-        return cls.from_support(ring, len(rows), cols, {
-            (i, j): x for i, row in enumerate(rows) for j, x in row.items()})
+        dict rows[i] ({j: m_ij}) and zero elsewhere.  Entries that are zero
+        are dropped; a column outside the shape raises."""
+        M = cls.__new__(cls)
+        M._store(ring, cols, rows)
+        return M
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
-        return cls.from_support(ring, n, n, {(i, i): ring.one() for i in range(n)})
+        return cls.from_support_rows(ring, n, [{i: ring.one()} for i in range(n)])
 
     @classmethod
     def zero(cls, ring: Ring, rows: int, cols: int) -> "RingMatrix":
-        return cls.from_support(ring, rows, cols, {})
+        return cls.from_support_rows(ring, cols, [{}] * rows)
+
+    @property
+    def entries(self) -> list:
+        """The dense row-major list of entries, kept for the bench tracer
+        (perfbench/tracing.py), which counts nonzero entries through it."""
+        zero = self.ring.zero()
+        return [row.get(j, zero) for row in self.support for j in range(self.cols)]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self):
-        return [self.row(i) for i in range(self.rows)]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index ({i}, {j}) outside a "
+                             f"{self.rows}x{self.cols} matrix")
+        return self.support[i].get(j, self.ring.zero())
 
     def add(self, other: "RingMatrix") -> "RingMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
             raise ValueError("matrix shape or ring mismatch")
-        R = self.ring
-        return RingMatrix(R, self.rows, self.cols,
-                          [R.add(a, b) for a, b in zip(self.entries, other.entries)])
+        R, zero = self.ring, self.ring.zero()
+        return RingMatrix.from_support_rows(R, self.cols, [
+            {j: R.add(p.get(j, zero), q.get(j, zero)) for j in p.keys() | q.keys()}
+            for p, q in zip(self.support, other.support)])
 
     def neg(self) -> "RingMatrix":
         R = self.ring
-        return RingMatrix(R, self.rows, self.cols, [R.neg(a) for a in self.entries])
+        return RingMatrix.from_support_rows(R, self.cols, [
+            {j: R.neg(x) for j, x in row.items()} for row in self.support])
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix(self.ring, self.cols, self.rows,
-                          [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.support):
+            for j, x in row.items():
+                out[j][i] = x
+        return RingMatrix.from_support_rows(self.ring, self.rows, out)
 
     def eq(self, other: "RingMatrix") -> bool:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        R = self.ring
-        return all(R.eq(a, b) for a, b in zip(self.entries, other.entries))
+        return ((self.rows, self.cols) == (other.rows, other.cols)
+                and support_eq(self.ring, self.support, other.support))
 
     def reinterpret(self, ring: Ring) -> "RingMatrix":
         """Same entries viewed over another ring (e.g. the opposite ring)."""
-        return RingMatrix(ring, self.rows, self.cols, list(self.entries))
+        return RingMatrix.from_support_rows(ring, self.cols, self.support)
 
     def __repr__(self):
-        R = self.ring
-        rows = ["[" + ", ".join(R.element_to_str(x) for x in self.row(i)) + "]"
-                for i in range(self.rows)]
-        return f"RingMatrix({R.name}, [" + ", ".join(rows) + "])"
+        return f"RingMatrix({self.ring.name}, {self.rows}x{self.cols}, {self.support!r})"
 
 
 # Support form: a matrix as one dict per row, {j: m_ij} over its nonzero
-# entries.  A product or comparison in this form costs the pairs it meets,
-# not rows x cols, and is still exact over every entry: an absent entry is 0.
-
-
-def support_rows(M: RingMatrix) -> list:
-    """Row i of M as {j: m_ij} over its nonzero entries, j ascending."""
-    R, c, e = M.ring, M.cols, M.entries
-    return [{j: x for j, x in enumerate(e[i * c:(i + 1) * c]) if not R.is_zero(x)}
-            for i in range(M.rows)]
+# entries, as RingMatrix.support stores it.  A product or comparison in this
+# form costs the pairs it meets, not rows x cols, and is still exact over
+# every entry: an absent entry is 0.
 
 
 def support_mul(R: Ring, P: list, Q: list) -> list:
@@ -486,7 +484,7 @@ def support_eq(R: Ring, P: list, Q: list) -> bool:
 
 
 def mat_mul(A: RingMatrix, B: RingMatrix) -> RingMatrix:
-    """Exact matrix product: support_mul of the support rows of A and B, so
+    """Exact matrix product: support_mul of the stored rows of A and B, so
     each entry is the exact sum of its products (the ring need not be
     commutative), and a zero entry on either side adds nothing."""
     if A.ring != B.ring:
@@ -495,7 +493,7 @@ def mat_mul(A: RingMatrix, B: RingMatrix) -> RingMatrix:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} times {B.rows}x{B.cols}")
     R = A.ring
     return RingMatrix.from_support_rows(
-        R, B.cols, support_mul(R, support_rows(A), support_rows(B)))
+        R, B.cols, support_mul(R, A.support, B.support))
 
 
 @dataclass
@@ -536,7 +534,7 @@ class Invalid:
 def verify_certificate(cert: RankCertificate):
     """Check AB = I_m exactly, over the support of A and B.
 
-    AB is summed with support_mul from one scan of each matrix, and compared
+    AB is summed with support_mul from the stored rows, and compared
     with the identity over the entries it reaches plus the diagonal, in
     row-major order, so the first failure is the dense one.
 
@@ -544,7 +542,7 @@ def verify_certificate(cert: RankCertificate):
     AB = I_m and n >= m, else Invalid with the first failing position.
     """
     R = cert.ring
-    AB = support_mul(R, support_rows(cert.A), support_rows(cert.B))
+    AB = support_mul(R, cert.A.support, cert.B.support)
     at = _first_difference(R, AB, [{i: R.one()} for i in range(cert.m)])
     if at is not None:
         return Invalid(position=(at[0] + 1, at[1] + 1))
@@ -579,7 +577,7 @@ def extend_certificate(cert: RankCertificate, target_m: int) -> RankCertificate:
     of B, since the leading block of AB = I_m is I_{n+1}.  Then follows the
     epimorphism chain psi -> reshuffle -> xi -> reshuffle: each step takes
     A to diag(A, I) A and B to B diag(B, I), so that A'B' = diag(AB, I) = I.
-    The chain runs in support form and is made dense once, at the end.
+    The chain runs on the stored rows.
     """
     _require_valid(cert, need_bgn=True)
     n, R = cert.n, cert.ring
@@ -587,8 +585,8 @@ def extend_certificate(cert: RankCertificate, target_m: int) -> RankCertificate:
         raise ValueError("target must exceed n")
     if cert.m == n + 1 == target_m:
         return cert
-    A_step = support_rows(cert.A)[:n + 1]
-    B_step = [{j: x for j, x in row.items() if j <= n} for row in support_rows(cert.B)]
+    A_step = cert.A.support[:n + 1]
+    B_step = [{j: x for j, x in row.items() if j <= n} for row in cert.B.support]
     A_cur, B_cur = A_step, B_step
     for _ in range(n + 1, target_m):
         # diag(A, I) A_cur: A acts on the first n rows, the rest pass through
@@ -632,9 +630,12 @@ def block_down_certificate(cert: RankCertificate) -> RankCertificate:
 
 
 def _flatten_blocks(M: RingMatrix, base: Ring, s: int) -> RingMatrix:
-    return RingMatrix(base, M.rows * s, M.cols * s,
-                      [M[i // s, j // s][i % s, j % s]
-                       for i in range(M.rows * s) for j in range(M.cols * s)])
+    out = [{} for _ in range(M.rows * s)]
+    for i, row in enumerate(M.support):
+        for j, block in row.items():
+            for t, brow in enumerate(block.support):
+                out[i * s + t].update({j * s + u: x for u, x in brow.items()})
+    return RingMatrix.from_support_rows(base, M.cols * s, out)
 
 
 def block_up_certificate(cert: RankCertificate, s: int) -> RankCertificate:
@@ -654,11 +655,14 @@ def block_up_certificate(cert: RankCertificate, s: int) -> RankCertificate:
 
 
 def _group_blocks(M: RingMatrix, mring: MatrixRing) -> RingMatrix:
-    s, rows = mring.size, M.to_rows()
-    return RingMatrix.from_rows(mring, [
-        [RingMatrix.from_rows(mring.base, [row[bj:bj + s] for row in rows[bi:bi + s]])
-         for bj in range(0, M.cols, s)]
-        for bi in range(0, M.rows, s)])
+    s = mring.size
+    blocks = [{} for _ in range(M.rows // s)]
+    for i, row in enumerate(M.support):
+        for j, x in row.items():
+            blocks[i // s].setdefault(j // s, [{} for _ in range(s)])[i % s][j % s] = x
+    return RingMatrix.from_support_rows(mring, M.cols // s, [
+        {bj: RingMatrix.from_support_rows(mring.base, s, rows)
+         for bj, rows in row.items()} for row in blocks])
 
 
 def product_certificate(certs: Sequence[RankCertificate]) -> RankCertificate:
@@ -676,13 +680,16 @@ def product_certificate(certs: Sequence[RankCertificate]) -> RankCertificate:
     if len(shaped) == 1:
         return shaped[0]
     prod = ProductRing([c.ring for c in shaped])
-    A = zip(*(RingMatrix.from_support_rows(c.ring, b, support_rows(c.A)).entries
-              for c in shaped))
-    B = zip(*(RingMatrix.from_support_rows(c.ring, b + 1,
-                                           support_rows(c.B) + [{}] * (b - c.n)).entries
-              for c in shaped))
-    return _checked(RankCertificate(prod, b, b + 1, RingMatrix(prod, b + 1, b, A),
-                                    RingMatrix(prod, b, b + 1, B)),
+    zeros = prod.zero()
+
+    def merged(cols: int, parts: list) -> RingMatrix:  # parts: each factor's rows
+        return RingMatrix.from_support_rows(prod, cols, [
+            {j: tuple(row.get(j, z) for row, z in zip(rows, zeros))
+             for j in set().union(*rows)} for rows in zip(*parts)])
+
+    A = merged(b, [c.A.support for c in shaped])
+    B = merged(b + 1, [c.B.support + [{}] * (b - c.n) for c in shaped])
+    return _checked(RankCertificate(prod, b, b + 1, A, B),
                     "product certificate failed re-verification")
 
 
@@ -693,12 +700,16 @@ def truncate_certificate(cert: RankCertificate) -> RankCertificate:
 
 
 def hom_certificate(cert: RankCertificate, phi: Callable, target: Ring) -> RankCertificate:
-    """Push a certificate forward along an entrywise unital ring homomorphism."""
+    """Push a certificate forward along an entrywise unital ring homomorphism,
+    applied to the stored entries only, so a phi with phi(0) != 0 is refused."""
     _require_valid(cert)
     if not target.eq(phi(cert.ring.one()), target.one()):
         raise ValueError("map is not unital: phi(1) != 1")
-    A2 = RingMatrix(target, cert.m, cert.n, [phi(x) for x in cert.A.entries])
-    B2 = RingMatrix(target, cert.n, cert.m, [phi(x) for x in cert.B.entries])
+    if not target.is_zero(phi(cert.ring.zero())):
+        raise ValueError("map does not fix zero: phi(0) != 0")
+    A2, B2 = (RingMatrix.from_support_rows(target, M.cols, [
+        {j: phi(x) for j, x in row.items()} for row in M.support])
+        for M in (cert.A, cert.B))
     out = RankCertificate(target, cert.n, cert.m, A2, B2)
     v = verify_certificate(out)
     if not v:

@@ -71,36 +71,34 @@ def ring_to_spec(ring: Ring) -> str:
 
 
 def _matrix_to_json(ring: Ring, M: RingMatrix, element_to_json) -> list:
-    """M as rows of element_to_json(ring, entry); _matrix_from_json reads it.
-
-    Each distinct entry object is converted once, as RingMatrix.from_support
-    shares one zero; keying by id is sound because M keeps every entry
-    alive, so no id is reused while the memo lives."""
-    converted = {}
-
-    def element(x):
-        key = id(x)
-        if key not in converted:
-            converted[key] = element_to_json(ring, x)
-        return converted[key]
-
-    return [[element(x) for x in row] for row in M.to_rows()]
+    """M as dense rows of element_to_json(ring, entry), with the zero
+    converted once; _matrix_from_json reads it."""
+    zero, out = element_to_json(ring, ring.zero()), []
+    for row in M.support:
+        out.append([zero] * M.cols)
+        for j, x in row.items():
+            out[-1][j] = element_to_json(ring, x)
+    return out
 
 
 def _matrix_from_json(ring: Ring, data: list, element_from_json) -> RingMatrix:
-    """Each distinct entry text is parsed once and its element reused, as
-    RingMatrix.from_support shares one zero; other entries (lists) are
-    parsed one by one."""
+    """Dense rows of entries as a RingMatrix, each row read straight into
+    its support row: a zero is not stored, and each distinct entry (a text,
+    or a list object, which data keeps alive) is parsed once."""
     parsed = {}
 
-    def element(v):
-        if not isinstance(v, str):
-            return element_from_json(ring, v)
-        if v not in parsed:
-            parsed[v] = element_from_json(ring, v)
-        return parsed[v]
+    def element(v):  # None stands for a zero
+        key = v if isinstance(v, str) else id(v)
+        if key not in parsed:
+            x = element_from_json(ring, v)
+            parsed[key] = None if ring.is_zero(x) else x
+        return parsed[key]
 
-    return RingMatrix.from_rows(ring, [[element(v) for v in row] for row in data])
+    if not data or any(len(row) != len(data[0]) for row in data):
+        raise ValueError("no rows, or ragged rows")
+    return RingMatrix.from_support_rows(ring, len(data[0]), [
+        {j: x for j, x in enumerate(map(element, row)) if x is not None}
+        for row in data])
 
 
 def element_to_jsonable(ring: Ring, x):

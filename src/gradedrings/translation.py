@@ -250,7 +250,7 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     one = R.one()
     rep = FiniteGroupIsoReport(group.name, ring.name, True, True, True, True, True)
 
-    # every matrix below is in support form (rings.support_rows)
+    # every matrix below is in support form (RingMatrix.support)
     def D(f: dict) -> list:
         return [{i: f[x]} for i, x in enumerate(elems)]
 
@@ -356,19 +356,12 @@ def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> Collapse
         empty = RingMatrix.zero(R, 1, max(len(W), 1))
         return CollapseResult(empty, empty, True, True, True, True, True, list(W))
 
-    # the slices in support form (rings.support_rows), one row per x in V
-    def slice_of(mapping) -> list:
-        return [{widx[mapping[x]]: R.one()} for x in V]
+    def slice_of(mapping) -> RingMatrix:
+        return RingMatrix.from_support_rows(R, len(W), [{widx[mapping[x]]: R.one()}
+                                                        for x in V])
 
-    def transposed(rows) -> list:
-        out = [{} for _ in W]
-        for i, row in enumerate(rows):
-            for j, x in row.items():
-                out[j][i] = x
-        return out
-
-    Ms, Ns = slice_of(w.alpha), slice_of(w.beta)
-    Mt, Nt = transposed(Ms), transposed(Ns)
+    M, N = slice_of(w.alpha), slice_of(w.beta)
+    Ms, Ns, Mt, Nt = M.support, N.support, M.transpose().support, N.transpose().support
     I_V = [{i: R.one()} for i in range(len(V))]
     Z_V = [{} for _ in V]
     covered = {widx[w.alpha[x]] for x in V} | {widx[w.beta[x]] for x in V}
@@ -377,8 +370,7 @@ def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> Collapse
     stacked = [{**mt, **{len(V) + i: x for i, x in nt.items()}}
                for mt, nt in zip(Mt, Nt)]
     return CollapseResult(
-        RingMatrix.from_support_rows(R, len(W), Ms),
-        RingMatrix.from_support_rows(R, len(W), Ns),
+        M, N,
         mmt_ok=support_eq(R, support_mul(R, Ms, Mt), I_V),
         nnt_ok=support_eq(R, support_mul(R, Ns, Nt), I_V),
         mnt_ok=support_eq(R, support_mul(R, Ms, Nt), Z_V),
@@ -422,15 +414,15 @@ def _restrict(tring: TranslationRing, M: RingMatrix, P: list, Q: list) -> RingMa
     column (j, q), for p in P and q in Q, rows and columns ordered block by
     block.  Each term (g, f) of M_ij is the entry f(p) at (p, g^-1 p)."""
     qpos = {q: t for t, q in enumerate(Q)}
-    support = {}
-    for i, j in product(range(M.rows), range(M.cols)):
-        for g, f in M[i, j].items():
-            for s, p in enumerate(P):
-                t = qpos.get(tring._column(g, p))
-                if t is not None:
-                    support[i * len(P) + s, j * len(Q) + t] = f(p)
-    return RingMatrix.from_support(tring.base.base, M.rows * len(P),
-                                   M.cols * len(Q), support)
+    out = [{} for _ in range(M.rows * len(P))]
+    for i, row in enumerate(M.support):
+        for j, x in row.items():
+            for g, f in x.items():
+                for s, p in enumerate(P):
+                    t = qpos.get(tring._column(g, p))
+                    if t is not None:
+                        out[i * len(P) + s][j * len(Q) + t] = f(p)
+    return RingMatrix.from_support_rows(tring.base.base, M.cols * len(Q), out)
 
 
 def compress_certificate(ci: CompressionInput) -> CompressionResult:
@@ -453,8 +445,8 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
         raise ValueError("K must contain the identity")
     if any(G.inv(k) not in Kset for k in K):
         raise ValueError("K must be symmetric")
-    shifts_A = {g for M in cert.A.entries for g in M}
-    shifts_B = {g for M in cert.B.entries for g in M}
+    shifts_A = {g for row in cert.A.support for x in row.values() for g in x}
+    shifts_B = {g for row in cert.B.support for x in row.values() for g in x}
     if not shifts_A | shifts_B <= Kset:
         raise ValueError("K does not dominate all entry shifts")
 

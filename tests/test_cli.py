@@ -1,9 +1,12 @@
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gradedrings
 from gradedrings.amenability import whole_group
 from gradedrings.checks import _stack_twice
 from gradedrings.cli import EXIT_CODES, main
@@ -193,6 +196,31 @@ def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
                "--w", "ball:3", "--k", "{-1; 0; 1}") == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: VerificationError: Hall violator")
+
+
+def test_free_group_of_rank_27_is_input_error(capsys):
+    assert run("paradox", "--group", "F27", "--v", "ball:1", "--w", "ball:2",
+               "--k", "ball:1", "--format", "json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rank 27 exceeds 26") and "a-z" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_pipe_is_not_a_verdict(unbuffered):
+    """A reader that closes stdout before the verdict is printed: exit 3
+    (never 1, "verified no"), and no traceback or internal error, whether
+    the write or the flush at exit meets the closed pipe."""
+    src = str(Path(gradedrings.__file__).resolve().parent.parent)
+    env = {"PYTHONPATH": src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gradedrings", "folner", "--group", "Z^2", "--k",
+         "ball:1", "--eps", "1/4", "--r-max", "10", "--format", "json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert err == ""
 
 
 def test_compress_repeated_f_is_input_error(tmp_path, capsys):

@@ -125,9 +125,8 @@ class _TransposedUnits(RingMatrix):
     has its 1 at (j, i) instead of (i, j)."""
 
     @classmethod
-    def from_support(cls, ring, rows, cols, support):
-        return RingMatrix.from_support(
-            ring, rows, cols, {(j, i): x for (i, j), x in support.items()})
+    def from_support_rows(cls, ring, cols, rows):
+        return RingMatrix.from_support_rows(ring, cols, rows).transpose()
 
 
 def test_endo_graded_closure_detects_a_wrong_group():

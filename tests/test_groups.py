@@ -136,6 +136,16 @@ def test_group_from_spec():
         group_from_spec("E8")
 
 
+def test_free_group_rank_is_bounded_by_the_letters():
+    """Only a-z name free generators: F26 prints its last generator, and
+    F27 is refused when it is made, not when an element is printed."""
+    F26 = FreeGroup(26)
+    assert F26.element_to_str((26, -1)) == "z A"
+    for make in (lambda: FreeGroup(27), lambda: group_from_spec("F27")):
+        with pytest.raises(ValueError, match="only the letters a-z"):
+            make()
+
+
 def test_set_operations():
     Z = FreeAbelian(1)
     A = [(0,), (1,)]

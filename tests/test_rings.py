@@ -16,8 +16,7 @@ from gradedrings.rings import (IntegerModRing, IntegerRing, Invalid,
                                block_up_certificate, extend_certificate,
                                hom_certificate, mat_mul, opposite_certificate,
                                product_certificate, support_eq, support_mul,
-                               support_rows, truncate_certificate,
-                               verify_certificate)
+                               truncate_certificate, verify_certificate)
 from gradedrings.special_algebras import (LeavittRing, WeylRing,
                                           leavitt_rank_certificate)
 from gradedrings.translation import (FunctionRing, RightTranslationRing,
@@ -198,6 +197,7 @@ def test_hom_certificate_mod_m():
     pushed = hom_certificate(cert, Z5.from_int, Z5)
     assert verify_certificate(pushed)
     assert pushed.A[0, 1] == 0
+    assert pushed.A.support[0] == {0: 1}  # 5 maps to 0, which is not stored
 
 
 def test_hom_certificate_rejects_broken_map():
@@ -205,6 +205,35 @@ def test_hom_certificate_rejects_broken_map():
     cert = leavitt_rank_certificate(2)
     with pytest.raises((AssertionError, ValueError)):
         hom_certificate(cert, lambda e: Z.zero(), Z)
+
+
+def test_hom_certificate_refuses_a_map_that_moves_zero():
+    """Only the stored entries are mapped, so phi(0) != 0 is refused, even
+    for a unital map that sends every nonzero entry to its residue."""
+    A = RingMatrix.from_rows(Z, [[1, 5], [0, 1]])
+    B = RingMatrix.from_rows(Z, [[1, -5], [0, 1]])
+    Z5 = IntegerModRing(5)
+    with pytest.raises(ValueError, match=r"phi\(0\) != 0"):
+        hom_certificate(RankCertificate(Z, 2, 2, A, B),
+                        lambda x: Z5.from_int(x) if x else Z5.one(), Z5)
+
+
+def _stored_zeros(M):
+    return [(i, j) for i, row in enumerate(M.support)
+            for j, x in row.items() if M.ring.is_zero(x)]
+
+
+@pytest.mark.parametrize("R", [Z, MatrixRing(Z, 2)], ids=["Z", "M2(Z)"])
+def test_a_cancelling_product_stores_no_zero(R):
+    """[[x, x]] [[x], [-x]] = [[x^2 - x^2]] = 0 (x = 1, or I_2 over M2(Z)):
+    support_mul keeps the zero sum, and the matrix must not store it."""
+    x = R.one()
+    P = mat_mul(RingMatrix.from_rows(R, [[x, x]]),
+                RingMatrix.from_rows(R, [[x], [R.neg(x)]]))
+    assert MatrixRing(R, 1).is_zero(P)
+    assert P.support == [{}]
+    S = RingMatrix.from_rows(R, [[x, R.neg(x)]])
+    assert MatrixRing(R, 1).is_zero(S.add(S.neg()))
 
 
 def test_mat_mul_shapes():
@@ -277,6 +306,11 @@ def test_mat_mul_agrees_with_the_dense_triple_loop(ring, elements, data):
     got, want = mat_mul(A, B), _mat_mul_reference(A, B)
     assert (got.rows, got.cols) == (want.rows, want.cols)
     assert got.eq(want)
+    C = data.draw(_mat_mul_pair(ring, elements))[0]
+    sums = [A.add(A), A.add(A.neg()), got.add(got), got.add(want.neg())]
+    if (C.rows, C.cols) == (A.rows, A.cols):
+        sums.append(A.add(C))
+    assert not any(_stored_zeros(M) for M in [got, *sums])
 
 
 def test_mat_mul_keeps_the_order_of_each_product():
@@ -289,7 +323,7 @@ def test_mat_mul_keeps_the_order_of_each_product():
     assert L.eq(mat_mul(A, B)[0, 0], L.one())
     op = L.opposite()
     assert L.eq(mat_mul(A.reinterpret(op), B.reinterpret(op))[0, 0], L.from_int(2))
-    P, Q = support_rows(A), support_rows(B)
+    P, Q = A.support, B.support
     assert support_eq(L, support_mul(L, P, Q), [{0: L.one()}])
     assert support_eq(op, support_mul(op, P, Q), [{0: L.from_int(2)}])
 
@@ -321,6 +355,17 @@ def _leavitt_code(m):
 
 def _transpose(rows):
     return [list(col) for col in zip(*rows)]
+
+
+def _rows(M):
+    """M as dense rows, read entry by entry."""
+    return [[M[i, j] for j in range(M.cols)] for i in range(M.rows)]
+
+
+def _elementary(R, size, s, t, x):
+    """I + x e_st for s != t."""
+    return RingMatrix.from_support_rows(
+        R, size, [{i: R.one(), **({t: x} if i == s else {})} for i in range(size)])
 
 
 _CERT_RINGS = [
@@ -359,23 +404,27 @@ def _certificate(draw, ring, elements):
         if s == t:
             continue
         c = draw(elements)
-        E, E_inv = (RingMatrix.from_support(
-            R, size, size, {**{(i, i): one for i in range(size)}, (s, t): x})
-            for x in (c, R.neg(c)))
+        E, E_inv = (_elementary(R, size, s, t, x) for x in (c, R.neg(c)))
         if size == m:
             A, B = _mat_mul_reference(E, A), _mat_mul_reference(B, E_inv)
         else:
             A, B = _mat_mul_reference(A, E), _mat_mul_reference(E_inv, B)
     change = draw(st.sampled_from(["none", "A", "B", "zero row", "random"]))
     if change in ("A", "B"):
-        M = A if change == "A" else B
-        M.entries[draw(st.integers(0, len(M.entries) - 1))] = draw(entry)
+        rows = _rows(A if change == "A" else B)
+        t = draw(st.integers(0, len(rows) * len(rows[0]) - 1))
+        rows[t // len(rows[0])][t % len(rows[0])] = draw(entry)
+        if change == "A":
+            A = RingMatrix.from_rows(R, rows)
+        else:
+            B = RingMatrix.from_rows(R, rows)
     elif change == "zero row":
-        i = draw(st.integers(0, m - 1))
-        A.entries[i * n:(i + 1) * n] = [zero] * n
+        rows = _rows(A)
+        rows[draw(st.integers(0, m - 1))] = [zero] * n
+        A = RingMatrix.from_rows(R, rows)
     elif change == "random":
-        A.entries = [draw(entry) for _ in A.entries]
-        B.entries = [draw(entry) for _ in B.entries]
+        A, B = (RingMatrix.from_rows(R, [[draw(entry) for _ in range(M.cols)]
+                                         for _ in range(M.rows)]) for M in (A, B))
     return RankCertificate(R, n, m, A, B)
 
 
@@ -405,7 +454,7 @@ def _dense_block_diag(M, pad):
     """diag(M, I_pad) as a dense matrix."""
     R = M.ring
     zero = R.zero()
-    rows = [row + [zero] * pad for row in M.to_rows()]
+    rows = [row + [zero] * pad for row in _rows(M)]
     rows += [[zero] * M.cols + [R.one() if s == t else zero for s in range(pad)]
              for t in range(pad)]
     return RingMatrix.from_rows(R, rows)
@@ -416,13 +465,13 @@ def _extend_reference(cert, target_m):
     (n, n+1), then A <- diag(A_cut, I) A and B <- B diag(B_cut, I), each a
     dense triple-loop product."""
     R, n = cert.ring, cert.n
-    A_cut = RingMatrix.from_rows(R, cert.A.to_rows()[:n + 1])
-    B_cut = RingMatrix.from_rows(R, [row[:n + 1] for row in cert.B.to_rows()])
+    A_cut = RingMatrix.from_rows(R, _rows(cert.A)[:n + 1])
+    B_cut = RingMatrix.from_rows(R, [row[:n + 1] for row in _rows(cert.B)])
     A, B = A_cut, B_cut
     for pad in range(1, target_m - n):
         A = _mat_mul_reference(_dense_block_diag(A_cut, pad), A)
         B = _mat_mul_reference(B, _dense_block_diag(B_cut, pad))
-    return A.to_rows(), B.to_rows()
+    return _rows(A), _rows(B)
 
 
 def _product_reference(certs):
@@ -468,9 +517,7 @@ def _bgn_certificate(draw):
         if s == t:
             continue
         c = draw(_leavitt_elements(L))
-        E, E_inv = (RingMatrix.from_support(
-            R, size, size, {**{(i, i): R.one() for i in range(size)}, (s, t): x})
-            for x in (c, R.neg(c)))
+        E, E_inv = (_elementary(R, size, s, t, x) for x in (c, R.neg(c)))
         if size == m:
             A, B = _mat_mul_reference(E, A), _mat_mul_reference(B, E_inv)
         else:
@@ -487,6 +534,7 @@ def test_extend_agrees_with_the_dense_block_chain(cert):
         ext = extend_certificate(cert, target)
         A, B = _extend_reference(cert, target)
         assert (ext.n, ext.m) == (cert.n, target)
+        assert not _stored_zeros(ext.A) and not _stored_zeros(ext.B)
         assert _same_entries(cert.ring, ext.A, A) and _same_entries(cert.ring, ext.B, B)
 
 
@@ -511,16 +559,16 @@ _SUPPORT_RINGS = [
 
 def test_support_rows_keeps_the_nonzero_entries_in_column_order():
     M = RingMatrix.from_rows(Z, [[0, 2, 0, -1], [0, 0, 0, 0], [5, 0, 0, 0]])
-    rows = support_rows(M)
+    rows = M.support
     assert rows == [{1: 2, 3: -1}, {}, {0: 5}]
     assert [list(row) for row in rows] == [[1, 3], [], [0]]
 
 
 @st.composite
 def _with_stored_zeros(draw, M):
-    """The support rows of M, with an explicit zero stored at some of the
-    positions where M is zero."""
-    rows = support_rows(M)
+    """Copies of the support rows of M, with an explicit zero stored at some
+    of the positions where M is zero."""
+    rows = [dict(row) for row in M.support]
     zeros = [(i, j) for i in range(M.rows) for j in range(M.cols)
              if j not in rows[i]]
     for i, j in draw(st.lists(st.sampled_from(zeros), unique=True) if zeros
@@ -557,8 +605,7 @@ def test_support_mul_and_eq_agree_with_mat_mul(ring, elements, data):
     got = support_mul(ring, P, Q)
     assert len(got) == A.rows
     assert all(0 <= j < B.cols for row in got for j in row)
-    assert RingMatrix.from_support(ring, A.rows, B.cols, {
-        (i, j): x for i, row in enumerate(got) for j, x in row.items()}).eq(dense)
+    assert RingMatrix.from_support_rows(ring, B.cols, got).eq(dense)
     C = data.draw(_candidate(ring, elements, dense))
     want = dense.eq(C)
     assert support_eq(ring, got, data.draw(_with_stored_zeros(C))) == want
@@ -570,10 +617,22 @@ def test_support_eq_refuses_a_row_count_mismatch():
         support_eq(Z, [{}], [{}, {}])
 
 
-@pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+@pytest.mark.parametrize("index", [(0, 3), (1, 3), (0, -1), (1, -1)])
 def test_from_support_rejects_an_index_outside_the_shape(index):
-    with pytest.raises(ValueError, match="outside a 2x3 matrix"):
-        RingMatrix.from_support(Z, 2, 3, {index: 1})
+    """from_support_rows refuses a column outside the shape, zero or not;
+    its rows are the list it is given."""
+    i, j = index
+    for x in (1, 0):
+        rows = [{}, {}]
+        rows[i] = {0: 1, j: x}
+        with pytest.raises(ValueError, match=f"row {i} has a column outside a 2x3 matrix"):
+            RingMatrix.from_support_rows(Z, 3, rows)
+
+
+@pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+def test_getitem_rejects_an_index_outside_the_shape(index):
+    with pytest.raises(IndexError, match="outside a 2x3 matrix"):
+        RingMatrix.zero(Z, 2, 3)[index]
 
 
 @pytest.mark.parametrize("rows", [[], [[1, 2], [3]]], ids=["empty", "ragged"])
@@ -592,11 +651,16 @@ def _shape_and_support(draw):
 @settings(max_examples=60, deadline=None)
 @given(_shape_and_support())
 def test_from_support_agrees_with_from_rows(shape):
+    """from_support_rows and from_rows store the same rows, with no zero
+    (the support may hold zeros), and the dense view is the input."""
     rows, cols, support = shape
     dense = [[support.get((i, j), 0) for j in range(cols)] for i in range(rows)]
-    M = RingMatrix.from_support(Z, rows, cols, support)
+    M = RingMatrix.from_support_rows(Z, cols, [
+        {j: x for (i2, j), x in support.items() if i2 == i} for i in range(rows)])
     assert (M.rows, M.cols) == (rows, cols)
-    assert M.entries == RingMatrix.from_rows(Z, dense).entries
+    assert M.support == RingMatrix.from_rows(Z, dense).support
+    assert all(x != 0 for row in M.support for x in row.values())
+    assert M.entries == [x for row in dense for x in row]
 
 
 def _sparse_rings():

@@ -77,10 +77,10 @@ def test_translation_certificate_round_trip():
     assert back.A.eq(A.reinterpret(T2)) and back.B.eq(B.reinterpret(T2))
 
 
-def test_compressed_certificate_round_trip_shares_parsed_entries():
+def test_compressed_certificate_round_trip_shares_parsed_entries(monkeypatch):
     """The compressed |F| = 48 certificate over L(1,2) is mostly "0": each
-    distinct entry text is parsed once, and the shared elements are not
-    changed by verifying the certificate."""
+    distinct entry text of a matrix is parsed once, no zero is stored, and
+    the shared elements are not changed by verifying the certificate."""
     G = FreeAbelian(1)
     L = LeavittRing(2)
     T = TranslationRing(G, whole_group(G), L)
@@ -90,12 +90,17 @@ def test_compressed_certificate_round_trip_shares_parsed_entries():
         T, RankCertificate(T, 1, 2, A, B), [(-1,), (0,), (1,)],
         [(v,) for v in range(48)]))
     data = certificate_to_json(res.certificate)
+    calls = []
+    original = LeavittRing.element_from_str
+    monkeypatch.setattr(LeavittRing, "element_from_str", lambda self, s:
+                        calls.append(s) or original(self, s))
     back = certificate_from_json(data)
+    texts = [sorted({v for row in data[k] for v in row}) for k in "AB"]
+    assert sorted(calls) == sorted(texts[0] + texts[1])
     assert certificate_to_json(back) == data
-    for M, rows in ((back.A, data["A"]), (back.B, data["B"])):
-        texts = {v for row in rows for v in row}
-        assert len({id(x) for x in M.entries}) == len(texts)
-    entries = back.A.entries + back.B.entries
+    assert not any(L.is_zero(x) for M in (back.A, back.B)
+                   for row in M.support for x in row.values())
+    entries = [x for M in (back.A, back.B) for row in M.support for x in row.values()]
     snapshot = copy.deepcopy(entries)
     v = verify_certificate(back)
     assert v and v.bgn

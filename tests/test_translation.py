@@ -170,12 +170,12 @@ def _finite_group_iso_reference(group, ring):
     rep = FiniteGroupIsoReport(group.name, ring.name, True, True, True, True, True)
 
     def D(f):
-        return RingMatrix.from_support(R, N, N, {(i, i): f[x] for x, i in idx.items()})
+        return RingMatrix.from_support_rows(R, N, [{i: f[x]} for x, i in idx.items()])
 
     def A(g):
         ginv = group.inv(g)
-        return RingMatrix.from_support(
-            R, N, N, {(i, idx[group.mul(ginv, x)]): R.one() for i, x in enumerate(elems)})
+        return RingMatrix.from_support_rows(
+            R, N, [{idx[group.mul(ginv, x)]: R.one()} for x in elems])
 
     samples = [
         {x: R.one() for x in elems},
@@ -203,7 +203,8 @@ def _finite_group_iso_reference(group, ring):
     rep.unital_ok = A(group.identity()).eq(I) and D(samples[0]).eq(I)
     units = set()
     for x in elems:
-        delta = RingMatrix.from_support(R, N, N, {(idx[x], idx[x]): R.one()})
+        delta = RingMatrix.from_support_rows(
+            R, N, [{i: R.one()} if i == idx[x] else {} for i in range(N)])
         for g in elems:
             M = mul(delta, A(g))
             support = [(i, j) for i in range(N) for j in range(N)
@@ -241,14 +242,15 @@ def _collapse_reference(w, ring):
     widx = {x: i for i, x in enumerate(W)}
 
     def slice_of(mapping):
-        return RingMatrix.from_support(
-            R, len(V), len(W), {(i, widx[mapping[x]]): R.one() for i, x in enumerate(V)})
+        return RingMatrix.from_support_rows(R, len(W), [{widx[mapping[x]]: R.one()}
+                                                        for x in V])
 
     M, N = slice_of(w.alpha), slice_of(w.beta)
     I_V = RingMatrix.identity(R, len(V))
     Z_V = RingMatrix.zero(R, len(V), len(V))
     covered = {widx[w.alpha[x]] for x in V} | {widx[w.beta[x]] for x in V}
-    proj = RingMatrix.from_support(R, len(W), len(W), {(i, i): R.one() for i in covered})
+    proj = RingMatrix.from_support_rows(
+        R, len(W), [{i: R.one()} if i in covered else {} for i in range(len(W))])
     return CollapseResult(
         M, N,
         mmt_ok=mul(M, M.transpose()).eq(I_V),
