@@ -183,7 +183,7 @@ def _cmd_compress(args) -> int:
                      {"verdict": "refused", "reason": str(exc)})
     out_cert = res.certificate
     lines = [
-        f"window verification passed on {len(res.U)} x {len(res.F_X)} points",
+        f"window verification passed on {len(res.U)} x {len(res.U)} points",
         f"Folner inequality: n |U| = {cert.n * len(res.U)} < "
         f"m |F cap X| = {cert.m * len(res.F_X)}",
         f"compressed certificate: ({out_cert.n}, {out_cert.m}) over "

@@ -19,7 +19,7 @@ from .groups import Group, group_from_spec, split_top_level
 from .rings import (IntegerModRing, IntegerRing, MatrixRing, ProductRing,
                     RankCertificate, Ring, RingMatrix, RationalRing)
 from .special_algebras import LeavittRing
-from .translation import CoeffFn, TranslationRing
+from .translation import CoeffFn, RightTranslationRing, TranslationRing
 
 
 def ring_from_spec(spec: str) -> Ring:
@@ -171,6 +171,8 @@ def translation_element_from_json(tring: TranslationRing, data: list) -> dict:
 
 def translation_certificate_to_json(tring: TranslationRing,
                                     cert: RankCertificate) -> dict:
+    if isinstance(tring, RightTranslationRing):
+        raise ValueError("the JSON form records no side: it reloads as a left ring")
     return {
         "ring": ring_to_spec(tring.base.base),
         "group": tring.group.name,

@@ -1,12 +1,12 @@
 """Translation rings: X-by-X matrices over a coefficient ring with finite
 propagation, represented as finite sums of (shift, diagonal-function) terms.
 
-A term (g, f) stands for the matrix with entry f(x) at (x, g^-1 x) and 0
-elsewhere; coefficient functions are constants with finitely many overrides,
-so infinite index sets stay finitely describable.  The module also provides
-the finite-group matrix-ring isomorphism, the rank-collapse matrices built
-from a two-to-one injection witness, certificate compression along a Folner
-set, and right translation rings, whose terms propagate on the right.
+A term (g, f) is the matrix with f(x) at (x, _column(g, x)), g^-1 x on the
+left and x g on the right, and 0 elsewhere; every term operation derives from
+that one rule.  Coefficient functions are constants with finitely many
+overrides, so infinite index sets stay finitely describable.  The module also
+provides the finite-group matrix-ring isomorphism, the rank-collapse matrices
+built from a two-to-one injection witness, and Folner compression.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .amenability import InjectionWitness, SubsetPredicate, verify_injection_witness
+from .amenability import (InjectionWitness, SubsetPredicate, verify_injection_witness,
+                          whole_group)
 from .groups import Group
 from .report import Report
 from .rings import (RankCertificate, Ring, RingMatrix, SparseRing, _add_term,
@@ -83,17 +84,12 @@ class FunctionRing(Ring):
         return (S.eq(f.const, h.const) and f.overrides.keys() == h.overrides.keys()
                 and all(S.eq(v, h.overrides[x]) for x, v in f.overrides.items()))
 
-    def moved(self, f: CoeffFn, move) -> CoeffFn:
-        """The function whose value at move(x) is f(x): overrides relabelled."""
-        return CoeffFn(self.base, f.const,
-                       {move(x): v for x, v in f.overrides.items()})
-
 
 class TranslationRing(SparseRing):
     """T_G(X, R) as the skew group ring of G over FunctionRing(R): term
     sums {shift g: CoeffFn}, with the entry ring R as base.base.
 
-    The term algebra multiplies by (g, f)(k, h) = (gk, x -> f(x) h(g^-1 x)),
+    The term algebra multiplies by (g, f)(k, h) = (gk, f . moved(h, g)),
     which matches the matrix product whenever X is invariant under the
     shifts involved (in particular when X is the whole group); the entrywise
     convolution oracle tr_mul_oracle_entry checks this on samples.
@@ -131,8 +127,16 @@ class TranslationRing(SparseRing):
         return {} if self.base.is_zero(f) else {g: f}
 
     def _column(self, g, x):
-        """The column of the entry that a term at shift g puts in row x."""
+        """The column where a term at shift g puts row x's value.  Columns
+        compose, _column(h, _column(g, x)) = _column(gh, x), so the row whose
+        column under g is y is _column(g^-1, y)."""
         return self.group.mul(self.group.inv(g), x)
+
+    def moved(self, f: CoeffFn, g) -> CoeffFn:
+        """f moved along the shift g: x -> f(_column(g, x))."""
+        ginv = self.group.inv(g)
+        return CoeffFn(self.base.base, f.const,
+                       {self._column(ginv, y): v for y, v in f.overrides.items()})
 
     # ring interface --------------------------------------------------------
 
@@ -155,8 +159,7 @@ class TranslationRing(SparseRing):
         out = {}
         for g, f in a.items():
             for k, h in b.items():
-                _add_term(out, G.mul(g, k),
-                          F.mul(f, F.moved(h, lambda x: G.mul(g, x))), F)
+                _add_term(out, G.mul(g, k), F.mul(f, self.moved(h, g)), F)
         return out
 
     def element_to_str(self, a):
@@ -175,31 +178,28 @@ class TranslationRing(SparseRing):
 
 
 def tr_entry(tring: TranslationRing, M: dict, x, y):
-    """Matrix entry M(x, y): the term rule f(x) when y = g^-1 x."""
-    G = tring.group
+    """Matrix entry M(x, y): f(x) for the term (g, f) whose column at row x
+    is y, if any (distinct shifts put row x in distinct columns)."""
     if x not in tring.X or y not in tring.X:
         raise ValueError("entry indices must lie in X")
-    g = G.mul(x, G.inv(y))
-    f = M.get(g)
-    return f(x) if f is not None else tring.base.base.zero()
+    for g, f in M.items():
+        if tring._column(g, x) == y:
+            return f(x)
+    return tring.base.base.zero()
 
 
 def tr_transpose(tring: TranslationRing, M: dict) -> dict:
-    """Entry swap: the term (g, f) becomes (g^-1, x -> f(gx))."""
-    G, F = tring.group, tring.base
-    out = {}
-    for g, f in M.items():
-        ginv = G.inv(g)
-        out[ginv] = F.moved(f, lambda x: G.mul(ginv, x))
-    return out
+    """Entry swap: the term (g, f) becomes (g^-1, f moved along g^-1)."""
+    G = tring.group
+    return {G.inv(g): tring.moved(f, G.inv(g)) for g, f in M.items()}
 
 
 def tr_mul_oracle_entry(tring: TranslationRing, M: dict, N: dict, x, y):
     """(MN)(x,y) by the defining convolution, summed over the propagation set."""
-    G, S = tring.group, tring.base.base
+    S = tring.base.base
     acc = S.zero()
     for g in M:
-        z = G.mul(G.inv(g), x)
+        z = tring._column(g, x)
         if z in tring.X:
             acc = S.add(acc, S.mul(tr_entry(tring, M, x, z),
                                    tr_entry(tring, N, z, y)))
@@ -246,6 +246,7 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     if N > FINITE_ISO_MAX_ORDER:
         raise ValueError(f"group order {N} exceeds bound {FINITE_ISO_MAX_ORDER}")
     idx = {x: i for i, x in enumerate(elems)}
+    col = TranslationRing(group, whole_group(group), ring)._column
     R = ring
     one = R.one()
     rep = FiniteGroupIsoReport(group.name, ring.name, True, True, True, True, True)
@@ -255,8 +256,7 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
         return [{i: f[x]} for i, x in enumerate(elems)]
 
     def A(g) -> list:
-        ginv = group.inv(g)
-        return [{idx[group.mul(ginv, x)]: one} for x in elems]
+        return [{idx[col(g, x)]: one} for x in elems]
 
     A_of = {g: A(g) for g in elems}
 
@@ -286,7 +286,7 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     for g in elems:
         ginv = group.inv(g)
         for f, Df in zip(samples, D_of):
-            moved = {x: f[group.mul(ginv, x)] for x in elems}
+            moved = {x: f[col(g, x)] for x in elems}
             got = support_mul(R, support_mul(R, A_of[g], Df), A_cached(ginv))
             if not support_eq(R, got, D(moved)):
                 rep.action_ok = False
@@ -412,7 +412,7 @@ class CompressionResult:
 def _restrict(tring: TranslationRing, M: RingMatrix, P: list, Q: list) -> RingMatrix:
     """The matrix over the entry ring with entry M_ij(p, q) at row (i, p) and
     column (j, q), for p in P and q in Q, rows and columns ordered block by
-    block.  Each term (g, f) of M_ij is the entry f(p) at (p, g^-1 p)."""
+    block.  Each term (g, f) of M_ij is the entry f(p) at (p, _column(g, p))."""
     qpos = {q: t for t, q in enumerate(Q)}
     out = [{} for _ in range(M.rows * len(P))]
     for i, row in enumerate(M.support):
@@ -429,9 +429,9 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
     """Compress a translation-ring certificate to one over the coefficient
     ring using a Folner set F for the propagation set K.
 
-    With U = KF cap X and F_X = F cap X, the compressed matrices are
-    A*((i,f),(j,u)) = A_ij(f,u) and B*((j,u),(i,f)) = B_ji(u,f); the
-    strict inequality n|U| < m|F_X| makes the output a BGN certificate.
+    With U = {_column(k, f)} cap X (KF, or FK on the right) and F_X = F cap
+    X, the compressed matrices are A*((i,f),(j,u)) = A_ij(f,u) and
+    B*((j,u),(i,f)) = B_ji(u,f); n|U| < m|F_X| makes it a BGN certificate.
     Malformed input raises ValueError; an F too small for that inequality
     raises its subclass FolnerInequalityError.
     """
@@ -450,18 +450,19 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
     if not shifts_A | shifts_B <= Kset:
         raise ValueError("K does not dominate all entry shifts")
 
-    U = sorted({G.mul(k, f) for k in K for f in ci.F if G.mul(k, f) in X},
+    U = sorted({u for k in K for f in ci.F if (u := tring._column(k, f)) in X},
                key=G.element_key)
     # entrywise check that AB = I over the translation ring on the window
-    # U x U, which holds F_X x F_X since K contains the identity.  By the
-    # shift rule of tr_entry, A_ij B_ji2 can be nonzero at (x, y) only when
-    # y = (gh)^-1 x for a shift g of A and a shift h of B; every other y
-    # with y != x is 0 on both sides, so only these y and x are summed, in
+    # U x U, which holds F_X x F_X since K contains the identity.  Columns
+    # compose, so A_ij B_ji2 can be nonzero at (x, y) only when
+    # y = _column(gh, x) for a shift g of A and a shift h of B; every other
+    # y with y != x is 0 on both sides, so only these y and x are summed, in
     # U order, which keeps the first failure of the full U x U scan
     upos = {u: t for t, u in enumerate(U)}
-    back = {G.identity()} | {G.inv(G.mul(g, h)) for g in shifts_A for h in shifts_B}
+    reach = {G.identity()} | {G.mul(g, h) for g in shifts_A for h in shifts_B}
     for x in U:
-        ys = sorted({upos[y] for y in (G.mul(q, x) for q in back) if y in upos})
+        cols = {tring._column(q, x) for q in reach}
+        ys = sorted(upos[y] for y in cols if y in upos)
         for y, (i, i2) in product([U[t] for t in ys], product(range(cert.m), repeat=2)):
             acc = S.zero()
             for j in range(cert.n):
@@ -494,7 +495,7 @@ def compress_certificate(ci: CompressionInput) -> CompressionResult:
 
 class RightTranslationRing(TranslationRing):
     """Same term data, but (g, f) has entry f(x) at (x, xg): propagation on
-    the right.  Multiplication: (g, f)(h, u) = (gh, x -> f(x) u(xg))."""
+    the right.  Every term operation follows from _column."""
 
     def __init__(self, group: Group, X: SubsetPredicate, base: Ring):
         super().__init__(group, X, base)
@@ -503,12 +504,4 @@ class RightTranslationRing(TranslationRing):
     def _column(self, g, x):
         return self.group.mul(x, g)
 
-    def mul(self, a, b):
-        G, F = self.group, self.base
-        out = {}
-        for g, f in a.items():
-            ginv = G.inv(g)
-            for k, h in b.items():
-                _add_term(out, G.mul(g, k),
-                          F.mul(f, F.moved(h, lambda x: G.mul(x, ginv))), F)
-        return out
+    mul = TranslationRing.mul  # in the class dict, where the bench tracer wraps it

@@ -260,6 +260,11 @@ def test_compress_shifted_certificate(tmp_path, capsys):
                "--f", "0;1;2;3", "--format", "json") == 0
     assert json.loads(capsys.readouterr().out) == {
         "verdict": "compressed", "n": 6, "m": 8}
+    # the window check runs over U x U, |U| = |{-1..4}| = 6, not U x F_X
+    assert run("compress", "--certificate", path, "--k", "0;-1;1",
+               "--f", "0;1;2;3") == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "window verification passed on 6 x 6 points"
 
 
 def test_collapse(capsys):

@@ -116,7 +116,6 @@ def test_no_assert_in_library(path):
 
 # top-level names that no src/ module reads, each with the reason it stays
 UNREAD_ALLOWED = {
-    "RightTranslationRing": "bench-bound: the tracer wraps its mul",
     "truncate_certificate": "bench-bound: traced as a certificate transform",
     "injection_witness_from_json": "bench-bound: traced as a loader",
     "translation_certificate_to_json": "bench-bound: traced as a serializer",

@@ -20,8 +20,8 @@ from gradedrings.serialize import (certificate_from_json, certificate_to_json,
                                    translation_certificate_from_json,
                                    translation_certificate_to_json)
 from gradedrings.special_algebras import LeavittRing, leavitt_rank_certificate
-from gradedrings.translation import (CompressionInput, TranslationRing,
-                                     compress_certificate)
+from gradedrings.translation import (CompressionInput, RightTranslationRing,
+                                     TranslationRing, compress_certificate)
 
 from fractions import Fraction
 
@@ -105,6 +105,16 @@ def test_compressed_certificate_round_trip_shares_parsed_entries(monkeypatch):
     v = verify_certificate(back)
     assert v and v.bgn
     assert entries == snapshot
+
+
+def test_translation_certificate_refuses_a_right_ring():
+    """The JSON form records no side, so a right-ring certificate would
+    reload as a left-ring one with other entries: writing it is refused."""
+    G = FreeGroup(2)
+    T = RightTranslationRing(G, whole_group(G), IntegerRing())
+    one = RingMatrix(T, 1, 1, [T.one()])
+    with pytest.raises(ValueError, match="left ring"):
+        translation_certificate_to_json(T, RankCertificate(T, 1, 1, one, one))
 
 
 def test_translation_certificate_refuses_a_subset_it_cannot_rebuild(

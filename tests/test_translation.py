@@ -12,7 +12,7 @@ from gradedrings.rings import (IntegerModRing, IntegerRing, RankCertificate,
                                RingMatrix, verify_certificate)
 from gradedrings.special_algebras import LeavittRing
 from gradedrings.translation import (CoeffFn, CollapseResult, CompressionInput,
-                                     FiniteGroupIsoReport,
+                                     FiniteGroupIsoReport, FolnerInequalityError,
                                      RightTranslationRing, TranslationRing,
                                      collapse_matrices, compress_certificate,
                                      finite_group_iso, tr_entry,
@@ -73,12 +73,15 @@ def _term_sum(T, terms):
 @settings(max_examples=40, deadline=None)
 @given(_terms, _terms)
 def test_mul_matches_convolution_on_random_term_sums(ms, ns):
-    T = TranslationRing(F2, whole_group(F2), Z)
-    M, N = _term_sum(T, ms), _term_sum(T, ns)
-    P = T.mul(M, N)
-    for x in _F2_WINDOW:
-        for y in _F2_WINDOW:
+    """On either side, tr_entry reads the product as the convolution oracle
+    sums it, and tr_transpose swaps entries."""
+    for cls in (TranslationRing, RightTranslationRing):
+        T = cls(F2, whole_group(F2), Z)
+        M, N = _term_sum(T, ms), _term_sum(T, ns)
+        P, Mt = T.mul(M, N), tr_transpose(T, M)
+        for x, y in product(_F2_WINDOW, repeat=2):
             assert tr_entry(T, P, x, y) == tr_mul_oracle_entry(T, M, N, x, y)
+            assert tr_entry(T, Mt, x, y) == tr_entry(T, M, y, x)
 
 
 def _right_entry(M, x, y):
@@ -98,6 +101,14 @@ def test_right_mul_matches_convolution_on_random_term_sums(ms, ns):
             want = sum(_right_entry(M, x, F2.mul(x, g))
                        * _right_entry(N, F2.mul(x, g), y) for g in M)
             assert _right_entry(P, x, y) == want
+
+
+def test_right_entry_rule():
+    R = RightTranslationRing(F2, whole_group(F2), Z)
+    M = R.term((1,), R.fn(2, {(2,): 5}))
+    assert tr_entry(R, M, (2,), (2, 1)) == 5      # (b, b a)
+    assert tr_entry(R, M, (), (1,)) == 2
+    assert tr_entry(R, M, (), (-1,)) == 0
 
 
 def test_ring_equality_follows_the_subset_not_its_name():
@@ -157,6 +168,21 @@ def test_finite_group_iso_reports_faulty_groups(group, failing, failures):
     assert not rep.ok
     assert {name for name, _ in rep.CHECKS if not getattr(rep, name)} == failing
     assert len(rep.failures) == failures
+
+
+class _DoubledMul(IntegerRing):
+    """Integers with a doubled product, so one * one = 2 is not one."""
+
+    def mul(self, a, b):
+        return 2 * a * b
+
+
+def test_finite_group_iso_needs_each_unit_to_be_one():
+    """Every D_{delta_x} A_g hits a distinct position, but under a doubled
+    product its entry is 2: the unit check refuses bijectivity."""
+    rep = finite_group_iso(Cyclic(3), _DoubledMul())
+    assert not rep.bijective_ok
+    assert rep == _finite_group_iso_reference(Cyclic(3), _DoubledMul())
 
 
 def _finite_group_iso_reference(group, ring):
@@ -379,11 +405,11 @@ def test_compress_shifted_certificate():
     assert verify_certificate(res.certificate)
 
 
-def _leavitt_shifted_tcert(G, n, shifts, flip):
+def _leavitt_shifted_tcert(G, n, shifts, flip, cls=TranslationRing):
     """The L(1,n) certificate A_i = s_i e_i*, B_i = e_i s_i^-1 over T(G),
     with both first entries negated at the point flip (when given)."""
     L = LeavittRing(n)
-    T = TranslationRing(G, whole_group(G), L)
+    T = cls(G, whole_group(G), L)
     A, B = [], []
     for i, s in enumerate(shifts, 1):
         pts = [flip] if flip is not None and i == 1 else []
@@ -398,6 +424,7 @@ _Z1 = FreeAbelian(1)
 _KZ = [(-1,), (0,), (1,)]
 _E, _B, _BI = (), (2,), (-2,)
 _BA_GRID = [(2,) * j + (1,) * i for j in range(5) for i in range(3)]  # b^j a^i
+_AB_GRID = [(1,) * i + (2,) * j for i in range(3) for j in range(5)]  # a^i b^j
 _COMPRESSIONS = [
     (_Z1, 2, [(0,), (0,)], None, [(0,)], [(0,), (1,)]),
     (_Z1, 2, [(1,), (0,)], (2,), _KZ, [(v,) for v in range(-2, 7)]),
@@ -408,10 +435,7 @@ _COMPRESSIONS = [
 ]
 
 
-@pytest.mark.parametrize("G,n,shifts,flip,K,F", _COMPRESSIONS)
-def test_compressed_entries_follow_tr_entry(G, n, shifts, flip, K, F):
-    T, cert = _leavitt_shifted_tcert(G, n, shifts, flip)
-    res = compress_certificate(CompressionInput(T, cert, K, F))
+def _assert_entries_follow_tr_entry(T, cert, res):
     L, U, F_X = T.base.base, res.U, res.F_X
     A_star, B_star = res.certificate.A, res.certificate.B
     for (i, (s, f)), (j, (t, u)) in product(product(range(cert.m), enumerate(F_X)),
@@ -419,6 +443,35 @@ def test_compressed_entries_follow_tr_entry(G, n, shifts, flip, K, F):
         row, col = i * len(F_X) + s, j * len(U) + t
         assert L.eq(A_star[row, col], tr_entry(T, cert.A[i, j], f, u))
         assert L.eq(B_star[col, row], tr_entry(T, cert.B[j, i], u, f))
+
+
+@pytest.mark.parametrize("G,n,shifts,flip,K,F", _COMPRESSIONS)
+def test_compressed_entries_follow_tr_entry(G, n, shifts, flip, K, F):
+    T, cert = _leavitt_shifted_tcert(G, n, shifts, flip)
+    res = compress_certificate(CompressionInput(T, cert, K, F))
+    _assert_entries_follow_tr_entry(T, cert, res)
+
+
+@pytest.mark.parametrize("cls, F, counts", [
+    (TranslationRing, _BA_GRID, (21, 30)),
+    (TranslationRing, _AB_GRID, None),
+    (RightTranslationRing, _AB_GRID, (21, 30)),
+    (RightTranslationRing, _BA_GRID, None),
+], ids=["left-ba", "left-ab", "right-ab", "right-ba"])
+def test_compression_window_is_on_the_ring_side(cls, F, counts):
+    """The window is KF in the left ring and FK in the right one.  With
+    K = {e, b, b^-1}, b^j a^i absorbs K on the left and a^i b^j on the
+    right (21 < 2 x 15 points); on the other side the window has 37."""
+    T, cert = _leavitt_shifted_tcert(F2, 2, [_B, _BI], None, cls)
+    ci = CompressionInput(T, cert, [_E, _B, _BI], F)
+    if counts is None:
+        with pytest.raises(FolnerInequalityError, match=r"n\|U\| = 37 "):
+            compress_certificate(ci)
+        return
+    res = compress_certificate(ci)
+    assert res.counts == counts
+    assert (res.certificate.n, res.certificate.m) == counts
+    _assert_entries_follow_tr_entry(T, cert, res)
 
 
 def _dense_window_failure(T, cert, K, F):
@@ -528,14 +581,6 @@ def test_finite_group_eq_compares_entries():
     assert not T.eq(T.diag(T.fn(0, {0: 1})), T.one())
 
 
-def _entry(T, M, x, y):
-    """tr_entry, or the right ring's rule: (g, f) puts f(x) at (x, x g)."""
-    if not isinstance(T, RightTranslationRing):
-        return tr_entry(T, M, x, y)
-    f = M.get(T.group.mul(T.group.inv(x), y))
-    return f(x) if f is not None else 0
-
-
 @pytest.mark.parametrize("G", [Cyclic(3), DirectProduct([Cyclic(2), Cyclic(2)])],
                          ids=["C(3)", "C(2)xC(2)"])
 @pytest.mark.parametrize("cls", [TranslationRing, RightTranslationRing])
@@ -557,5 +602,5 @@ def test_finite_group_eq_is_entrywise_equality(G, cls, proper, data):
             table[data.draw(st.sampled_from(elems))] += 1
         b = T.add(b, T.term(g, T.fn(data.draw(st.integers(-1, 1)), table)))
     pts = [x for x in elems if x in X]
-    same = all(_entry(T, a, x, y) == _entry(T, b, x, y) for x in pts for y in pts)
+    same = all(tr_entry(T, a, x, y) == tr_entry(T, b, x, y) for x in pts for y in pts)
     assert T.eq(a, b) == same
