@@ -203,55 +203,42 @@ def group_ring_augmentation(ring: CrossedProductRing, a: dict):
 # strong grading
 
 
-STRONG_COEFF_BOUND = 3
-
-
 @dataclass
 class StrongGradingVerdict:
     g: object
     found: bool
     witness: str
-    terms: list = field(default_factory=list)   # (s, ia, ib): 1 = sum s a[ia] b[ib]
+    terms: list = field(default_factory=list)   # (ia, ib): 1 = sum a[ia] b[ib]
 
 
 def strong_grading_check(ring: Ring, components: dict, inv: Callable,
                          gs: Sequence) -> list:
-    """For each tested g, search for 1 as a combination of products from the
+    """For each tested g, search for 1 as a sum of products from the
     spanning sets of R_g and R_{g^-1}.
 
-    Bounded strategy: scaled single products (integer coefficients up to
-    STRONG_COEFF_BOUND), then a greedy family of pairwise orthogonal
-    idempotent products summed up.  A negative verdict means the bounded search failed,
-    not that the grading is weak.
+    One greedy pass over the pairs (ia, ib) in spanning-set order keeps each
+    nonzero product that is idempotent and orthogonal to every product kept
+    so far; g is found when the kept products sum to 1.  A negative verdict
+    means this search failed, not that the grading is weak.
     """
     one = ring.one()
-    scalars = [(s, ring.from_int(s)) for c in range(1, STRONG_COEFF_BOUND + 1)
-               for s in (c, -c)]
     out = []
     for g in gs:
-        products = [(ia, ib, p) for ia, a in enumerate(components[g])
-                    for ib, b in enumerate(components[inv(g)])
-                    for p in (ring.mul(a, b),) if not ring.is_zero(p)]
-        single = next(((s, ia, ib) for ia, ib, p in products for s, sc in scalars
-                       if ring.eq(ring.mul(sc, p), one)), None)
-        if single:
-            s, ia, ib = single
-            out.append(StrongGradingVerdict(g, True, f"1 = {s} * a[{ia}] b[{ib}]",
-                                            [single]))
-            continue
         chosen = []
-        for ia, ib, p in products:
-            if ring.eq(ring.mul(p, p), p) and all(
-                    ring.is_zero(ring.mul(p, q)) and ring.is_zero(ring.mul(q, p))
-                    for _, _, q in chosen):
-                chosen.append((ia, ib, p))
+        for ia, a in enumerate(components[g]):
+            for ib, b in enumerate(components[inv(g)]):
+                p = ring.mul(a, b)
+                if not ring.is_zero(p) and ring.eq(ring.mul(p, p), p) and all(
+                        ring.is_zero(ring.mul(p, q)) and ring.is_zero(ring.mul(q, p))
+                        for _, _, q in chosen):
+                    chosen.append((ia, ib, p))
         acc = ring.zero()
         for _, _, p in chosen:
             acc = ring.add(acc, p)
         if chosen and ring.eq(acc, one):
             pairs = " + ".join(f"a[{ia}] b[{ib}]" for ia, ib, _ in chosen)
             out.append(StrongGradingVerdict(g, True, f"1 = {pairs}",
-                                            [(1, ia, ib) for ia, ib, _ in chosen]))
+                                            [(ia, ib) for ia, ib, _ in chosen]))
         else:
             out.append(StrongGradingVerdict(g, False, ""))
     return out
@@ -268,11 +255,8 @@ class _UnitLabelRing(SparseRing):
         self.key = (S, self.index)
         self.name = f"M{len(self.index)}({S.name}) on unit labels"
 
-    def scalar(self, c):
-        return {} if self.base.is_zero(c) else {(a, a): c for a in self.index}
-
     def one(self):
-        return self.scalar(self.base.one())
+        return {(a, a): self.base.one() for a in self.index}
 
     def mul(self, x, y):
         S, starts, out = self.base, {}, {}
@@ -290,13 +274,8 @@ class _UnitLabelRing(SparseRing):
 
 @dataclass
 class EndoGraded:
-    base: Ring
-    group: Group
-    n: int
-    l: int
     p: int
     index: list          # (x, i) pairs, block-major in group element order
-    ranks: dict          # x -> rank of A_x
     matrix_ring: MatrixRing
     components: dict     # g -> list of matrix units (as matrix_ring elements)
     unit_positions: dict  # g -> list of ((x,i),(y,j)) labels, same order
@@ -355,8 +334,7 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
                 for j in range(ranks[group.mul(ginv, x)])]
         unit_positions[g] = labs
         components[g] = [unit(a, b) for a, b in labs]
-    ring = EndoGraded(S, group, n, l, p, index, ranks, mring,
-                      components, unit_positions)
+    ring = EndoGraded(p, index, mring, components, unit_positions)
 
     rep = EndoGradedReport(dimension_ok=(N == n * l), partition_ok=True,
                            closure_ok=True, t1_diagonal_ok=True)
@@ -409,11 +387,8 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
         if not v.found:
             continue
         acc = mring.zero()
-        for s, ia, ib in v.terms:
-            c = S.from_int(s)
-            prod = mat_mul(components[v.g][ia], components[group.inv(v.g)][ib])
-            acc = acc.add(RingMatrix.from_support_rows(S, N, [
-                {j: S.mul(c, x) for j, x in row.items()} for row in prod.support]))
+        for ia, ib in v.terms:
+            acc = acc.add(mat_mul(components[v.g][ia], components[group.inv(v.g)][ib]))
         if not acc.eq(identity):
             v.found = False
             rep.failures.append(f"strong grading witness at {v.g} does not "

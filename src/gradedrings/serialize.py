@@ -57,6 +57,8 @@ def ring_from_spec(spec: str) -> Ring:
 
 
 def ring_to_spec(ring: Ring) -> str:
+    if isinstance(ring, LeavittRing) and ring.base != IntegerRing():
+        return f"L(1,{ring.n};{ring_to_spec(ring.base)})"
     if isinstance(ring, (IntegerRing, RationalRing, IntegerModRing, LeavittRing)):
         return ring.name
     if isinstance(ring, MatrixRing):
@@ -132,6 +134,9 @@ def certificate_to_json(cert: RankCertificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> RankCertificate:
+    if "group" in data:
+        raise ValueError("a translation-ring certificate (it has a 'group' "
+                         "field), not a rank certificate")
     ring = ring_from_spec(data["ring"])
     n, m = int(data["n"]), int(data["m"])
     A = _matrix_from_json(ring, data["A"], element_from_jsonable)
@@ -187,6 +192,9 @@ def translation_certificate_to_json(tring: TranslationRing,
 def translation_certificate_from_json(data: dict):
     """Load a certificate over T(G|all; R).  A subset other than "all" is
     not determined by its name, so it is refused; a missing one is "all"."""
+    if "group" not in data:
+        raise ValueError("a rank certificate (it has no 'group' field), "
+                         "not a translation-ring certificate")
     subset = data.get("subset", "all")
     if subset != "all":
         raise ValueError(f"cannot rebuild subset {subset!r} from a "

@@ -354,6 +354,40 @@ def test_cert_misshaped_matrix_ring_entry_is_input_error(action, tmp_path,
     assert capsys.readouterr().err == "error: M2(Z) entry is 2x1, not 2x2\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cert", "verify", "@tcert"],
+     "a translation-ring certificate (it has a 'group' field), "
+     "not a rank certificate"),
+    (["cert", "extend", "@tcert", "--target", "3"],
+     "a translation-ring certificate (it has a 'group' field), "
+     "not a rank certificate"),
+    (["compress", "--certificate", "@cert", "--k=-1;0;1", "--f", "0;1"],
+     "a rank certificate (it has no 'group' field), "
+     "not a translation-ring certificate"),
+], ids=["verify-translation", "extend-translation", "compress-rank"])
+def test_certificate_of_the_wrong_kind_is_input_error(argv, message, files,
+                                                      capsys):
+    """cert reads rank certificates and compress reads translation-ring
+    certificates; each refuses the other kind by name, with exit 2."""
+    assert run(*[files.get(a, a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_cert_extend_over_a_leavitt_ring_with_a_group_ring_base(tmp_path, capsys):
+    """The file that cert extend writes names the base by its spec, so
+    cert verify can read it back."""
+    src, ext = str(tmp_path / "lg.json"), str(tmp_path / "lg3.json")
+    data = certificate_to_json(leavitt_rank_certificate(2))
+    data["ring"] = "L(1,2; group(Z, C(2)))"
+    dump_json(data, src)
+    assert run("cert", "extend", src, "--target", "3", "--out", ext) == 0
+    assert json.loads(Path(ext).read_text())["ring"] == "L(1,2;group(Z, C(2)))"
+    assert run("cert", "verify", ext) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "valid: AB = I_3, BGN True"
+
+
 def test_cert_missing_file_is_input_error():
     assert run("cert", "verify", "/nonexistent.json") == 2
 

@@ -88,9 +88,21 @@ def test_strong_grading_leavitt_degrees():
         -1: [L.gen_star(1), L.gen_star(2)],
     }
     verdicts = strong_grading_check(L, components, lambda d: -d, [0, 1, -1])
-    assert all(v.found for v in verdicts)
-    by_g = {v.g: v for v in verdicts}
-    assert "a[0] b[0]" in by_g[1].witness     # 1 = e1 e1' + e2 e2'
+    assert [(v.g, v.found, v.witness, v.terms) for v in verdicts] == [
+        (0, True, "1 = a[0] b[0]", [(0, 0)]),                     # 1 = 1 1
+        (1, True, "1 = a[0] b[0] + a[1] b[1]", [(0, 0), (1, 1)]),  # e1 e1* + e2 e2*
+        (-1, True, "1 = a[0] b[0]", [(0, 0)]),                    # e1* e1
+    ]
+
+
+def test_strong_grading_group_ring():
+    """In ZG each g g^-1 = 1 is an idempotent, so the greedy finds every g."""
+    G = Cyclic(3)
+    R = group_ring(G, Z)
+    components = {g: [R.term(Z.one(), g)] for g in G.elements()}
+    verdicts = strong_grading_check(R, components, G.inv, G.elements())
+    assert [(v.g, v.found, v.witness, v.terms) for v in verdicts] == [
+        (g, True, "1 = a[0] b[0]", [(0, 0)]) for g in G.elements()]
 
 
 @pytest.mark.parametrize("group, n, l, S", [
@@ -164,7 +176,8 @@ def test_endo_graded_closure_detects_misplaced_units(monkeypatch, attr, fault,
 ])
 def test_endo_graded_strong_verdicts_match_the_dense_search(group, n, l):
     """The strong-grading search runs on unit labels; the same generic
-    search over the dense matrix units is the reference."""
+    search over the dense matrix units is the reference.  Each witness sums
+    N = n*l products e_ab e_ba, one for each row label a."""
     S = IntegerModRing(5) if n * l < 6 else Z
     ring, rep = endo_graded_construction(S, group, n, l)
     dense = strong_grading_check(ring.matrix_ring, ring.components, group.inv,
@@ -172,6 +185,9 @@ def test_endo_graded_strong_verdicts_match_the_dense_search(group, n, l):
     assert ([(v.g, v.found, v.witness, v.terms) for v in rep.strong]
             == [(v.g, v.found, v.witness, v.terms) for v in dense])
     assert all(v.found for v in rep.strong)
+    for v in rep.strong:
+        rows = {ring.unit_positions[v.g][ia][0] for ia, _ in v.terms}
+        assert len(v.terms) == len(rows) == n * l
 
 
 @pytest.mark.parametrize("group, n, l", [(Cyclic(3), 2, 2), (Cyclic(4), 3, 2)])

@@ -26,7 +26,8 @@ from gradedrings.translation import (CompressionInput, RightTranslationRing,
 from fractions import Fraction
 
 SPECS = ["Z", "Q", "Z/5", "M2(Z)", "L(1,2)", "L(1,3;Z/5)", "op(L(1,2))",
-         "prod(Z, Z/3)", "group(Z, C(2))"]
+         "prod(Z, Z/3)", "group(Z, C(2))", "L(1,2; group(Z, C(2)))",
+         "M2(L(1,2; group(Z, C(2))))"]
 
 
 @pytest.mark.parametrize("spec", SPECS)
