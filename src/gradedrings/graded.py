@@ -485,7 +485,9 @@ def psi_embedding_check(ring: WeylRing, samples: Sequence[dict],
                         component_window: Optional[int] = None) -> PsiReport:
     """Verify the translation-ring embedding of the graded algebra on a
     finite window: unitality, additivity, and multiplicativity of the block
-    map, row by row, with the inner index sums taken over whole rows."""
+    map, row by row, with the inner index sums taken over whole rows.  Each
+    sample's image, with the blocks it reads, is built once and serves as
+    both factor of every pair; sums and products get an image per pair."""
     if window < 0 or (component_window is not None and component_window < 0):
         raise ValueError("window and component_window must be non-negative")
     degs = {d for s in samples for d in _homogeneous_parts(ring, s)}
@@ -504,10 +506,9 @@ def psi_embedding_check(ring: WeylRing, samples: Sequence[dict],
         if any(y != x and one_img.block(x, y) is not None for y in comps):
             rep.unital_ok = False
 
-    for r in samples:
-        ri = _PsiImage(ring, r)
-        for s in samples:
-            si = _PsiImage(ring, s)
+    images = [_PsiImage(ring, s) for s in samples]
+    for r, ri in zip(samples, images):
+        for s, si in zip(samples, images):
             sum_img = _PsiImage(ring, ring.add(r, s))
             prod_img = _PsiImage(ring, ring.mul(r, s))
             for x in comps:

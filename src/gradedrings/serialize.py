@@ -133,10 +133,25 @@ def certificate_to_json(cert: RankCertificate) -> dict:
     }
 
 
+def _check_certificate_data(data, translation: bool) -> None:
+    """Refuse, with a message that names the kind read, data that is not a
+    JSON object, a certificate of the other kind (a translation-ring
+    certificate has a 'group' field, a rank certificate none) or one that
+    lacks a field both kinds have."""
+    kinds = ("rank certificate", "translation-ring certificate")
+    kind, other = kinds[translation], kinds[not translation]
+    if not isinstance(data, dict):
+        raise ValueError(f"the file is not a JSON object, so not a {kind}")
+    if ("group" in data) != translation:
+        has = "no" if translation else "a"
+        raise ValueError(f"a {other} (it has {has} 'group' field), not a {kind}")
+    for field in ("ring", "n", "m", "A", "B"):
+        if field not in data:
+            raise ValueError(f"{kind} is missing field {field!r}")
+
+
 def certificate_from_json(data: dict) -> RankCertificate:
-    if "group" in data:
-        raise ValueError("a translation-ring certificate (it has a 'group' "
-                         "field), not a rank certificate")
+    _check_certificate_data(data, translation=False)
     ring = ring_from_spec(data["ring"])
     n, m = int(data["n"]), int(data["m"])
     A = _matrix_from_json(ring, data["A"], element_from_jsonable)
@@ -192,9 +207,7 @@ def translation_certificate_to_json(tring: TranslationRing,
 def translation_certificate_from_json(data: dict):
     """Load a certificate over T(G|all; R).  A subset other than "all" is
     not determined by its name, so it is refused; a missing one is "all"."""
-    if "group" not in data:
-        raise ValueError("a rank certificate (it has no 'group' field), "
-                         "not a translation-ring certificate")
+    _check_certificate_data(data, translation=True)
     subset = data.get("subset", "all")
     if subset != "all":
         raise ValueError(f"cannot rebuild subset {subset!r} from a "

@@ -240,6 +240,11 @@ class WeylRing(_MonomialAlgebra):
     followed by a power of y.  Each a_i is a unit of Z, so 1 or -1, and is
     its own inverse (needed when solving for coordinates in the y^m
     components).
+
+    mul reads the normal form of each y^l x_w from a private table keyed by
+    (l, w), filled on first use from the entry for (l-1, w) by one _y_times
+    step.  The table is a function of (a, b) alone, and no caller mutates
+    its dicts, so one ring value can serve every caller.
     """
 
     unit_key = ((), 0)
@@ -256,6 +261,7 @@ class WeylRing(_MonomialAlgebra):
             raise ValueError("a_i must be 1 or -1")
         self.key = (tuple(self.a), tuple(self.b))
         self.name = f"Weyl(n={self.n};{_Z.name})"
+        self._y_word_table = {}
 
     def x(self, i):
         if not 1 <= i <= self.n:
@@ -277,11 +283,19 @@ class WeylRing(_MonomialAlgebra):
         return out
 
     def _y_pow_times_word(self, l: int, w: tuple) -> dict:
-        """Normal form of y^l * x_w as a sum of basis monomials."""
-        cur = {(w, 0): self.base.one()}
-        for _ in range(l):
-            cur = self._y_times(cur)
-        return cur
+        """Normal form of y^l * x_w as a sum of basis monomials: the table's
+        dict, which the caller must not mutate.  Missing entries are built
+        upwards from the highest power of y already in the table."""
+        table = self._y_word_table
+        if (l, w) not in table:
+            if (0, w) not in table:
+                table[(0, w)] = {(w, 0): self.base.one()}
+            k = l
+            while (k, w) not in table:
+                k -= 1
+            for j in range(k + 1, l + 1):
+                table[(j, w)] = self._y_times(table[(j - 1, w)])
+        return table[(l, w)]
 
     def _y_times(self, elem: dict) -> dict:
         S = self.base

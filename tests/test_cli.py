@@ -375,6 +375,29 @@ def test_certificate_of_the_wrong_kind_is_input_error(argv, message, files,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, data, message", [
+    (["cert", "verify", "@data"], [1, 2],
+     "the file is not a JSON object, so not a rank certificate"),
+    (["compress", "--certificate", "@data", "--k=-1;0;1", "--f", "0;1"], [1, 2],
+     "the file is not a JSON object, so not a translation-ring certificate"),
+    (["cert", "verify", "@data"], {"ring": "L(1,2)", "n": 1},
+     "rank certificate is missing field 'm'"),
+    (["compress", "--certificate", "@data", "--k=-1;0;1", "--f", "0;1"],
+     {"group": "Z", "ring": "L(1,2)", "n": 1, "m": 2, "A": [["e1'"]]},
+     "translation-ring certificate is missing field 'B'"),
+], ids=["verify-list", "compress-list", "verify-no-m", "compress-no-B"])
+def test_malformed_certificate_file_is_input_error(argv, data, message,
+                                                   tmp_path, capsys):
+    """A certificate file that is not a JSON object, or lacks a field, is
+    exit 2 with a message that names the kind of certificate read."""
+    path = str(tmp_path / "data.json")
+    dump_json(data, path)
+    assert run(*[path if a == "@data" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cert_extend_over_a_leavitt_ring_with_a_group_ring_base(tmp_path, capsys):
     """The file that cert extend writes names the base by its spec, so
     cert verify can read it back."""

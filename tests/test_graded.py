@@ -245,6 +245,25 @@ def _faulty_blocks(monkeypatch, target, fault):
     monkeypatch.setattr(graded, "_block_matrix", block_matrix)
 
 
+def test_psi_check_builds_each_sample_image_once(monkeypatch):
+    """Each sample's blocks are built once for all the pairs it is in; only
+    the sum and product images are per pair."""
+    W = WeylRing([1], [2])
+    samples = [W.element_from_str(t)
+               for t in ("x1", "y", "x1 y + 2", "x1 x1", "3 y y")]
+    built = []
+    build = graded._block_matrix
+
+    def block_matrix(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(graded, "_block_matrix", block_matrix)
+    rep = psi_embedding_check(W, samples, window=4)
+    assert rep.ok, rep.lines()
+    assert (rep.pairs_checked, len(built)) == (25, 552)
+
+
 def _bump_corner(ring, M):
     return [[ring.add(v, ring.one()) if (a, b) == (0, 0) else v
              for b, v in enumerate(row)] for a, row in enumerate(M)]

@@ -132,6 +132,37 @@ def test_weyl_y_times_word_matches_the_recursive_form(a, data):
     assert W.eq(W.mul(W.y(), {(w, 0): 1}), _y_times_word_recursive(W, w))
 
 
+@given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3), st.data())
+def test_weyl_y_word_table_matches_repeated_y_times(a, data):
+    """On a ring whose table earlier products filled, y^l x_w equals l
+    applications of _y_times to x_w on a fresh ring."""
+    b = data.draw(st.lists(st.integers(-3, 3), min_size=len(a), max_size=len(a)))
+    word = st.lists(st.integers(1, len(a)), max_size=5).map(tuple)
+    warm = WeylRing(a, b)
+    for _ in range(data.draw(st.integers(0, 3))):
+        warm.mul({((), data.draw(st.integers(0, 5))): 1}, {(data.draw(word), 0): 1})
+    l, w = data.draw(st.integers(0, 5)), data.draw(word)
+    fresh = WeylRing(a, b)
+    want = {(w, 0): 1}
+    for _ in range(l):
+        want = fresh._y_times(want)
+    assert warm._y_pow_times_word(l, w) == want
+
+
+@given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3), st.data())
+def test_weyl_product_does_not_share_the_table(a, data):
+    """Mutating a product that mul returned leaves the same product, computed
+    again, as it was."""
+    b = data.draw(st.lists(st.integers(-3, 3), min_size=len(a), max_size=len(a)))
+    W = WeylRing(a, b)
+    u, v = ({(tuple(data.draw(st.lists(st.integers(1, len(a)), max_size=4))),
+              data.draw(st.integers(0, 3))): 1} for _ in range(2))
+    first = W.mul(u, v)
+    want = dict(first)
+    first.clear()
+    assert W.mul(u, v) == want
+
+
 def test_weyl_long_word_does_not_recurse():
     """y x^5000 = 5000 x^4999 + x^5000 y when a = b = 1; with a = -1 the
     5000 constant terms cancel in pairs."""
