@@ -140,7 +140,7 @@ class CrossedProductRing(SparseRing):
         self.base = cs.ring
         self.unit_key = cs.group.identity()
         self.key = (cs.group, cs.ring) if cs.is_group_ring else (cs,)
-        kind = ("group ring" if cs.is_group_ring
+        kind = ("group" if cs.is_group_ring
                 else "skew" if cs.trivial_omega
                 else "twisted" if cs.trivial_sigma else "crossed")
         self.name = f"{kind}({self.base.name}, {self.group.name})"

@@ -1,10 +1,12 @@
-"""Ring name parsing and JSON (de)serialization for certificates, witnesses,
-and translation-ring elements.
+"""Ring name parsing and JSON (de)serialization for certificates and
+witnesses.
 
 Ring names: "Z", "Q", "Z/5", "M2(Z)", "L(1,2)", "op(...)", "prod(..., ...)",
-"group(Z, C(2))".  Certificates serialize as {ring, n, m, A, B} with entries
-row-major in each ring's canonical text form (nested lists for matrix and
-product rings).
+"group(Z, C(2))".  A ring's spec is its name.  Certificates serialize as
+{ring, n, m, A, B} with entries row-major, each written by
+element_to_jsonable: a ring's canonical text form, nested lists for matrix
+and product rings, and a term list for translation rings, whose
+certificates also record the group and the subset.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .amenability import InjectionWitness, whole_group
-from .graded import CrossedProductRing, group_ring
+from .graded import group_ring
 from .groups import Group, group_from_spec, split_top_level
 from .rings import (IntegerModRing, IntegerRing, MatrixRing, ProductRing,
                     RankCertificate, Ring, RingMatrix, RationalRing)
@@ -57,33 +59,27 @@ def ring_from_spec(spec: str) -> Ring:
 
 
 def ring_to_spec(ring: Ring) -> str:
-    if isinstance(ring, LeavittRing) and ring.base != IntegerRing():
-        return f"L(1,{ring.n};{ring_to_spec(ring.base)})"
-    if isinstance(ring, (IntegerRing, RationalRing, IntegerModRing, LeavittRing)):
-        return ring.name
-    if isinstance(ring, MatrixRing):
-        return f"M{ring.size}({ring_to_spec(ring.base)})"
-    if isinstance(ring, ProductRing):
-        return "prod(" + ", ".join(ring_to_spec(f) for f in ring.factors) + ")"
-    if isinstance(ring, CrossedProductRing) and ring.cs.is_group_ring:
-        return f"group({ring_to_spec(ring.base)}, {ring.group.name})"
-    if ring.name.startswith("op("):
-        return f"op({ring_to_spec(ring.opposite())})"
+    """The ring's name, when that name reads back as the ring."""
+    try:
+        if ring_from_spec(ring.name) == ring:
+            return ring.name
+    except ValueError:
+        pass
     raise ValueError(f"ring {ring.name} has no serializable spec")
 
 
-def _matrix_to_json(ring: Ring, M: RingMatrix, element_to_json) -> list:
-    """M as dense rows of element_to_json(ring, entry), with the zero
+def _matrix_to_json(ring: Ring, M: RingMatrix) -> list:
+    """M as dense rows of element_to_jsonable(ring, entry), with the zero
     converted once; _matrix_from_json reads it."""
-    zero, out = element_to_json(ring, ring.zero()), []
+    zero, out = element_to_jsonable(ring, ring.zero()), []
     for row in M.support:
         out.append([zero] * M.cols)
         for j, x in row.items():
-            out[-1][j] = element_to_json(ring, x)
+            out[-1][j] = element_to_jsonable(ring, x)
     return out
 
 
-def _matrix_from_json(ring: Ring, data: list, element_from_json) -> RingMatrix:
+def _matrix_from_json(ring: Ring, data: list) -> RingMatrix:
     """Dense rows of entries as a RingMatrix, each row read straight into
     its support row: a zero is not stored, and each distinct entry (a text,
     or a list object, which data keeps alive) is parsed once."""
@@ -92,7 +88,7 @@ def _matrix_from_json(ring: Ring, data: list, element_from_json) -> RingMatrix:
     def element(v):  # None stands for a zero
         key = v if isinstance(v, str) else id(v)
         if key not in parsed:
-            x = element_from_json(ring, v)
+            x = element_from_jsonable(ring, v)
             parsed[key] = None if ring.is_zero(x) else x
         return parsed[key]
 
@@ -103,41 +99,86 @@ def _matrix_from_json(ring: Ring, data: list, element_from_json) -> RingMatrix:
         for row in data])
 
 
+def _is_rows(data) -> bool:
+    return isinstance(data, list) and all(isinstance(row, list) for row in data)
+
+
 def element_to_jsonable(ring: Ring, x):
     if isinstance(ring, MatrixRing):
-        return _matrix_to_json(ring.base, x, element_to_jsonable)
+        return _matrix_to_json(ring.base, x)
     if isinstance(ring, ProductRing):
         return [element_to_jsonable(f, c) for f, c in zip(ring.factors, x)]
+    if isinstance(ring, TranslationRing):
+        G, S = ring.group, ring.base.base
+        return [{"shift": G.element_to_str(g),
+                 "const": element_to_jsonable(S, x[g].const),
+                 "overrides": {G.element_to_str(y): element_to_jsonable(S, v)
+                               for y, v in sorted(x[g].overrides.items(),
+                                                  key=lambda kv: G.element_key(kv[0]))}}
+                for g in sorted(x, key=G.element_key)]
     return ring.element_to_str(x)
 
 
 def element_from_jsonable(ring: Ring, data):
     if isinstance(ring, MatrixRing):
-        x = _matrix_from_json(ring.base, data, element_from_jsonable)
+        if not _is_rows(data):
+            raise ValueError(f"an entry over {ring.name} is not a list of lists")
+        x = _matrix_from_json(ring.base, data)
         if (x.rows, x.cols) != (ring.size, ring.size):
             raise ValueError(f"{ring.name} entry is {x.rows}x{x.cols}, "
                              f"not {ring.size}x{ring.size}")
         return x
     if isinstance(ring, ProductRing):
+        if not isinstance(data, list) or len(data) != len(ring.factors):
+            raise ValueError(f"an entry over {ring.name} is not a list of "
+                             f"{len(ring.factors)} entries")
         return tuple(element_from_jsonable(f, v) for f, v in zip(ring.factors, data))
+    if isinstance(ring, TranslationRing):
+        if not isinstance(data, list) or not all(
+                isinstance(t, dict) and isinstance(t.get("shift"), str)
+                and "const" in t and isinstance(t.get("overrides", {}), dict)
+                for t in data):
+            raise ValueError(f"an entry over {ring.name} is not a list of terms, "
+                             "each with a text 'shift' and a 'const'")
+        G, S = ring.group, ring.base.base
+        out = ring.zero()
+        for term in data:
+            f = CoeffFn(S, element_from_jsonable(S, term["const"]),
+                        {G.element_from_str(y): element_from_jsonable(S, v)
+                         for y, v in term.get("overrides", {}).items()})
+            out = ring.add(out, ring.term(G.element_from_str(term["shift"]), f))
+        return out
+    if not isinstance(data, str):
+        raise ValueError(f"an entry over {ring.name} is not a string")
     return ring.element_from_str(data)
 
 
+# certificates ----------------------------------------------------------------
+
+
 def certificate_to_json(cert: RankCertificate) -> dict:
+    """A certificate over T(G|X; R) names R as its ring and records G and X."""
+    ring, header = cert.ring, {}
+    if isinstance(ring, RightTranslationRing):
+        raise ValueError("the JSON form records no side: it reloads as a left ring")
+    if isinstance(ring, TranslationRing):
+        ring, header = ring.base.base, {"group": ring.group.name,
+                                        "subset": ring.X.name}
     return {
-        "ring": ring_to_spec(cert.ring),
+        "ring": ring_to_spec(ring),
+        **header,
         "n": cert.n,
         "m": cert.m,
-        "A": _matrix_to_json(cert.ring, cert.A, element_to_jsonable),
-        "B": _matrix_to_json(cert.ring, cert.B, element_to_jsonable),
+        "A": _matrix_to_json(cert.ring, cert.A),
+        "B": _matrix_to_json(cert.ring, cert.B),
     }
 
 
 def _check_certificate_data(data, translation: bool) -> None:
     """Refuse, with a message that names the kind read, data that is not a
     JSON object, a certificate of the other kind (a translation-ring
-    certificate has a 'group' field, a rank certificate none) or one that
-    lacks a field both kinds have."""
+    certificate has a 'group' field, a rank certificate none), one that
+    lacks a field both kinds have, or a field of the wrong JSON type."""
     kinds = ("rank certificate", "translation-ring certificate")
     kind, other = kinds[translation], kinds[not translation]
     if not isinstance(data, dict):
@@ -148,60 +189,31 @@ def _check_certificate_data(data, translation: bool) -> None:
     for field in ("ring", "n", "m", "A", "B"):
         if field not in data:
             raise ValueError(f"{kind} is missing field {field!r}")
+    for fields, what, ok in ((("ring", "group"), "a string", lambda v: isinstance(v, str)),
+                             ("nm", "an integer", lambda v: type(v) is int),
+                             ("AB", "a list of lists", _is_rows)):
+        for field in fields:
+            if field in data and not ok(data[field]):
+                raise ValueError(f"{kind} field {field!r} is not {what}")
+
+
+def _certificate_over(ring: Ring, data: dict) -> RankCertificate:
+    return RankCertificate(ring, data["n"], data["m"],
+                           _matrix_from_json(ring, data["A"]),
+                           _matrix_from_json(ring, data["B"]))
 
 
 def certificate_from_json(data: dict) -> RankCertificate:
     _check_certificate_data(data, translation=False)
-    ring = ring_from_spec(data["ring"])
-    n, m = int(data["n"]), int(data["m"])
-    A = _matrix_from_json(ring, data["A"], element_from_jsonable)
-    B = _matrix_from_json(ring, data["B"], element_from_jsonable)
-    return RankCertificate(ring, n, m, A, B)
-
-
-# translation-ring certificates: entries are term lists ------------------------
-
-
-def translation_element_to_json(tring: TranslationRing, M: dict) -> list:
-    G, S = tring.group, tring.base.base
-    out = []
-    for g in sorted(M, key=G.element_key):
-        f = M[g]
-        out.append({
-            "shift": G.element_to_str(g),
-            "const": element_to_jsonable(S, f.const),
-            "overrides": {G.element_to_str(x): element_to_jsonable(S, v)
-                          for x, v in sorted(f.overrides.items(),
-                                             key=lambda kv: G.element_key(kv[0]))},
-        })
-    return out
-
-
-def translation_element_from_json(tring: TranslationRing, data: list) -> dict:
-    G, S = tring.group, tring.base.base
-    out = tring.zero()
-    for term in data:
-        g = G.element_from_str(term["shift"])
-        f = CoeffFn(S, element_from_jsonable(S, term["const"]),
-                    {G.element_from_str(x): element_from_jsonable(S, v)
-                     for x, v in term.get("overrides", {}).items()})
-        out = tring.add(out, tring.term(g, f))
-    return out
+    return _certificate_over(ring_from_spec(data["ring"]), data)
 
 
 def translation_certificate_to_json(tring: TranslationRing,
                                     cert: RankCertificate) -> dict:
-    if isinstance(tring, RightTranslationRing):
-        raise ValueError("the JSON form records no side: it reloads as a left ring")
-    return {
-        "ring": ring_to_spec(tring.base.base),
-        "group": tring.group.name,
-        "subset": tring.X.name,
-        "n": cert.n,
-        "m": cert.m,
-        "A": _matrix_to_json(tring, cert.A, translation_element_to_json),
-        "B": _matrix_to_json(tring, cert.B, translation_element_to_json),
-    }
+    if cert.ring != tring:
+        raise ValueError(f"the certificate is over {cert.ring.name}, "
+                         f"not over {tring.name}")
+    return certificate_to_json(cert)
 
 
 def translation_certificate_from_json(data: dict):
@@ -213,12 +225,8 @@ def translation_certificate_from_json(data: dict):
         raise ValueError(f"cannot rebuild subset {subset!r} from a "
                          "translation certificate (only 'all')")
     group = group_from_spec(data["group"])
-    base = ring_from_spec(data["ring"])
-    tring = TranslationRing(group, whole_group(group), base)
-    n, m = int(data["n"]), int(data["m"])
-    A = _matrix_from_json(tring, data["A"], translation_element_from_json)
-    B = _matrix_from_json(tring, data["B"], translation_element_from_json)
-    return tring, RankCertificate(tring, n, m, A, B)
+    tring = TranslationRing(group, whole_group(group), ring_from_spec(data["ring"]))
+    return tring, _certificate_over(tring, data)
 
 
 # witnesses -------------------------------------------------------------------

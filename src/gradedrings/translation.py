@@ -162,20 +162,6 @@ class TranslationRing(SparseRing):
                 _add_term(out, G.mul(g, k), F.mul(f, self.moved(h, g)), F)
         return out
 
-    def element_to_str(self, a):
-        if not a:
-            return "0"
-        G, S = self.group, self.base.base
-        parts = []
-        for g in sorted(a, key=G.element_key):
-            f = a[g]
-            ov = ", ".join(
-                f"{G.element_to_str(x)}: {S.element_to_str(f.overrides[x])}"
-                for x in sorted(f.overrides, key=G.element_key))
-            desc = S.element_to_str(f.const) + (f" [{ov}]" if ov else "")
-            parts.append(f"({G.element_to_str(g)} | {desc})")
-        return " + ".join(parts)
-
 
 def tr_entry(tring: TranslationRing, M: dict, x, y):
     """Matrix entry M(x, y): f(x) for the term (g, f) whose column at row x

@@ -375,6 +375,14 @@ def test_certificate_of_the_wrong_kind_is_input_error(argv, message, files,
     assert err == f"error: {message}\n"
 
 
+L12 = {"ring": "L(1,2)", "n": 1, "m": 2, "A": [["e1'"], ["e2'"]], "B": [["e1", "e2"]]}
+T12 = {"group": "Z", "subset": "all", "ring": "L(1,2)", "n": 1, "m": 2,
+       "A": [[[{"shift": "0", "const": "e1'"}]], [[{"shift": "0", "const": "e2'"}]]],
+       "B": [[[{"shift": "0", "const": "e1"}], [{"shift": "0", "const": "e2"}]]]}
+TERMS = ("an entry over T(Z|all; L(1,2)) is not a list of terms, "
+         "each with a text 'shift' and a 'const'")
+
+
 @pytest.mark.parametrize("argv, data, message", [
     (["cert", "verify", "@data"], [1, 2],
      "the file is not a JSON object, so not a rank certificate"),
@@ -385,11 +393,41 @@ def test_certificate_of_the_wrong_kind_is_input_error(argv, message, files,
     (["compress", "--certificate", "@data", "--k=-1;0;1", "--f", "0;1"],
      {"group": "Z", "ring": "L(1,2)", "n": 1, "m": 2, "A": [["e1'"]]},
      "translation-ring certificate is missing field 'B'"),
-], ids=["verify-list", "compress-list", "verify-no-m", "compress-no-B"])
+    *[(["cert", "verify", "@data"], {**L12, **change}, message)
+      for change, message in [
+          ({"A": 5}, "rank certificate field 'A' is not a list of lists"),
+          ({"A": [5]}, "rank certificate field 'A' is not a list of lists"),
+          ({"ring": 5}, "rank certificate field 'ring' is not a string"),
+          ({"n": [1]}, "rank certificate field 'n' is not an integer"),
+          ({"n": 1.7}, "rank certificate field 'n' is not an integer"),
+          ({"m": True}, "rank certificate field 'm' is not an integer"),
+          ({"A": [[1], ["e2'"]]}, "an entry over L(1,2) is not a string"),
+          ({"ring": "prod(Z, Z/3)", "A": [["5"], [["1", "1"]]]},
+           "an entry over prod(Z, Z/3) is not a list of 2 entries"),
+          ({"ring": "M2(Z)", "A": [["1"], [[["1", "0"]]]]},
+           "an entry over M2(Z) is not a list of lists")]],
+    *[(["compress", "--certificate", "@data", "--k=-1;0;1", "--f", "0;1"],
+       {**T12, **change}, message)
+      for change, message in [
+          ({"group": 5}, "translation-ring certificate field 'group' is not a string"),
+          ({"n": True}, "translation-ring certificate field 'n' is not an integer"),
+          ({"B": [["x", []]]}, TERMS),
+          ({"B": [[[{"shift": "0"}], []]]}, TERMS),
+          ({"B": [[[{"shift": 0, "const": "e1"}], []]]}, TERMS),
+          ({"B": [[[{"shift": "0", "const": "e1", "overrides": []}], []]]}, TERMS),
+          ({"B": [[[{"shift": "0", "const": 1}], []]]},
+           "an entry over L(1,2) is not a string")]],
+], ids=["verify-list", "compress-list", "verify-no-m", "compress-no-B",
+        "A-not-a-list", "A-row-not-a-list", "ring-not-a-string", "n-a-list",
+        "n-a-float", "m-a-bool", "entry-a-number", "product-entry-a-text",
+        "matrix-entry-a-text", "group-not-a-string",
+        "translation-n-a-bool", "term-list-a-string", "term-without-const",
+        "shift-not-a-string", "overrides-a-list", "const-a-number"])
 def test_malformed_certificate_file_is_input_error(argv, data, message,
                                                    tmp_path, capsys):
-    """A certificate file that is not a JSON object, or lacks a field, is
-    exit 2 with a message that names the kind of certificate read."""
+    """A certificate file that is not a JSON object, lacks a field, has a
+    field of the wrong JSON type or an entry of the wrong shape is exit 2
+    with a message that names the kind of certificate or the entry ring."""
     path = str(tmp_path / "data.json")
     dump_json(data, path)
     assert run(*[path if a == "@data" else a for a in argv]) == 2

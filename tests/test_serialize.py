@@ -1,4 +1,5 @@
 import copy
+import re
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,8 @@ from gradedrings.amenability import (InjectionWitness, bs_X,
                                      find_two_to_one_injection, folner_search,
                                      verify_injection_witness, whole_group)
 from gradedrings.cli import main
-from gradedrings.groups import BaumslagSolitar, FreeAbelian, FreeGroup
+from gradedrings.graded import CrossedProductRing, twisted_system
+from gradedrings.groups import BaumslagSolitar, Cyclic, FreeAbelian, FreeGroup
 from gradedrings.rings import (IntegerModRing, IntegerRing, MatrixRing,
                                ProductRing, RankCertificate, RingMatrix,
                                verify_certificate)
@@ -19,21 +21,44 @@ from gradedrings.serialize import (certificate_from_json, certificate_to_json,
                                    ring_from_spec, ring_to_spec,
                                    translation_certificate_from_json,
                                    translation_certificate_to_json)
-from gradedrings.special_algebras import LeavittRing, leavitt_rank_certificate
-from gradedrings.translation import (CompressionInput, RightTranslationRing,
-                                     TranslationRing, compress_certificate)
+from gradedrings.special_algebras import (LeavittRing, WeylRing,
+                                          leavitt_rank_certificate)
+from gradedrings.translation import (CompressionInput, FunctionRing,
+                                     RightTranslationRing, TranslationRing,
+                                     compress_certificate)
 
 from fractions import Fraction
 
 SPECS = ["Z", "Q", "Z/5", "M2(Z)", "L(1,2)", "L(1,3;Z/5)", "op(L(1,2))",
          "prod(Z, Z/3)", "group(Z, C(2))", "L(1,2; group(Z, C(2)))",
-         "M2(L(1,2; group(Z, C(2))))"]
+         "M2(L(1,2; group(Z, C(2))))", "op(M2(L(1,3;Z/5)))",
+         "prod(Z, group(Q, C2xC2))", "M2(prod(Z, L(1,2)))"]
 
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_ring_spec_round_trip(spec):
+    """A ring's spec is its name, and the name reads back as the ring."""
     ring = ring_from_spec(spec)
+    assert ring_to_spec(ring) == ring.name
     assert ring_from_spec(ring_to_spec(ring)) == ring
+
+
+def _twisted_c2():
+    omega = {(g, h): -1 if g == h == 1 else 1 for g in range(2) for h in range(2)}
+    return CrossedProductRing(twisted_system(Cyclic(2), IntegerRing(), omega, omega))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: WeylRing([1], [1]),
+    _twisted_c2,
+    lambda: TranslationRing(FreeAbelian(1), whole_group(FreeAbelian(1)), IntegerRing()),
+    lambda: FunctionRing(IntegerRing()),
+], ids=["weyl", "twisted", "translation", "function"])
+def test_ring_without_a_spec_is_refused_by_name(make):
+    ring = make()
+    with pytest.raises(ValueError, match=re.escape(f"ring {ring.name} has no "
+                                                   "serializable spec")):
+        ring_to_spec(ring)
 
 
 def test_unknown_spec_rejected():
@@ -106,6 +131,37 @@ def test_compressed_certificate_round_trip_shares_parsed_entries(monkeypatch):
     v = verify_certificate(back)
     assert v and v.bgn
     assert entries == snapshot
+
+
+def _shift_certificate():
+    """A (1, 2) certificate object over T(Z|all; L(1,2)) whose entries shift
+    by one and carry an override; only its JSON form is used, and the
+    override makes AB differ from I at row 2."""
+    G, L = FreeAbelian(1), LeavittRing(2)
+    T = TranslationRing(G, whole_group(G), L)
+    A = RingMatrix(T, 2, 1, [T.term((1,), T.fn(L.gen_star(1), {(2,): L.zero()})),
+                             T.term((1,), T.fn(L.gen_star(2)))])
+    B = RingMatrix(T, 1, 2, [T.term((-1,), T.fn(L.gen(i))) for i in (1, 2)])
+    return T, RankCertificate(T, 1, 2, A, B)
+
+
+def test_one_writer_for_both_certificate_kinds():
+    T, cert = _shift_certificate()
+    data = certificate_to_json(cert)
+    assert data == translation_certificate_to_json(T, cert)
+    assert (data["ring"], data["group"], data["subset"]) == ("L(1,2)", "Z", "all")
+    assert data["A"][0][0] == [{"shift": "1", "const": "e1'",
+                                "overrides": {"2": "0"}}]
+
+
+def test_translation_certificate_writer_refuses_another_ring():
+    """The header names T, so a certificate over another ring is refused
+    rather than written under it."""
+    T, cert = _shift_certificate()
+    G = FreeAbelian(1)
+    other = TranslationRing(G, whole_group(G), LeavittRing(3))
+    with pytest.raises(ValueError, match=re.escape(other.name)):
+        translation_certificate_to_json(other, cert)
 
 
 def test_translation_certificate_refuses_a_right_ring():
