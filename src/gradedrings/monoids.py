@@ -221,15 +221,11 @@ def mnkl_leq(params: MnklParams, s: tuple, t: tuple,
     already refutes order) or a psi_j (phi forces any candidate z to involve
     only x generators, pure-x vectors admit no rewrites, and the x_j count
     then contradicts s + z = t).  Unknown when the bounded search is
-    inconclusive.
+    inconclusive.  The separators run first: one that applies refutes
+    s <= t, so the closure could not have found a witness.
     """
     if len(s) != 1 + 2 * params.l or len(t) != 1 + 2 * params.l:
         raise ValueError("vector length does not match parameters")
-    closure = mnkl_closure(params, t, depth)
-    for v in sorted(closure):
-        if all(vc >= sc for vc, sc in zip(v, s)):
-            z = tuple(vc - sc for vc, sc in zip(v, s))
-            return Yes(z=z, chain=_chain_to(closure, v))
     # separator phi: order must be preserved in C(n,k)
     fs, ft = mnkl_phi(params, s), mnkl_phi(params, t)
     if not cnk_leq(params.n, params.k, fs, ft):
@@ -247,6 +243,11 @@ def mnkl_leq(params: MnklParams, s: tuple, t: tuple,
                           reason=(f"phi kills the u and y parts of any z, and "
                                   f"psi_{j} gives {xs[j-1]} + z_j = {xt[j-1]}, "
                                   "impossible for z_j >= 0"))
+    closure = mnkl_closure(params, t, depth)
+    for v in sorted(closure):
+        if all(vc >= sc for vc, sc in zip(v, s)):
+            z = tuple(vc - sc for vc, sc in zip(v, s))
+            return Yes(z=z, chain=_chain_to(closure, v))
     return Unknown(reason=f"no witness within closure depth {depth}")
 
 

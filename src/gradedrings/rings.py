@@ -100,7 +100,9 @@ class SparseRing(Ring):
     rule mul.  Invariant: every element a ring method returns is canonical,
     that is, its keys are in normal form and it stores no zero coefficient.
     The entry points that take raw data (monomial and term constructors,
-    parsers) canonicalize it, so eq compares dicts structurally.
+    parsers) canonicalize it, so eq compares dicts structurally: equal dicts
+    are equal at once, and otherwise eq needs equal key sets and base.eq on
+    every coefficient.
     """
 
     base: Ring
@@ -128,7 +130,15 @@ class SparseRing(Ring):
         return {k: self.base.neg(c) for k, c in a.items()}
 
     def eq(self, a, b):
-        return a.keys() == b.keys() and all(self.base.eq(a[k], b[k]) for k in a)
+        if a == b:
+            return True
+        if a.keys() != b.keys():
+            return False
+        base_eq = self.base.eq
+        for k, c in a.items():
+            if not base_eq(c, b[k]):
+                return False
+        return True
 
     def is_zero(self, a):
         return not a  # eq(a, {}), as eq is structural

@@ -87,19 +87,29 @@ class LeavittRing(_MonomialAlgebra):
         return self.monomial((), (i,))
 
     def mul(self, a, b):
+        """Product of canonical elements.  The raw product stores no zero
+        (_add_term drops them), so it is canonical unless some monomial has
+        alpha and beta both ending in e_n; only then does normalize run."""
         S = self.base
+        n = self.n
         out = {}
+        rewrite = False
         for (a1, b1), c1 in a.items():
+            lb = len(b1)
             for (a2, b2), c2 in b.items():
-                c = S.mul(c1, c2)
                 # (a1 b1*)(a2 b2*): cancel b1 against the front of a2
-                if len(b1) <= len(a2):
-                    if a2[:len(b1)] == b1:
-                        _add_term(out, (a1 + a2[len(b1):], b2), c, S)
+                if lb <= len(a2):
+                    if a2[:lb] != b1:
+                        continue
+                    alpha, beta = a1 + a2[lb:], b2
+                elif b1[:len(a2)] == a2:
+                    alpha, beta = a1, b2 + b1[len(a2):]
                 else:
-                    if b1[:len(a2)] == a2:
-                        _add_term(out, (a1, b2 + b1[len(a2):]), c, S)
-        return self.normalize(out)
+                    continue
+                _add_term(out, (alpha, beta), S.mul(c1, c2), S)
+                if alpha and beta and alpha[-1] == n and beta[-1] == n:
+                    rewrite = True
+        return self.normalize(out) if rewrite else out
 
     def normalize(self, terms: dict) -> dict:
         """Rewrite until no monomial has alpha and beta both ending in e_n."""
@@ -184,12 +194,13 @@ def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
     if l < 1:
         raise ValueError("need l >= 1")
     L = LeavittRing(n, base)
-    words = _words(n, l) if sigma is None else [tuple(w) for w in sigma]
     N = n ** l
-    if len(words) != N or len(set(words)) != N:
-        raise ValueError(f"sigma must be a bijection onto the {N} words of length {l}")
     if N > MAX_MATRIX_UNITS:
         raise ValueError(f"n^l = {N} exceeds bound {MAX_MATRIX_UNITS}")
+    all_words = _words(n, l)
+    words = all_words if sigma is None else [tuple(w) for w in sigma]
+    if len(words) != N or set(words) != set(all_words):
+        raise ValueError(f"sigma must be a bijection onto the {N} words of length {l}")
     eps = [[L.monomial(words[i], words[j]) for j in range(N)] for i in range(N)]
     rep = MatrixUnitReport()
     for i in range(N):
@@ -197,13 +208,14 @@ def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
             if L.degree_terms(eps[i][j]) - {0}:
                 rep.degrees_ok = False
                 rep.failures.append(f"eps[{i+1}][{j+1}] not degree 0")
+    mul, eq, zero = L.mul, L.eq, L.zero()
     for i in range(N):
         for j in range(N):
+            left = eps[i][j]
             for k in range(N):
                 for m in range(N):
-                    got = L.mul(eps[i][j], eps[k][m])
-                    want = eps[i][m] if j == k else L.zero()
-                    if not L.eq(got, want):
+                    want = eps[i][m] if j == k else zero
+                    if not eq(mul(left, eps[k][m]), want):
                         rep.product_law_ok = False
                         rep.failures.append(
                             f"eps[{i+1}][{j+1}] eps[{k+1}][{m+1}] wrong")
@@ -212,13 +224,13 @@ def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
         acc = L.add(acc, eps[i][i])
     rep.sum_identity_ok = L.eq(acc, L.one())
     # span_l sits inside span_{l+1}: alpha beta* = sum_i (alpha e_i)(beta e_i)*
-    for (alpha, beta) in [(words[0], words[0]), (words[0], words[-1])]:
-        lhs = L.monomial(alpha, beta)
-        rhs = L.zero()
-        for i in range(1, n + 1):
-            rhs = L.add(rhs, L.monomial(alpha + (i,), beta + (i,)))
-        if not L.eq(lhs, rhs):
-            rep.chain_ok = False
+    for alpha in words:
+        for beta in words:
+            rhs = L.zero()
+            for i in range(1, n + 1):
+                rhs = L.add(rhs, L.monomial(alpha + (i,), beta + (i,)))
+            if not L.eq(L.monomial(alpha, beta), rhs):
+                rep.chain_ok = False
     return eps, rep
 
 

@@ -159,23 +159,42 @@ def test_yes_with_chain():
     assert all(z >= 0 for z in res.z)
 
 
-def test_no_via_phi():
+def _count_closures(monkeypatch) -> list:
+    """Record every mnkl_closure call that mnkl_leq makes."""
+    calls = []
+    closure = monoids.mnkl_closure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(monoids, "mnkl_closure", counted)
+    return calls
+
+
+def test_no_via_phi(monkeypatch):
+    """A phi refutation is found without building the closure."""
+    calls = _count_closures(monkeypatch)
     p = MnklParams(2, 1, 1)
     s = mnkl_vector(p, u=1)
     t = mnkl_vector(p, u=0)
     res = mnkl_leq(p, s, t)
     assert res.verdict == "no"
     assert res.separator == "phi"
+    assert calls == []
 
 
 @pytest.mark.parametrize("lam, mu", [(1, 0), (3, 2), (5, 1)])
-def test_no_via_psi(lam, mu):
-    """lam x_j <= mu x_j fails for lam > mu; phi cannot see it, psi_j can."""
+def test_no_via_psi(monkeypatch, lam, mu):
+    """lam x_j <= mu x_j fails for lam > mu; phi cannot see it, psi_j can,
+    without building the closure."""
+    calls = _count_closures(monkeypatch)
     p = MnklParams(2, 2, 2)
     for j in (1, 2):
         res = mnkl_leq(p, mnkl_vector(p, x={j: lam}), mnkl_vector(p, x={j: mu}))
         assert res.verdict == "no"
         assert res.separator == f"psi_{j}"
+    assert calls == []
 
 
 def test_unknown_is_inconclusive_not_no():

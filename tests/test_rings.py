@@ -720,6 +720,34 @@ def test_sparse_ring_results_are_canonical(ring, gens):
             check(x)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+@pytest.mark.parametrize("ring,gens", _SPARSE, ids=[r.name for r, _ in _SPARSE])
+def test_sparse_eq_is_keywise_base_eq(ring, gens, rnd):
+    """SparseRing.eq agrees with equal key sets and base.eq on every
+    coefficient, on equal pairs (the same dict, a copy, and a value rebuilt
+    from other objects), same-key pairs and different-key pairs."""
+
+    def rand():
+        out = ring.zero()
+        for _ in range(rnd.randint(1, 3)):
+            term = ring.from_int(rnd.choice([-2, -1, 1, 2, 3]))
+            for _ in range(rnd.randint(0, 3)):
+                term = ring.mul(term, rnd.choice(gens))
+            out = ring.add(out, term)
+        return out
+
+    u, v = rand(), rand()
+    rebuilt = ring.add(ring.add(u, v), ring.neg(v))
+    for a, b in [(u, u), (u, dict(u)), (u, rebuilt), (u, ring.neg(u)),
+                 (u, ring.mul(ring.from_int(3), u)), (u, v), (u, ring.zero())]:
+        want = (a.keys() == b.keys()
+                and all(ring.base.eq(a[k], b[k]) for k in a))
+        assert ring.eq(a, b) == want
+        assert ring.eq(b, a) == want
+    assert ring.eq(u, rebuilt)
+
+
 def _identity_cases():
     """Zero-argument builders of distinct groups and rings; each call builds
     its object from scratch."""

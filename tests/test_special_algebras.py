@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from gradedrings import special_algebras
 from gradedrings.rings import IntegerModRing
 from gradedrings.special_algebras import (LeavittRing, WeylRing,
                                           leavitt_iso_check,
@@ -76,8 +77,111 @@ def test_matrix_units(n, l):
 
 
 def test_matrix_units_bad_sigma_rejected():
-    with pytest.raises(ValueError):
-        leavitt_matrix_units(2, 1, sigma=[(1,), (1,)])
+    """sigma must list every word of length l exactly once; anything else is
+    an input error, not a failed report."""
+    for l, sigma in [(1, [(1,), (1,)]), (1, [(1,), (2, 1)]), (1, [(1,), (3,)]),
+                     (1, [(1,)]), (2, [(1, 1), (1, 2), (2, 1), (2,)])]:
+        with pytest.raises(ValueError, match="bijection"):
+            leavitt_matrix_units(2, l, sigma=sigma)
+
+
+def test_matrix_units_refuse_a_large_tower_before_listing_words(monkeypatch):
+    """n^l above the bound is refused before the n^l words are built."""
+    def no_words(n, l):
+        raise AssertionError(f"listed the words of length {l}")
+
+    monkeypatch.setattr(special_algebras, "_words", no_words)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        leavitt_matrix_units(2, 40)
+
+
+@pytest.mark.parametrize("i, j, k, m", [(1, 2, 2, 3), (2, 4, 1, 1), (4, 4, 4, 4)])
+def test_matrix_units_name_a_wrong_product(monkeypatch, i, j, k, m):
+    """One wrong unit product, equal or zero in truth, fails the product law
+    and is the only failure named."""
+    L = LeavittRing(2)
+    words = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    left = L.monomial(words[i - 1], words[j - 1])
+    right = L.monomial(words[k - 1], words[m - 1])
+    true_mul = LeavittRing.mul
+
+    def one_wrong(self, a, b):
+        got = true_mul(self, a, b)
+        return self.add(got, self.one()) if (a, b) == (left, right) else got
+
+    monkeypatch.setattr(LeavittRing, "mul", one_wrong)
+    _, rep = leavitt_matrix_units(2, 2)
+    assert not rep.product_law_ok
+    assert rep.sum_identity_ok and rep.degrees_ok and rep.chain_ok
+    assert rep.failures == [f"eps[{i}][{j}] eps[{k}][{m}] wrong"]
+
+
+@pytest.mark.parametrize("alpha, beta", [((1, 2), (2, 1)), ((2, 1), (1, 1)),
+                                         ((2, 2), (1, 2))])
+def test_matrix_units_chain_checks_every_pair(monkeypatch, alpha, beta):
+    """A wrong level-(l+1) monomial under any pair of length-l words,
+    first and last word or not, fails the chain row."""
+    true_monomial = LeavittRing.monomial
+
+    def one_wrong(self, a, b, coeff=None):
+        if (tuple(a), tuple(b)) == (alpha + (1,), beta + (1,)):
+            return self.zero()
+        return true_monomial(self, a, b, coeff)
+
+    monkeypatch.setattr(LeavittRing, "monomial", one_wrong)
+    _, rep = leavitt_matrix_units(2, 2)
+    assert not rep.chain_ok
+    assert rep.product_law_ok and rep.sum_identity_ok and rep.degrees_ok
+
+
+def _reference_leavitt_mul(L, a, b):
+    """Leavitt product that forms every term pair's coefficient product and
+    always normalizes the whole sum."""
+    S = L.base
+    out = {}
+    for (a1, b1), c1 in a.items():
+        for (a2, b2), c2 in b.items():
+            c = S.mul(c1, c2)
+            if len(b1) <= len(a2):
+                if a2[:len(b1)] == b1:
+                    key = (a1 + a2[len(b1):], b2)
+                    out[key] = S.add(out.get(key, S.zero()), c)
+            elif b1[:len(a2)] == a2:
+                key = (a1, b2 + b1[len(a2):])
+                out[key] = S.add(out.get(key, S.zero()), c)
+    return L.normalize(out)
+
+
+_BASES = {"Z": (None, st.integers(-3, 3)),
+          "Z/4": (IntegerModRing(4), st.integers(0, 3)),
+          "Z/5": (IntegerModRing(5), st.integers(0, 4))}
+
+
+@st.composite
+def _leavitt_pair(draw):
+    """A Leavitt ring over Z, Z/4 or Z/5 and two sums of one to three
+    monomials whose words have length at most 3, many ending in e_n."""
+    base, coeffs = _BASES[draw(st.sampled_from(sorted(_BASES)))]
+    L = LeavittRing(draw(st.sampled_from([2, 3])), base)
+    letters = st.integers(1, L.n)
+    words = st.one_of(st.lists(letters, max_size=3).map(tuple),
+                      st.lists(letters, max_size=2).map(lambda w: (*w, L.n)))
+
+    def element():
+        out = L.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            c = L.base.from_int(draw(coeffs))
+            out = L.add(out, L.monomial(draw(words), draw(words), c))
+        return out
+
+    return L, element(), element()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leavitt_pair())
+def test_leavitt_mul_matches_the_reference_product(case):
+    L, a, b = case
+    assert L.mul(a, b) == _reference_leavitt_mul(L, a, b)
 
 
 # generalized Weyl -------------------------------------------------------------
