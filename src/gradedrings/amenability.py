@@ -103,11 +103,12 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
                   eps: Fraction, r_max: int):
     """Look for a finite F with |KF cap X| < (1 + eps) |F cap X|.
 
-    F runs over the balls of radius 0..r_max, built one at a time so that an
-    early witness stops the search, and counted one sphere at a time
-    (_ball_counts).  Returns the first FolnerWitness found, re-verified by an
-    independent recount, else a FolnerFailure with the exact ratio for every
-    radius.
+    F runs over the balls of radius 0..r_max, sliced one at a time from the
+    group's one breadth-first walk (Group.ball), so that an early witness
+    stops the search and each radius is walked once per group object, and
+    counted one sphere at a time (_ball_counts).  Returns the first
+    FolnerWitness found, re-verified by an independent recount, else a
+    FolnerFailure with the exact ratio for every radius.
     """
     eps = Fraction(eps)
     if eps <= 0:

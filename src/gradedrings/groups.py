@@ -18,6 +18,13 @@ DEFAULT_MAX_RADIUS = 8
 _GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
+def _check_radius(r: int, max_radius: int) -> None:
+    if r < 0:
+        raise ValueError("radius must be non-negative")
+    if r > max_radius:
+        raise ValueError(f"radius {r} exceeds maximum {max_radius}")
+
+
 class Group:
     """Base class: a finitely generated group with a fixed generating set.
 
@@ -75,42 +82,46 @@ class Group:
         """All elements of a finite group; infinite groups refuse."""
         raise ValueError(f"{self.name} is infinite: its elements cannot be listed")
 
+    # One breadth-first walk per group object, extended on demand:
+    # (order, bounds, seen), where sphere q is order[bounds[q]:bounds[q + 1]].
+    _walk = None
+
     def balls(self, r: int, max_radius: int = DEFAULT_MAX_RADIUS):
-        """Yield ball(0), ball(1), ..., ball(r) from one breadth-first walk.
+        """Yield ball(0), ball(1), ..., ball(r), each a fresh slice of the
+        group's one breadth-first walk, which is extended only as far as the
+        consumer reads.
 
         Each ball lists all elements of word length <= its radius over the
         symmetric generating set, ordered by (word length, lexicographic
         order of the shortest generating word), which makes the enumeration
         deterministic.  Each ball is a prefix of the next.
         """
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        if r > max_radius:
-            raise ValueError(f"radius {r} exceeds maximum {max_radius}")
-        gens = self.symmetric_generators()
-        mul = self.mul
-        e = self.identity()
-        seen = {e}
-        order = [e]
-        frontier = [e]
-        yield list(order)
-        for _ in range(r):
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            order.extend(nxt)
-            frontier = nxt
-            yield list(order)
+        _check_radius(r, max_radius)
+        for q in range(r + 1):
+            yield self._ball(q)
 
     def ball(self, r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> list:
-        """The last of balls(r, max_radius)."""
-        for b in self.balls(r, max_radius):
-            pass
-        return b
+        """The last of balls(r, max_radius), without the smaller ones."""
+        _check_radius(r, max_radius)
+        return self._ball(r)
+
+    def _ball(self, r: int) -> list:
+        if self._walk is None:
+            e = self.identity()
+            self._walk = ([e], [0, 1], {e})
+        order, bounds, seen = self._walk
+        if len(bounds) <= r + 1:
+            gens = self.symmetric_generators()
+            mul = self.mul
+            while len(bounds) <= r + 1:
+                for x in order[bounds[-2]:]:
+                    for g in gens:
+                        y = mul(x, g)
+                        if y not in seen:
+                            seen.add(y)
+                            order.append(y)
+                bounds.append(len(order))
+        return order[:bounds[r + 1]]
 
     def __repr__(self):
         return self.name

@@ -231,6 +231,8 @@ def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
                 rhs = L.add(rhs, L.monomial(alpha + (i,), beta + (i,)))
             if not L.eq(L.monomial(alpha, beta), rhs):
                 rep.chain_ok = False
+                rep.failures.append(f"chain: alpha={alpha} beta={beta}: alpha "
+                                    "beta* != sum_i (alpha e_i)(beta e_i)*")
     return eps, rep
 
 

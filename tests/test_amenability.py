@@ -100,6 +100,29 @@ def test_zd_rows_are_consecutive_ball_sizes(d, r_max):
         (_zd_ball_size(d, r + 1), _zd_ball_size(d, r)) for r in range(r_max + 1)]
 
 
+def test_folner_search_walks_each_radius_once(monkeypatch):
+    """A failing search multiplies each element of B_r by each generator
+    once (the walk) and by each k in K once (the sphere counts); a second
+    search on the same group object reuses the walk."""
+    G, r_max = FreeAbelian(2), 20
+    K = G.ball(1)
+    calls = [0]
+    true_mul = FreeAbelian.mul
+
+    def counting_mul(self, x, y):
+        calls[0] += 1
+        return true_mul(self, x, y)
+
+    monkeypatch.setattr(FreeAbelian, "mul", counting_mul)
+    ball_size = _zd_ball_size(2, r_max)
+    for bound in ((len(G.symmetric_generators()) + len(K)) * ball_size,
+                  len(K) * ball_size):
+        calls[0] = 0
+        res = folner_search(G, whole_group(G), K, Fraction(1, 100), r_max)
+        assert isinstance(res, FolnerFailure)
+        assert calls[0] <= bound
+
+
 def test_z3_witness_radius_follows_the_closed_form():
     G, eps = FreeAbelian(3), Fraction(1, 4)
     r = next(r for r in itertools.count()

@@ -76,6 +76,52 @@ def test_balls_come_from_one_walk(G):
         G.ball(3, max_radius=2)
 
 
+# the groups of test_balls_come_from_one_walk, by spec, so that each use
+# builds a fresh group object with its own walk
+_WALK_SPECS = ["F2", "Z^2", "BS(1,2)", "C(2) x C(3)"]
+
+
+@pytest.mark.parametrize("spec", _WALK_SPECS)
+def test_ball_slices_agree_in_any_call_order(spec):
+    G = group_from_spec(spec)
+    got = [G.ball(5), G.ball(2), list(G.balls(7)), G.ball(7)]
+    want = [group_from_spec(spec).ball(5), group_from_spec(spec).ball(2),
+            list(group_from_spec(spec).balls(7)), group_from_spec(spec).ball(7)]
+    assert got == want
+
+
+@pytest.mark.parametrize("spec", _WALK_SPECS)
+def test_returned_ball_is_a_fresh_list(spec):
+    G = group_from_spec(spec)
+    want = group_from_spec(spec).ball(3)
+    b = G.ball(3)
+    b.append(b[0])
+    b[0] = None
+    next(G.balls(0)).clear()
+    assert G.ball(3) == want
+    assert list(G.balls(3))[-1] == want
+
+
+@pytest.mark.parametrize("spec", _WALK_SPECS)
+def test_radius_refusals_hold_after_the_walk_grew(spec):
+    G = group_from_spec(spec)
+    G.ball(6)
+    with pytest.raises(ValueError):
+        G.ball(3, max_radius=2)
+    with pytest.raises(ValueError):
+        G.ball(-1)
+    with pytest.raises(ValueError):
+        next(G.balls(3, max_radius=2))
+    with pytest.raises(ValueError):
+        next(G.balls(-1))
+
+
+def test_finite_group_walk_stops_growing():
+    G = DirectProduct([Cyclic(2), Cyclic(3)])
+    ball = G.ball(10, max_radius=10)
+    assert len(ball) == 6 and sorted(ball) == sorted(G.elements())
+
+
 def test_bs_relation():
     """b a b^-1 = a^k in BS(1,k)."""
     for k in (2, 3):

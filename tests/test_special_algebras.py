@@ -132,6 +132,8 @@ def test_matrix_units_chain_checks_every_pair(monkeypatch, alpha, beta):
     _, rep = leavitt_matrix_units(2, 2)
     assert not rep.chain_ok
     assert rep.product_law_ok and rep.sum_identity_ok and rep.degrees_ok
+    assert rep.failures == [f"chain: alpha={alpha} beta={beta}: alpha "
+                            "beta* != sum_i (alpha e_i)(beta e_i)*"]
 
 
 def _reference_leavitt_mul(L, a, b):
