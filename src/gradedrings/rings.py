@@ -465,8 +465,8 @@ def support_mul(R: Ring, P: list, Q: list) -> list:
     out = []
     for row in P:
         acc = {}
-        for k in sorted(row):
-            a = row[k]
+        # a row with one entry (a permutation, diagonal or 0/1 slice row) needs no sort
+        for k, a in (sorted(row.items()) if len(row) > 1 else row.items()):
             for j, b in Q[k].items():
                 ab = mul(a, b)
                 acc[j] = add(acc[j], ab) if j in acc else ab
@@ -476,11 +476,18 @@ def support_mul(R: Ring, P: list, Q: list) -> list:
 
 def _first_difference(R: Ring, P: list, Q: list):
     """The first (i, j), 0-based and row-major, at which two matrices in
-    support form differ, reading an absent entry as zero; None if none."""
+    support form differ, reading an absent entry as zero; None if none.
+
+    Rows that compare == are skipped: every ring's stored elements meet
+    R.eq(a, b) whenever a == b, so such rows agree entrywise.  Any other
+    row pair is compared entry by entry with R.eq.
+    """
     if len(P) != len(Q):
         raise ValueError(f"row count mismatch: {len(P)} vs {len(Q)}")
     zero, eq = R.zero(), R.eq
     for i, (p, q) in enumerate(zip(P, Q)):
+        if p == q:
+            continue
         bad = [j for j in p.keys() | q.keys() if not eq(p.get(j, zero), q.get(j, zero))]
         if bad:
             return i, min(bad)

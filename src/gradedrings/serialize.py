@@ -83,20 +83,21 @@ def _matrix_from_json(ring: Ring, data: list) -> RingMatrix:
     """Dense rows of entries as a RingMatrix, each row read straight into
     its support row: a zero is not stored, and each distinct entry (a text,
     or a list object, which data keeps alive) is parsed once."""
-    parsed = {}
-
-    def element(v):  # None stands for a zero
-        key = v if isinstance(v, str) else id(v)
-        if key not in parsed:
-            x = element_from_jsonable(ring, v)
-            parsed[key] = None if ring.is_zero(x) else x
-        return parsed[key]
-
     if not data or any(len(row) != len(data[0]) for row in data):
         raise ValueError("no rows, or ragged rows")
-    return RingMatrix.from_support_rows(ring, len(data[0]), [
-        {j: x for j, x in enumerate(map(element, row)) if x is not None}
-        for row in data])
+    parsed, support = {}, []  # parsed[key] is None for a zero
+    for row in data:
+        out = {}
+        for j, v in enumerate(row):
+            key = v if isinstance(v, str) else id(v)
+            x = parsed.get(key, parsed)
+            if x is parsed:
+                x = element_from_jsonable(ring, v)
+                x = parsed[key] = None if ring.is_zero(x) else x
+            if x is not None:
+                out[j] = x
+        support.append(out)
+    return RingMatrix.from_support_rows(ring, len(data[0]), support)
 
 
 def _is_rows(data) -> bool:

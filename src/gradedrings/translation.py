@@ -200,11 +200,12 @@ def tr_mul_oracle_entry(tring: TranslationRing, M: dict, N: dict, x, y):
 class FiniteGroupIsoReport(Report):
     group_name: str
     ring_name: str
-    shift_mult_ok: bool       # A_g A_h = A_{gh}
+    shift_mult_ok: bool       # A_g A_h = A_{gh}, and G is closed
     diag_mult_ok: bool        # D_f D_f' = D_{ff'}
-    action_ok: bool           # A_g D_f A_{g^-1} = D_{g.f}
-    unital_ok: bool
-    bijective_ok: bool        # {D_{delta_x} A_g} hits every matrix unit once
+    # None when G is not closed, so A_g is not defined
+    action_ok: Optional[bool]     # A_g D_f A_{g^-1} = D_{g.f}
+    unital_ok: Optional[bool]
+    bijective_ok: Optional[bool]  # {D_{delta_x} A_g} hits every matrix unit once
 
     CHECKS = (("shift_mult_ok", "shift multiplicativity"),
               ("diag_mult_ok", "diagonal multiplicativity"),
@@ -226,13 +227,16 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     the products D_{delta_x} A_g enumerate every matrix unit exactly once.
     Every matrix is built once, in support form, and every product is a
     rings.support_mul, so a law costs the pairs it meets, not N^3.
+
+    The identity, every inverse and every product must lie in G.  Each one
+    that leaves G is a failure; the shift law then fails, and the laws
+    built on A_g are not evaluated (None).
     """
     elems = group.elements()
     N = len(elems)
     if N > FINITE_ISO_MAX_ORDER:
         raise ValueError(f"group order {N} exceeds bound {FINITE_ISO_MAX_ORDER}")
     idx = {x: i for i, x in enumerate(elems)}
-    col = TranslationRing(group, whole_group(group), ring)._column
     R = ring
     one = R.one()
     rep = FiniteGroupIsoReport(group.name, ring.name, True, True, True, True, True)
@@ -241,15 +245,6 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     def D(f: dict) -> list:
         return [{i: f[x]} for i, x in enumerate(elems)]
 
-    def A(g) -> list:
-        return [{idx[col(g, x)]: one} for x in elems]
-
-    A_of = {g: A(g) for g in elems}
-
-    def A_cached(g) -> list:
-        # a faulty group may return a product or inverse outside elems
-        return A_of[g] if g in A_of else A(g)
-
     # sample coefficient functions: all-ones, a delta, and a counting table
     samples = [
         {x: one for x in elems},
@@ -257,40 +252,56 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
         {x: R.from_int(i + 1) for i, x in enumerate(elems)},
     ]
     D_of = [D(f) for f in samples]
-
-    for g in elems:
-        for h in elems:
-            if not support_eq(R, support_mul(R, A_of[g], A_of[h]),
-                              A_cached(group.mul(g, h))):
-                rep.shift_mult_ok = False
-                rep.failures.append(f"A_g A_h != A_gh at ({g}, {h})")
     for f1, D1 in zip(samples, D_of):
         for f2, D2 in zip(samples, D_of):
             prod = {x: R.mul(f1[x], f2[x]) for x in elems}
             if not support_eq(R, support_mul(R, D1, D2), D(prod)):
                 rep.diag_mult_ok = False
+
+    e = group.identity()
+    inverse = {g: group.inv(g) for g in elems}
+    table = {(g, h): group.mul(g, h) for g in elems for h in elems}
+    outside = ([f"identity {e} is not in G"] if e not in idx else []) + [
+        f"inverse of {g} is not in G: {ginv}"
+        for g, ginv in inverse.items() if ginv not in idx] + [
+        f"product of ({g}, {h}) is not in G: {gh}"
+        for (g, h), gh in table.items() if gh not in idx]
+    if outside:
+        rep.failures += outside
+        rep.shift_mult_ok = False
+        rep.action_ok = rep.unital_ok = rep.bijective_ok = None
+        return rep
+
+    # G is closed, so every column g^-1 x lies in G: row i of A_g has its
+    # one at column cols[g][i], and (g.f)(x_i) = f(cols[g][i])
+    col = TranslationRing(group, whole_group(group), ring)._column
+    cols = {g: [col(g, x) for x in elems] for g in elems}
+    A_of = {g: [{idx[y]: one} for y in cols[g]] for g in elems}
+
+    for (g, h), gh in table.items():
+        if not support_eq(R, support_mul(R, A_of[g], A_of[h]), A_of[gh]):
+            rep.shift_mult_ok = False
+            rep.failures.append(f"A_g A_h != A_gh at ({g}, {h})")
     for g in elems:
-        ginv = group.inv(g)
         for f, Df in zip(samples, D_of):
-            moved = {x: f[col(g, x)] for x in elems}
-            got = support_mul(R, support_mul(R, A_of[g], Df), A_cached(ginv))
-            if not support_eq(R, got, D(moved)):
+            got = support_mul(R, support_mul(R, A_of[g], Df), A_of[inverse[g]])
+            if not support_eq(R, got, [{i: f[y]} for i, y in enumerate(cols[g])]):
                 rep.action_ok = False
                 rep.failures.append(f"conjugation law fails at g = {g}")
     identity = [{i: one} for i in range(N)]
-    rep.unital_ok = (support_eq(R, A_cached(group.identity()), identity)
+    rep.unital_ok = (support_eq(R, A_of[e], identity)
                      and support_eq(R, D_of[0], identity))
+    # D_{delta_x} has the one row {i: one} at i = idx[x] and no other entry,
+    # so D_{delta_x} A_g is that row times A_g, in row i
     units = set()
-    for x in elems:
-        delta = [{}] * N
-        delta[idx[x]] = {idx[x]: one}
+    for i in range(N):
         for g in elems:
-            nonzero = [((i, j), m) for i, row in enumerate(support_mul(R, delta, A_of[g]))
-                       for j, m in row.items() if not R.is_zero(m)]
+            (row,) = support_mul(R, [{i: one}], A_of[g])
+            nonzero = [(j, m) for j, m in row.items() if not R.is_zero(m)]
             if len(nonzero) != 1 or not R.eq(nonzero[0][1], one):
                 rep.bijective_ok = False
             else:
-                units.add(nonzero[0][0])
+                units.add((i, nonzero[0][0]))
     if len(units) != N * N:
         rep.bijective_ok = False
     return rep

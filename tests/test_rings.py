@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedrings import rings
 from gradedrings.amenability import whole_group
 from gradedrings.checks import _stack_twice
 from gradedrings.graded import CrossedProductRing, group_ring, twisted_system
@@ -615,6 +616,35 @@ def test_support_mul_and_eq_agree_with_mat_mul(ring, elements, data):
 def test_support_eq_refuses_a_row_count_mismatch():
     with pytest.raises(ValueError, match="row count mismatch"):
         support_eq(Z, [{}], [{}, {}])
+
+
+def test_support_eq_reads_rows_that_are_not_equal_dicts_with_ring_eq():
+    """Rows that compare == are skipped; any other pair goes through R.eq,
+    so residues 8 and 1 mod 7 agree although the dicts differ."""
+    Z7 = IntegerModRing(7)
+    assert [{0: 8}] != [{0: 1}]
+    assert support_eq(Z7, [{0: 8}], [{0: 1}])
+    assert not support_eq(Z7, [{0: 8}], [{0: 2}])
+
+
+def test_first_difference_after_shared_rows_is_row_major():
+    Z7 = IntegerModRing(7)
+    shared = {0: 1, 2: 3}
+    P = [shared, shared, {0: 8, 1: 2, 3: 5}, {0: 1}]
+    Q = [shared, shared, {0: 1, 1: 2, 2: 0, 3: 4}, {0: 2}]
+    assert rings._first_difference(Z7, P, Q) == (2, 3)
+    assert rings._first_difference(Z7, Q, P) == (2, 3)
+    assert rings._first_difference(Z7, P[:2], Q[:2]) is None
+
+
+def test_verify_certificate_after_identity_rows_keeps_the_failing_position():
+    """AB's leading rows are identity rows ({0: 8} reads as 1 mod 7), and
+    the first wrong entry is (3, 2)."""
+    Z7 = IntegerModRing(7)
+    A = RingMatrix.from_rows(Z7, [[8, 0, 0], [0, 1, 0], [0, 5, 1]])
+    cert = RankCertificate(Z7, 3, 3, A, RingMatrix.identity(Z7, 3))
+    assert verify_certificate(cert) == Invalid(position=(3, 2))
+    assert _verify_reference(cert) == (False, None, (3, 2))
 
 
 @pytest.mark.parametrize("index", [(0, 3), (1, 3), (0, -1), (1, -1)])

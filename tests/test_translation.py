@@ -188,12 +188,23 @@ def test_finite_group_iso_needs_each_unit_to_be_one():
 def _finite_group_iso_reference(group, ring):
     """finite_group_iso as dense products: every A_g and D_f an N x N
     RingMatrix, every law a dense triple-loop product compared with
-    RingMatrix.eq."""
+    RingMatrix.eq.  An identity, inverse or product outside G is a failure
+    and leaves the laws built on A_g unevaluated."""
     mul = _mat_mul_reference
     elems = group.elements()
     N, R = len(elems), ring
     idx = {x: i for i, x in enumerate(elems)}
     rep = FiniteGroupIsoReport(group.name, ring.name, True, True, True, True, True)
+    e = group.identity()
+    if e not in idx:
+        rep.failures.append(f"identity {e} is not in G")
+    for g in elems:
+        if group.inv(g) not in idx:
+            rep.failures.append(f"inverse of {g} is not in G: {group.inv(g)}")
+    for g in elems:
+        for h in elems:
+            if group.mul(g, h) not in idx:
+                rep.failures.append(f"product of ({g}, {h}) is not in G: {group.mul(g, h)}")
 
     def D(f):
         return RingMatrix.from_support_rows(R, N, [{i: f[x]} for x, i in idx.items()])
@@ -208,16 +219,20 @@ def _finite_group_iso_reference(group, ring):
         {x: (R.one() if x == elems[0] else R.zero()) for x in elems},
         {x: R.from_int(i + 1) for i, x in enumerate(elems)},
     ]
-    for g in elems:
-        for h in elems:
-            if not mul(A(g), A(h)).eq(A(group.mul(g, h))):
-                rep.shift_mult_ok = False
-                rep.failures.append(f"A_g A_h != A_gh at ({g}, {h})")
     for f1 in samples:
         for f2 in samples:
             prod = {x: R.mul(f1[x], f2[x]) for x in elems}
             if not mul(D(f1), D(f2)).eq(D(prod)):
                 rep.diag_mult_ok = False
+    if rep.failures:
+        rep.shift_mult_ok = False
+        rep.action_ok = rep.unital_ok = rep.bijective_ok = None
+        return rep
+    for g in elems:
+        for h in elems:
+            if not mul(A(g), A(h)).eq(A(group.mul(g, h))):
+                rep.shift_mult_ok = False
+                rep.failures.append(f"A_g A_h != A_gh at ({g}, {h})")
     for g in elems:
         ginv = group.inv(g)
         for f in samples:
@@ -244,19 +259,47 @@ def _finite_group_iso_reference(group, ring):
     return rep
 
 
+class _UnreducedMul(Cyclic):
+    """Addition without the reduction mod m: some products leave G."""
+
+    def mul(self, x, y):
+        return x + y
+
+
+def test_finite_group_iso_reports_products_outside_the_group():
+    rep = finite_group_iso(_UnreducedMul(3), Z)
+    assert not rep.ok
+    assert (rep.shift_mult_ok, rep.diag_mult_ok) == (False, True)
+    assert rep.action_ok is rep.unital_ok is rep.bijective_ok is None
+    assert rep.failures == ["product of (1, 2) is not in G: 3",
+                            "product of (2, 1) is not in G: 3",
+                            "product of (2, 2) is not in G: 4"]
+
+
+def test_finite_group_iso_refuses_order_above_the_bound():
+    with pytest.raises(ValueError, match="exceeds bound"):
+        finite_group_iso(Cyclic(translation.FINITE_ISO_MAX_ORDER + 1), Z)
+
+
 _ISO_GROUPS = ([Cyclic(m) for m in range(1, 9)]
                + [DirectProduct([Cyclic(2), Cyclic(2)]),
                   DirectProduct([Cyclic(2), Cyclic(4)]),
                   DirectProduct([Cyclic(2), Cyclic(2), Cyclic(2)]),
-                  _BadInv(3), _BadMul(3), _BadMul(4)])
+                  _BadInv(3), _BadMul(3), _BadMul(4), _UnreducedMul(3)])
+# orders up to the bound, as the bench runs them; over Z/5 only, since the
+# dense reference costs N^3 ring products per law
+_ISO_LARGE_GROUPS = [Cyclic(9), Cyclic(12), DirectProduct([Cyclic(3), Cyclic(3)]),
+                     DirectProduct([Cyclic(2), Cyclic(6)]), _BadMul(12)]
+_ISO_CASES = ([("Z", Z, G) for G in _ISO_GROUPS]
+              + [("Z5", IntegerModRing(5), G) for G in _ISO_GROUPS + _ISO_LARGE_GROUPS])
 
 
-@pytest.mark.parametrize("group", _ISO_GROUPS,
-                         ids=[f"{type(G).__name__}-{G.name}" for G in _ISO_GROUPS])
-@pytest.mark.parametrize("ring", [Z, IntegerModRing(5)], ids=["Z", "Z5"])
+@pytest.mark.parametrize("ring, group", [(R, G) for _, R, G in _ISO_CASES],
+                         ids=[f"{r}-{type(G).__name__}-{G.name}" for r, _, G in _ISO_CASES])
 def test_finite_group_iso_agrees_with_the_dense_products(group, ring):
     """Every report field and every failures entry, in order, is the dense
-    reference's: the groups of acceptance check 7 and three faulty ones."""
+    reference's: the groups of acceptance check 7, the larger orders the
+    bench runs, and five faulty ones."""
     assert finite_group_iso(group, ring) == _finite_group_iso_reference(group, ring)
 
 
