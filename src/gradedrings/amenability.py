@@ -135,7 +135,7 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
 
 def _ball_counts(group: Group, X: SubsetPredicate, K: Sequence, balls: Iterable):
     """Yield (B, |KB cap X|, |B cap X|) for nested balls B, each a prefix of
-    the next (Group.balls).  Since K(A u S) = KA u KS, each step multiplies
+    the next (Group.ball).  Since K(A u S) = KA u KS, each step multiplies
     K only by the new sphere S and counts in X only the products not seen
     before."""
     kf = set()

@@ -24,8 +24,7 @@ from .amenability import (FolnerWitness, InjectionWitness, bs_X, bs_X0,
                           verify_hall_violation, whole_group)
 from .graded import (CrossedProductRing, CrossedSystem,
                      endo_graded_construction, group_ring_augmentation,
-                     psi_embedding_check, twisted_system,
-                     verify_crossed_system)
+                     psi_embedding_check, verify_crossed_system)
 from .groups import (DEFAULT_MAX_RADIUS, BaumslagSolitar, Group,
                      group_from_spec, split_top_level)
 from .monoids import (DEFAULT_CLOSURE_DEPTH, MnklParams, cnk_leq,
@@ -317,20 +316,34 @@ def _parse_m_side(params: MnklParams, text: str) -> tuple:
     return tuple(vec)
 
 
+# the fields a crossed-system config may have, with their JSON types
+_CROSSED_FIELDS = {"group": (str, "a string"), "ring": (str, "a string"),
+                   "omega": (dict, "an object"), "omega_inv": (dict, "an object"),
+                   "samples": (list, "a list")}
+
+
 def _cmd_crossed(args) -> int:
     cfg = load_json(args.config)
+    if not isinstance(cfg, dict):
+        raise ValueError("the file is not a JSON object, so not a crossed-system config")
+    twisted = "omega" in cfg or "omega_inv" in cfg
+    for field in ("group", "ring") + (("omega", "omega_inv") if twisted else ()):
+        if field not in cfg:
+            raise ValueError(f"crossed-system config is missing field {field!r}")
+    for field, (kind, what) in _CROSSED_FIELDS.items():
+        if field in cfg and not isinstance(cfg[field], kind):
+            raise ValueError(f"crossed-system config field {field!r} is not {what}")
     G = group_from_spec(cfg["group"])
     R = ring_from_spec(cfg["ring"])
-    if "omega" in cfg:
+    omega = omega_inv = None
+    if twisted:
         omega = _omega_table(G, R, cfg["omega"])
         omega_inv = _omega_table(G, R, cfg["omega_inv"])
-        cs = twisted_system(G, R, omega, omega_inv)
-    else:
-        cs = CrossedSystem(G, R)
     samples = None
     if "samples" in cfg:
         samples = [R.element_from_str(s) for s in cfg["samples"]]
-    rep = verify_crossed_system(cs, samples)
+    rep = verify_crossed_system(CrossedSystem(G, R, omega=omega, omega_inv=omega_inv),
+                                samples)
     return _emit(args, rep.lines(), rep.to_json())
 
 
@@ -422,7 +435,7 @@ def _cmd_repro(args) -> int:
     for r in results.values():
         lines.append(r.line)
         if args.verbose or not r.ok:
-            lines += [f"    {d}" for d in r.details]
+            lines += [f"    {d}" for d in r.lines()]
     return _emit(args, lines, {
         "verdict": verdict_of(*results.values()),
         "checks": [{"check": name, **r.to_json()} for name, r in results.items()]})

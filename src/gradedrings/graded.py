@@ -28,8 +28,6 @@ class CrossedSystem:
         self.sigma = sigma
         self.omega = omega
         self.omega_inv = omega_inv
-        self.trivial_sigma = sigma is None
-        self.trivial_omega = omega is None
         if (omega is None) != (omega_inv is None):
             raise ValueError("omega and omega_inv must be supplied together")
 
@@ -50,7 +48,7 @@ class CrossedSystem:
 
     @property
     def is_group_ring(self):
-        return self.trivial_sigma and self.trivial_omega
+        return self.sigma is None and self.omega is None
 
 
 def twisted_system(group: Group, ring: Ring, omega: dict,
@@ -65,25 +63,29 @@ class CrossedSystemReport(Report):
     cond3_ok: bool   # normalization w(g,1) = w(1,g) = 1, identity acts trivially
     units_ok: bool   # w w^-1 = w^-1 w = 1
     central_ok: Optional[bool]  # sampled centrality for trivial-sigma systems
+    sigma_hom_ok: Optional[bool]  # sampled ring laws of each sigma_g, if any
 
     CHECKS = (("cond1_ok", "conjugation condition (i)"),
               ("cond2_ok", "cocycle condition (ii)"),
               ("cond3_ok", "normalization (iii)"),
               ("units_ok", "omega values are units"),
-              ("central_ok", "omega centrality (sampled)"))
+              ("central_ok", "omega centrality (sampled)"),
+              ("sigma_hom_ok", "sigma_g unital, additive and multiplicative (sampled)"))
 
 
 def verify_crossed_system(cs: CrossedSystem,
                           samples: Optional[Sequence] = None) -> CrossedSystemReport:
-    """Check the three crossed-system conditions; group parts exhaustive,
-    ring parts on the sample list (default: 0, 1, 2, -3)."""
+    """Check the three crossed-system conditions, and that each sigma_g is
+    a ring homomorphism; group parts exhaustive, ring parts on the sample
+    list (default: 0, 1, 2, -3) and every pair of samples."""
     R = cs.ring
     G = cs.group
     if samples is None:
         samples = [R.zero(), R.one(), R.from_int(2), R.from_int(-3)]
     e = G.identity()
     rep = CrossedSystemReport(True, True, True, True,
-                              None if not cs.trivial_sigma else True)
+                              central_ok=True if cs.sigma is None else None,
+                              sigma_hom_ok=None if cs.sigma is None else True)
     for g in cs.elements:
         for h in cs.elements:
             wgh, wgh_i = cs.w(g, h), cs.w_inv(g, h)
@@ -111,14 +113,27 @@ def verify_crossed_system(cs: CrossedSystem,
     for r in samples:
         if not R.eq(cs.act(e, r), r):
             rep.cond3_ok = False
-    if cs.trivial_sigma:
-        rep.central_ok = True
+    if cs.sigma is None:
         for g in cs.elements:
             for h in cs.elements:
                 for r in samples:
                     if not R.eq(R.mul(cs.w(g, h), r), R.mul(r, cs.w(g, h))):
                         rep.central_ok = False
                         rep.failures.append(f"omega({g},{h}) not central")
+    else:
+        for g in cs.elements:
+            if not R.eq(cs.act(g, R.one()), R.one()):
+                rep.sigma_hom_ok = False
+                rep.failures.append(f"sigma_{g} does not fix 1")
+            for a in samples:
+                for b in samples:
+                    sa, sb = cs.act(g, a), cs.act(g, b)
+                    if not (R.eq(cs.act(g, R.add(a, b)), R.add(sa, sb))
+                            and R.eq(cs.act(g, R.mul(a, b)), R.mul(sa, sb))):
+                        rep.sigma_hom_ok = False
+                        rep.failures.append(
+                            f"sigma_{g} is not a ring homomorphism at "
+                            f"({R.element_to_str(a)}, {R.element_to_str(b)})")
     return rep
 
 
@@ -141,8 +156,8 @@ class CrossedProductRing(SparseRing):
         self.unit_key = cs.group.identity()
         self.key = (cs.group, cs.ring) if cs.is_group_ring else (cs,)
         kind = ("group" if cs.is_group_ring
-                else "skew" if cs.trivial_omega
-                else "twisted" if cs.trivial_sigma else "crossed")
+                else "skew" if cs.omega is None
+                else "twisted" if cs.sigma is None else "crossed")
         self.name = f"{kind}({self.base.name}, {self.group.name})"
 
     def term(self, r, g) -> dict:
@@ -416,10 +431,7 @@ class PsiReport(Report):
 
 
 def _weyl_basis_elems(ring: WeylRing, x: int) -> list:
-    if x == 0:
-        return [ring.one()]
-    basis = weyl_component_basis(ring, x)
-    return [{key: ring.base.one()} for key in basis.monomials]
+    return [{key: ring.base.one()} for key in weyl_component_basis(ring, x)]
 
 
 def _homogeneous_parts(ring: WeylRing, elem: dict) -> dict:

@@ -86,26 +86,16 @@ class Group:
     # (order, bounds, seen), where sphere q is order[bounds[q]:bounds[q + 1]].
     _walk = None
 
-    def balls(self, r: int, max_radius: int = DEFAULT_MAX_RADIUS):
-        """Yield ball(0), ball(1), ..., ball(r), each a fresh slice of the
-        group's one breadth-first walk, which is extended only as far as the
-        consumer reads.
+    def ball(self, r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> list:
+        """All elements of word length <= r over the symmetric generating
+        set, ordered by (word length, lexicographic order of the shortest
+        generating word), which makes the enumeration deterministic.
 
-        Each ball lists all elements of word length <= its radius over the
-        symmetric generating set, ordered by (word length, lexicographic
-        order of the shortest generating word), which makes the enumeration
-        deterministic.  Each ball is a prefix of the next.
+        Each ball is a fresh slice of the group's one breadth-first walk,
+        which is extended only when a larger radius is asked for, so each
+        ball is a prefix of the next.
         """
         _check_radius(r, max_radius)
-        for q in range(r + 1):
-            yield self._ball(q)
-
-    def ball(self, r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> list:
-        """The last of balls(r, max_radius), without the smaller ones."""
-        _check_radius(r, max_radius)
-        return self._ball(r)
-
-    def _ball(self, r: int) -> list:
         if self._walk is None:
             e = self.identity()
             self._walk = ([e], [0, 1], {e})
@@ -399,16 +389,10 @@ class DirectProduct(Group):
         return tuple(f.element_key(a) for f, a in zip(self.factors, x))
 
     def element_to_str(self, x):
-        return "(" + "; ".join(f.element_to_str(a) for f, a in zip(self.factors, x)) + ")"
+        return tuple_to_str(self.factors, x)
 
     def element_from_str(self, s):
-        s = s.strip()
-        if s.startswith("(") and s.endswith(")"):
-            s = s[1:-1]
-        parts = split_top_level(s, ";")
-        if len(parts) != len(self.factors):
-            raise ValueError(f"expected {len(self.factors)} coordinates: {s!r}")
-        return tuple(f.element_from_str(p) for f, p in zip(self.factors, parts))
+        return tuple_from_str(self.factors, s, "coordinates")
 
     def elements(self):
         out = [()]
@@ -456,6 +440,23 @@ def split_top_level(text: str, sep: str) -> list[str]:
             cur.append(ch)
     parts.append("".join(cur))
     return [p.strip() for p in parts if p.strip()]
+
+
+def tuple_to_str(factors: Sequence, x: tuple) -> str:
+    """"(a; b; ...)", each part printed by its factor, a group or a ring."""
+    return "(" + "; ".join(f.element_to_str(a) for f, a in zip(factors, x)) + ")"
+
+
+def tuple_from_str(factors: Sequence, s: str, noun: str) -> tuple:
+    """Parse tuple_to_str's form; the parentheses are optional, and noun
+    names the parts in the error for a wrong count."""
+    s = s.strip()
+    if s.startswith("(") and s.endswith(")"):
+        s = s[1:-1]
+    parts = split_top_level(s, ";")
+    if len(parts) != len(factors):
+        raise ValueError(f"expected {len(factors)} {noun}: {s!r}")
+    return tuple(f.element_from_str(p) for f, p in zip(factors, parts))
 
 
 def _atom_from_spec(spec: str) -> Group:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .groups import split_top_level
+from .groups import tuple_from_str, tuple_to_str
 from .report import VerificationError
 
 
@@ -68,7 +68,7 @@ class Ring:
         return str(a)
 
     def element_from_str(self, s: str):
-        raise NotImplementedError(f"{self.name} has no element parser")
+        raise ValueError(f"{self.name} has no element parser")
 
     def opposite(self) -> "Ring":
         return OppositeRing(self)
@@ -272,16 +272,10 @@ class ProductRing(Ring):
         return all(f.eq(x, y) for f, x, y in zip(self.factors, a, b))
 
     def element_to_str(self, a):
-        return "(" + "; ".join(f.element_to_str(x) for f, x in zip(self.factors, a)) + ")"
+        return tuple_to_str(self.factors, a)
 
     def element_from_str(self, s):
-        s = s.strip()
-        if s.startswith("(") and s.endswith(")"):
-            s = s[1:-1]
-        parts = split_top_level(s, ";")
-        if len(parts) != len(self.factors):
-            raise ValueError(f"expected {len(self.factors)} components: {s!r}")
-        return tuple(f.element_from_str(p) for f, p in zip(self.factors, parts))
+        return tuple_from_str(self.factors, s, "components")
 
 
 class OppositeRing(Ring):

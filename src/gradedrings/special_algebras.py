@@ -147,22 +147,14 @@ def leavitt_rank_certificate(n: int, base: Optional[Ring] = None) -> RankCertifi
     """The (1, n) certificate A = column of e_i*, B = row of e_i.
 
     AB = I_n by the relation e_i* e_j = delta_ij, and BA = sum e_i e_i* = 1,
-    so the witnessed epimorphism L -> L^n is an isomorphism.
+    so (B, A) is an (n, 1) certificate and the witnessed epimorphism
+    L -> L^n is an isomorphism.
     """
     L = LeavittRing(n, base)
     A = RingMatrix(L, n, 1, [L.gen_star(i) for i in range(1, n + 1)])
     B = RingMatrix(L, 1, n, [L.gen(i) for i in range(1, n + 1)])
     return _checked(RankCertificate(L, 1, n, A, B),
                     "Leavitt certificate failed verification", need_bgn=True)
-
-
-def leavitt_iso_check(n: int, base: Optional[Ring] = None) -> bool:
-    """BA = 1 for the rank certificate, i.e. sum_i e_i e_i* = 1."""
-    L = LeavittRing(n, base)
-    acc = L.zero()
-    for i in range(1, n + 1):
-        acc = L.add(acc, L.mul(L.gen(i), L.gen_star(i)))
-    return L.eq(acc, L.one())
 
 
 @dataclass
@@ -369,33 +361,13 @@ def weyl_phi0_multiplicative(ring: WeylRing, pairs) -> bool:
     return True
 
 
-class ComponentBasis:
-    """Basis description for a homogeneous component of a Weyl algebra."""
-
-    def __init__(self, degree: int, monomials=None, rule: str = ""):
-        self.degree = degree
-        self.monomials = monomials  # list of (xword, l) keys, or None for m = 0
-        self.rule = rule
-
-    def __repr__(self):
-        if self.monomials is not None:
-            return f"ComponentBasis({self.degree}, {self.monomials})"
-        return f"ComponentBasis({self.degree}, rule={self.rule!r})"
-
-
-def weyl_component_basis(ring: WeylRing, m: int) -> ComponentBasis:
-    """Free R_0-module basis of the degree-m component.
-
-    Degree m > 0: the n^m x-words.  Degree m < 0: the single monomial
-    y^|m|.  Degree 0: infinite; described by the rule (x-word of length k)
-    y^k together with 1.
-    """
+def weyl_component_basis(ring: WeylRing, m: int) -> list:
+    """The monomial keys of a free R_0-module basis of the degree-m
+    component: the n^m x-words for m > 0, the single y^|m| for m < 0, and
+    1 for m = 0 (rank 1)."""
     if m > 0:
-        return ComponentBasis(m, [(w, 0) for w in _words(ring.n, m)])
-    if m < 0:
-        return ComponentBasis(m, [((), -m)])
-    return ComponentBasis(0, None,
-                          rule="{ x_{i1}..x_{ik} y^k : k > 0 } union { 1 }")
+        return [(w, 0) for w in _words(ring.n, m)]
+    return [((), -m)]
 
 
 def weyl_coordinates(ring: WeylRing, elem: dict, m: int) -> list:

@@ -118,10 +118,6 @@ class TranslationRing(SparseRing):
     def diag_const(self, r) -> dict:
         return self.diag(self.fn(r))
 
-    def shift(self, g) -> dict:
-        self.group.check_element(g)
-        return {g: self.base.one()}
-
     def term(self, g, f: CoeffFn) -> dict:
         self.group.check_element(g)
         return {} if self.base.is_zero(f) else {g: f}

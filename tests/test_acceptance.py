@@ -11,7 +11,7 @@ from gradedrings import checks
 def _run(fn):
     result = fn()
     print(result.line)
-    assert result.ok, "\n".join([result.line] + [str(d) for d in result.details])
+    assert result.ok, "\n".join([result.line] + [str(d) for d in result.lines()])
     return result
 
 

@@ -483,6 +483,23 @@ def test_crossed_config(tmp_path):
     assert run("crossed", "--config", str(bad)) == 1
 
 
+@pytest.mark.parametrize("config, message", [
+    ([1, 2], "the file is not a JSON object, so not a crossed-system config"),
+    ({"ring": "Z"}, "crossed-system config is missing field 'group'"),
+    ({"group": "C(2)", "ring": "Z", "omega": {"0; 0": "1"}},
+     "crossed-system config is missing field 'omega_inv'"),
+    ({"group": "C(2)", "ring": "M2(Z)", "samples": ["1"]},
+     "M2(Z) has no element parser"),
+    ({"group": 2, "ring": "Z"}, "crossed-system config field 'group' is not a string"),
+], ids=["not-an-object", "no-group", "no-omega-inv", "no-parser", "group-not-a-string"])
+def test_crossed_config_input_errors(config, message, tmp_path, capsys):
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(config))
+    assert run("crossed", "--config", str(cfg)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_endo_graded(capsys):
     assert run("endo-graded", "--group", "C(2)", "--ring", "Z/5",
                "--n", "2", "--l", "1") == 0

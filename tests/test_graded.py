@@ -4,8 +4,7 @@ from gradedrings import graded, rings
 from gradedrings.graded import (CrossedProductRing, CrossedSystem,
                                 endo_graded_construction, group_ring,
                                 group_ring_augmentation, psi_embedding_check,
-                                strong_grading_check, twisted_system,
-                                verify_crossed_system)
+                                strong_grading_check, verify_crossed_system)
 from gradedrings.groups import Cyclic, DirectProduct
 from gradedrings.rings import IntegerModRing, IntegerRing, ProductRing, RingMatrix
 from gradedrings.special_algebras import LeavittRing, WeylRing
@@ -23,7 +22,7 @@ def test_twisted_c2xc2():
     G = DirectProduct([Cyclic(2), Cyclic(2)])
     omega = {(g, h): Z.from_int((-1) ** (g[1] * h[0]))
              for g in G.elements() for h in G.elements()}
-    cs = twisted_system(G, Z, omega, omega)
+    cs = CrossedSystem(G, Z, omega=omega, omega_inv=omega)
     rep = verify_crossed_system(cs)
     assert rep.ok, rep.lines()
     R = CrossedProductRing(cs)
@@ -56,6 +55,37 @@ def test_skew_system_with_product_swap():
     assert R.eq(R.mul(t, t), R.term((0, 0), 0))   # (1,0)*swap(1,0) = 0
 
 
+def test_sigma_that_is_no_ring_map_is_refused():
+    """sigma_1 swaps 2 and 3 and fixes every other integer: a bijection of Z
+    that meets conditions (i)-(iii), under which the crossed product is not
+    associative: with x = 1*[1] and y = 2*[0], (xy)y = 9*[1] but
+    x(yy) = 4*[1]."""
+    sw = lambda r: {2: 3, 3: 2}.get(r, r)
+    cs = CrossedSystem(Cyclic(2), Z, sigma={0: (lambda r: r, lambda r: r), 1: (sw, sw)})
+    rep = verify_crossed_system(cs)
+    assert not rep.ok and rep.sigma_hom_ok is False
+    assert (rep.cond1_ok, rep.cond2_ok, rep.cond3_ok, rep.units_ok) == (True,) * 4
+    assert "sigma_g unital, additive and multiplicative (sampled): FAIL" in rep.lines()
+    assert "sigma_1 is not a ring homomorphism at (1, 1)" in rep.failures
+    assert not any(f.startswith("sigma_0") for f in rep.failures)
+    with pytest.raises(ValueError, match="sigma_1 is not a ring homomorphism"):
+        CrossedProductRing(cs)
+
+
+def test_sigma_that_moves_one_is_refused():
+    neg = lambda r: -r
+    cs = CrossedSystem(Cyclic(2), Z, sigma={0: (lambda r: r, lambda r: r), 1: (neg, neg)})
+    rep = verify_crossed_system(cs)
+    assert rep.sigma_hom_ok is False and "sigma_1 does not fix 1" in rep.failures
+
+
+def test_sigma_row_only_for_skew_systems():
+    assert verify_crossed_system(CrossedSystem(Cyclic(2), Z)).sigma_hom_ok is None
+    cs = CrossedSystem(Cyclic(2), Z, sigma={g: (lambda r: r, lambda r: r) for g in (0, 1)})
+    rep = verify_crossed_system(cs)
+    assert rep.ok and rep.sigma_hom_ok is True and rep.central_ok is None
+
+
 def test_group_ring_element_parser():
     R = group_ring(Cyclic(3), Z)
     x = R.element_from_str("2*[1] + -1*[2]")
@@ -75,7 +105,7 @@ def test_augmentation_needs_group_ring():
     G = Cyclic(2)
     omega = {(g, h): Z.from_int((-1) ** (g * h)) for g in G.elements()
              for h in G.elements()}
-    R = CrossedProductRing(twisted_system(G, Z, omega, omega))
+    R = CrossedProductRing(CrossedSystem(G, Z, omega=omega, omega_inv=omega))
     with pytest.raises(ValueError):
         group_ring_augmentation(R, R.one())
 

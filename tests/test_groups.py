@@ -66,12 +66,10 @@ def test_ball_deterministic_order():
 @pytest.mark.parametrize("G", [FreeGroup(2), FreeAbelian(2), BaumslagSolitar(2),
                                DirectProduct([Cyclic(2), Cyclic(3)])])
 def test_balls_come_from_one_walk(G):
-    balls = list(G.balls(4))
-    assert len(balls) == 5
-    for r, b in enumerate(balls):
-        assert b == G.ball(r)
-        assert b == balls[-1][:len(b)]
-    assert balls[-1] == G.ball(4)
+    big = G.ball(4)
+    balls = [G.ball(r) for r in range(5)]
+    for b in balls:
+        assert b == big[:len(b)]
     with pytest.raises(ValueError):
         G.ball(3, max_radius=2)
 
@@ -84,9 +82,10 @@ _WALK_SPECS = ["F2", "Z^2", "BS(1,2)", "C(2) x C(3)"]
 @pytest.mark.parametrize("spec", _WALK_SPECS)
 def test_ball_slices_agree_in_any_call_order(spec):
     G = group_from_spec(spec)
-    got = [G.ball(5), G.ball(2), list(G.balls(7)), G.ball(7)]
+    got = [G.ball(5), G.ball(2), [G.ball(r) for r in range(8)], G.ball(7)]
     want = [group_from_spec(spec).ball(5), group_from_spec(spec).ball(2),
-            list(group_from_spec(spec).balls(7)), group_from_spec(spec).ball(7)]
+            [group_from_spec(spec).ball(r) for r in range(8)],
+            group_from_spec(spec).ball(7)]
     assert got == want
 
 
@@ -97,9 +96,8 @@ def test_returned_ball_is_a_fresh_list(spec):
     b = G.ball(3)
     b.append(b[0])
     b[0] = None
-    next(G.balls(0)).clear()
+    G.ball(0).clear()
     assert G.ball(3) == want
-    assert list(G.balls(3))[-1] == want
 
 
 @pytest.mark.parametrize("spec", _WALK_SPECS)
@@ -110,10 +108,6 @@ def test_radius_refusals_hold_after_the_walk_grew(spec):
         G.ball(3, max_radius=2)
     with pytest.raises(ValueError):
         G.ball(-1)
-    with pytest.raises(ValueError):
-        next(G.balls(3, max_radius=2))
-    with pytest.raises(ValueError):
-        next(G.balls(-1))
 
 
 def test_finite_group_walk_stops_growing():

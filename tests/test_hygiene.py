@@ -117,6 +117,7 @@ def test_no_assert_in_library(path):
 # top-level names that no src/ module reads, each with the reason it stays
 UNREAD_ALLOWED = {
     "truncate_certificate": "bench-bound: traced as a certificate transform",
+    "twisted_system": "bench-bound: builds the rewrite workload's twisted ring",
     "injection_witness_from_json": "bench-bound: traced as a loader",
     "translation_certificate_to_json": "bench-bound: traced as a serializer",
     "cnk_normalize_oracle": "test reference for cnk_normalize",
@@ -150,3 +151,34 @@ def test_every_definition_is_reached():
     unread = unread_definitions(sources)
     assert [d for d in unread if d[1] not in UNREAD_ALLOWED] == []
     assert sorted(name for _, name in unread) == sorted(UNREAD_ALLOWED)
+
+
+# methods and properties that no src/ module reads, each with the reason it
+# stays
+UNREAD_METHODS_ALLOWED = {
+    "entries": "bench-bound: read by the tracer's _note_mat_mul",
+}
+
+
+def unread_methods(sources: dict) -> list:
+    """(module, class, name) of each non-dunder method or property of a
+    class whose name no module reads as an Attribute."""
+    defined, read = [], set()
+    for filename, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                defined += [(filename, node.name, f.name) for f in node.body
+                            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (f.name.startswith("__") and f.name.endswith("__"))]
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [d for d in defined if d[2] not in read]
+
+
+def test_every_method_is_reached():
+    """A method or property that nothing in src/ calls is a second form of
+    something else, or dead; the allowlist names each exception."""
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    unread = unread_methods(sources)
+    assert [d for d in unread if d[2] not in UNREAD_METHODS_ALLOWED] == []
+    assert sorted(d[2] for d in unread) == sorted(UNREAD_METHODS_ALLOWED)

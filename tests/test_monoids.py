@@ -94,14 +94,14 @@ def test_monoid_gn_counts_closed_form_faults_per_pair(monkeypatch, faulty,
     monkeypatch.setattr(checks, "cnk_leq_canonical", faulty)
     res = checks.check_monoid_gn()
     assert not res.ok
-    assert res.details[-1] == _gn_mismatch_line(expected)
+    assert res.lines()[-1] == _gn_mismatch_line(expected)
 
 
 def test_monoid_gn_catches_a_normal_form_that_never_folds(monkeypatch):
     monkeypatch.setattr(checks, "cnk_normalize", lambda n, k, lam: lam)
     res = checks.check_monoid_gn()
     assert not res.ok
-    assert res.details[-1] == _gn_mismatch_line(9000)
+    assert res.lines()[-1] == _gn_mismatch_line(9000)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -80,7 +80,7 @@ def test_one_broken_sub_result_fails_the_criterion(name, monkeypatch, capsys):
     assert main(["repro", name]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == res.line and out[0].endswith(": FAIL")
-    assert out[1:] == [f"    {d}" for d in res.details]
+    assert out[1:] == [f"    {d}" for d in res.lines()]
     assert main(["repro", name, "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "fail"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gradedrings import rings
 from gradedrings.amenability import whole_group
 from gradedrings.checks import _stack_twice
-from gradedrings.graded import CrossedProductRing, group_ring, twisted_system
+from gradedrings.graded import CrossedProductRing, CrossedSystem, group_ring
 from gradedrings.groups import (BaumslagSolitar, Cyclic, DirectProduct,
                                 FreeAbelian, FreeGroup)
 from gradedrings.rings import (IntegerModRing, IntegerRing, Invalid,
@@ -710,10 +710,11 @@ def _sparse_rings():
     for W in (WeylRing([1], [1]), WeylRing([1, -1], [1, 0])):
         out.append((W, [W.x(i) for i in range(1, W.n + 1)] + [W.y()]))
     RG = group_ring(Cyclic(4), Z4)
-    tw = CrossedProductRing(twisted_system(Cyclic(4), Z, omega, dict(omega)))
+    tw = CrossedProductRing(CrossedSystem(Cyclic(4), Z, omega=omega, omega_inv=dict(omega)))
     for C in (RG, tw):
         out.append((C, [C.term(C.base.one(), g) for g in range(4)]))
-    out.append((T, [T.shift(a), T.shift(F2.inv(b)), T.diag(T.fn(0, {a: 2})),
+    one = T.base.one()
+    out.append((T, [T.term(a, one), T.term(F2.inv(b), one), T.diag(T.fn(0, {a: 2})),
                     T.diag(T.fn(2, {(): 1}))]))
     return out
 
@@ -817,7 +818,8 @@ def test_twisted_rings_compare_by_system():
     def build():
         omega = {(g, h): (-1 if g + h >= 4 else 1)
                  for g in range(4) for h in range(4)}
-        return CrossedProductRing(twisted_system(Cyclic(4), Z, omega, dict(omega)))
+        return CrossedProductRing(CrossedSystem(Cyclic(4), Z, omega=omega,
+                                                omega_inv=dict(omega)))
 
     a, b = build(), build()
     assert a == a and a != b

@@ -8,7 +8,7 @@ from gradedrings.amenability import (InjectionWitness, bs_X,
                                      find_two_to_one_injection, folner_search,
                                      verify_injection_witness, whole_group)
 from gradedrings.cli import main
-from gradedrings.graded import CrossedProductRing, twisted_system
+from gradedrings.graded import CrossedProductRing, CrossedSystem
 from gradedrings.groups import BaumslagSolitar, Cyclic, FreeAbelian, FreeGroup
 from gradedrings.rings import (IntegerModRing, IntegerRing, MatrixRing,
                                ProductRing, RankCertificate, RingMatrix,
@@ -45,7 +45,8 @@ def test_ring_spec_round_trip(spec):
 
 def _twisted_c2():
     omega = {(g, h): -1 if g == h == 1 else 1 for g in range(2) for h in range(2)}
-    return CrossedProductRing(twisted_system(Cyclic(2), IntegerRing(), omega, omega))
+    return CrossedProductRing(CrossedSystem(Cyclic(2), IntegerRing(), omega=omega,
+                                            omega_inv=omega))
 
 
 @pytest.mark.parametrize("make", [
@@ -91,10 +92,11 @@ def test_translation_certificate_round_trip():
     G = FreeAbelian(1)
     L = LeavittRing(2)
     T = TranslationRing(G, whole_group(G), L)
-    A = RingMatrix(T, 2, 1, [T.mul(T.shift((1,)), T.diag_const(L.gen_star(1))),
+    one = T.base.one()
+    A = RingMatrix(T, 2, 1, [T.mul(T.term((1,), one), T.diag_const(L.gen_star(1))),
                              T.term((0,), T.fn(L.gen_star(2),
                                                {(0,): L.zero()}))])
-    B = RingMatrix(T, 1, 2, [T.mul(T.diag_const(L.gen(1)), T.shift((-1,))),
+    B = RingMatrix(T, 1, 2, [T.mul(T.diag_const(L.gen(1)), T.term((-1,), one)),
                              T.diag_const(L.gen(2))])
     cert = RankCertificate(T, 1, 2, A, B)
     data = translation_certificate_to_json(T, cert)

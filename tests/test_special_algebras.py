@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedrings import special_algebras
-from gradedrings.rings import IntegerModRing
+from gradedrings.rings import IntegerModRing, RankCertificate, verify_certificate
 from gradedrings.special_algebras import (LeavittRing, WeylRing,
-                                          leavitt_iso_check,
                                           leavitt_matrix_units,
                                           leavitt_rank_certificate,
                                           weyl_component_basis,
@@ -33,7 +32,8 @@ def test_leavitt_defining_relations():
 def test_leavitt_certificate(n):
     cert = leavitt_rank_certificate(n)
     assert (cert.n, cert.m) == (1, n)
-    assert leavitt_iso_check(n)
+    # BA = 1: (B, A) is an (n, 1) certificate
+    assert verify_certificate(RankCertificate(cert.ring, n, 1, cert.B, cert.A))
 
 
 def test_leavitt_normal_form_idempotent():
@@ -46,7 +46,8 @@ def test_leavitt_normal_form_idempotent():
 
 def test_leavitt_over_z5():
     L = LeavittRing(2, IntegerModRing(5))
-    assert leavitt_iso_check(2, IntegerModRing(5))
+    cert = leavitt_rank_certificate(2, IntegerModRing(5))
+    assert verify_certificate(RankCertificate(L, 2, 1, cert.B, cert.A))
     assert L.eq(L.from_int(7), L.from_int(2))
 
 
@@ -299,10 +300,10 @@ def test_weyl_phi0():
 
 def test_weyl_component_basis():
     W = WeylRing([1, 1], [1, 0])
-    assert weyl_component_basis(W, 2).monomials == [
+    assert weyl_component_basis(W, 2) == [
         ((1, 1), 0), ((1, 2), 0), ((2, 1), 0), ((2, 2), 0)]
-    assert weyl_component_basis(W, -3).monomials == [((), 3)]
-    assert weyl_component_basis(W, 0).monomials is None
+    assert weyl_component_basis(W, -3) == [((), 3)]
+    assert weyl_component_basis(W, 0) == [((), 0)]   # rank 1: the basis {1}
 
 
 def test_weyl_coordinates_reconstruct():

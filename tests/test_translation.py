@@ -29,10 +29,11 @@ def _zring():
 
 def test_shift_composition():
     G, T = _zring()
-    s1 = T.shift((1,))
-    s2 = T.shift((2,))
-    assert T.eq(T.mul(s1, s2), T.shift((3,)))
-    assert T.eq(T.mul(s1, T.shift((-1,))), T.one())
+    one = T.base.one()
+    s1 = T.term((1,), one)
+    s2 = T.term((2,), one)
+    assert T.eq(T.mul(s1, s2), T.term((3,), one))
+    assert T.eq(T.mul(s1, T.term((-1,), one)), T.one())
 
 
 def test_entry_rule():
@@ -435,9 +436,10 @@ def test_compress_shifted_certificate():
     G = FreeAbelian(1)
     L = LeavittRing(2)
     T = TranslationRing(G, whole_group(G), L)
-    A = RingMatrix(T, 2, 1, [T.mul(T.shift((1,)), T.diag_const(L.gen_star(1))),
+    one = T.base.one()
+    A = RingMatrix(T, 2, 1, [T.mul(T.term((1,), one), T.diag_const(L.gen_star(1))),
                              T.diag_const(L.gen_star(2))])
-    B = RingMatrix(T, 1, 2, [T.mul(T.diag_const(L.gen(1)), T.shift((-1,))),
+    B = RingMatrix(T, 1, 2, [T.mul(T.diag_const(L.gen(1)), T.term((-1,), one)),
                              T.diag_const(L.gen(2))])
     cert = RankCertificate(T, 1, 2, A, B)
     with pytest.raises(ValueError, match="dominate"):
@@ -458,8 +460,8 @@ def _leavitt_shifted_tcert(G, n, shifts, flip, cls=TranslationRing):
         pts = [flip] if flip is not None and i == 1 else []
         fa = T.fn(L.gen_star(i), {x: L.neg(L.gen_star(i)) for x in pts})
         fb = T.fn(L.gen(i), {x: L.neg(L.gen(i)) for x in pts})
-        A.append(T.mul(T.shift(s), T.diag(fa)))
-        B.append(T.mul(T.diag(fb), T.shift(G.inv(s))))
+        A.append(T.mul(T.term(s, T.base.one()), T.diag(fa)))
+        B.append(T.mul(T.diag(fb), T.term(G.inv(s), T.base.one())))
     return T, RankCertificate(T, 1, n, RingMatrix(T, n, 1, A), RingMatrix(T, 1, n, B))
 
 
@@ -589,8 +591,8 @@ def test_window_check_sums_the_diagonal_no_shift_reaches():
     (x, x) for the first x of U is the first failure."""
     T, cert = _leavitt_shifted_tcert(_Z1, 2, [(1,), (1,)], None)
     L = T.base.base
-    B = RingMatrix(T, 1, 2, [T.mul(T.diag_const(L.gen(i)), T.shift((1,)))
-                             for i in (1, 2)])
+    s = T.term((1,), T.base.one())
+    B = RingMatrix(T, 1, 2, [T.mul(T.diag_const(L.gen(i)), s) for i in (1, 2)])
     bad = RankCertificate(T, 1, 2, cert.A, B)
     F = [(v,) for v in range(9)]
     want = "window verification failed at blocks (1,1), indices (0, 0)"
