@@ -326,8 +326,6 @@ def verify_hall_violation(group: Group, V, W, K, A) -> bool:
 
 @dataclass
 class BSCheckReport(Report):
-    k: int
-    radius: int
     subset_ok: bool
     disjoint_ok: bool
     b_shift_ok: bool
@@ -351,20 +349,25 @@ def bs_example_check(k: int, r: int) -> BSCheckReport:
     b = (Fraction(0), 1)
     binv = G.inv(b)
     x0_ball = [x for x in ball if x in X0]
-    a_x0 = [G.mul(a, x) for x in x0_ball]
-    subset_ok = all(x in X for x in x0_ball) and all(x in X for x in a_x0)
-    disjoint_ok = not (set(x0_ball) & set(a_x0))
     x_ball = [x for x in ball if x in X]
-    b_shift_ok = all(G.mul(b, x) in X0 for x in x_ball)
-    ball_set = set(ball)
+    rep = BSCheckReport(True, True, True, counts={"ball": len(ball), "x": len(x_ball),
+                                                  "x0": len(x0_ball)})
+    text = G.element_to_str
+    x0_set, ball_set = set(x0_ball), set(ball)
     for x in x0_ball:
-        pre = G.mul(binv, x)
+        ax, pre = G.mul(a, x), G.mul(binv, x)
+        if x not in X:
+            rep.fail("subset_ok", f"{text(x)} lies in X0 but not in X")
+        if ax not in X:
+            rep.fail("subset_ok", f"a {text(x)} = {text(ax)} lies outside X")
+        if ax in x0_set:
+            rep.fail("disjoint_ok", f"a {text(x)} = {text(ax)} lies in X0")
         if pre in ball_set and pre not in X:
-            b_shift_ok = False
-    return BSCheckReport(k=k, radius=r, subset_ok=subset_ok,
-                         disjoint_ok=disjoint_ok, b_shift_ok=b_shift_ok,
-                         counts={"ball": len(ball), "x": len(x_ball),
-                                 "x0": len(x0_ball)})
+            rep.fail("b_shift_ok", f"b^-1 {text(x)} = {text(pre)} lies outside X")
+    for x in x_ball:
+        if (bx := G.mul(b, x)) not in X0:
+            rep.fail("b_shift_ok", f"b {text(x)} = {text(bx)} lies outside X0")
+    return rep
 
 
 @dataclass

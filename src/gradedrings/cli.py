@@ -34,8 +34,8 @@ from .rings import (IntegerModRing, IntegerRing, block_down_certificate,
                     block_up_certificate, extend_certificate, hom_certificate,
                     opposite_certificate, product_certificate,
                     verify_certificate)
-from .serialize import (certificate_from_json, certificate_to_json, dump_json,
-                        folner_witness_to_json, injection_witness_to_json,
+from .serialize import (certificate_from_json, certificate_to_json, check_json_object,
+                        dump_json, folner_witness_to_json, injection_witness_to_json,
                         load_json, ring_from_spec,
                         translation_certificate_from_json)
 from .special_algebras import LeavittRing, WeylRing
@@ -316,29 +316,27 @@ def _parse_m_side(params: MnklParams, text: str) -> tuple:
     return tuple(vec)
 
 
-# the fields a crossed-system config may have, with their JSON types
-_CROSSED_FIELDS = {"group": (str, "a string"), "ring": (str, "a string"),
-                   "omega": (dict, "an object"), "omega_inv": (dict, "an object"),
-                   "samples": (list, "a list")}
+# the fields a crossed-system config may have, with their JSON types, and
+# the fields whose entries are ring elements written as strings
+_CROSSED_FIELDS = ((("group", "ring"), "a string", lambda v: isinstance(v, str)),
+                   (("omega", "omega_inv"), "an object", lambda v: isinstance(v, dict)),
+                   (("samples",), "a list", lambda v: isinstance(v, list)))
+_CROSSED_ENTRIES = ((("omega", "omega_inv", "samples"), "a string",
+                     lambda v: isinstance(v, str)),)
 
 
 def _cmd_crossed(args) -> int:
     cfg = load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ValueError("the file is not a JSON object, so not a crossed-system config")
-    twisted = "omega" in cfg or "omega_inv" in cfg
-    for field in ("group", "ring") + (("omega", "omega_inv") if twisted else ()):
-        if field not in cfg:
-            raise ValueError(f"crossed-system config is missing field {field!r}")
-    for field, (kind, what) in _CROSSED_FIELDS.items():
-        if field in cfg and not isinstance(cfg[field], kind):
-            raise ValueError(f"crossed-system config field {field!r} is not {what}")
+    twisted = isinstance(cfg, dict) and ("omega" in cfg or "omega_inv" in cfg)
+    check_json_object(cfg, "crossed-system config",
+                      ("group", "ring") + (("omega", "omega_inv") if twisted else ()),
+                      _CROSSED_FIELDS, _CROSSED_ENTRIES)
     G = group_from_spec(cfg["group"])
     R = ring_from_spec(cfg["ring"])
     omega = omega_inv = None
     if twisted:
-        omega = _omega_table(G, R, cfg["omega"])
-        omega_inv = _omega_table(G, R, cfg["omega_inv"])
+        omega = _omega_table(G, R, cfg, "omega")
+        omega_inv = _omega_table(G, R, cfg, "omega_inv")
     samples = None
     if "samples" in cfg:
         samples = [R.element_from_str(s) for s in cfg["samples"]]
@@ -347,12 +345,20 @@ def _cmd_crossed(args) -> int:
     return _emit(args, rep.lines(), rep.to_json())
 
 
-def _omega_table(G: Group, R, table: dict) -> dict:
+def _omega_table(G: Group, R, cfg: dict, field: str) -> dict:
+    """The table at cfg[field], keyed "g; h", with an entry for every pair."""
     out = {}
-    for key, val in table.items():
-        g_s, h_s = split_top_level(key, ";")
-        out[(G.element_from_str(g_s), G.element_from_str(h_s))] = \
-            R.element_from_str(val)
+    for key, val in cfg[field].items():
+        pair = split_top_level(key, ";")
+        if len(pair) != 2:
+            raise ValueError(f"crossed-system config field {field!r} key {key!r} "
+                             "is not of the form 'g; h'")
+        out[tuple(G.element_from_str(x) for x in pair)] = R.element_from_str(val)
+    for g in G.elements():
+        for h in G.elements():
+            if (g, h) not in out:
+                raise ValueError(f"crossed-system config field {field!r} has no entry for "
+                                 f"the pair ({G.element_to_str(g)}, {G.element_to_str(h)})")
     return out
 
 

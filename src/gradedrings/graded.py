@@ -6,6 +6,7 @@ truncated embedding of a freely graded ring into a translation ring.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -82,7 +83,7 @@ def verify_crossed_system(cs: CrossedSystem,
     G = cs.group
     if samples is None:
         samples = [R.zero(), R.one(), R.from_int(2), R.from_int(-3)]
-    e = G.identity()
+    e, show = G.identity(), R.element_to_str
     rep = CrossedSystemReport(True, True, True, True,
                               central_ok=True if cs.sigma is None else None,
                               sigma_hom_ok=None if cs.sigma is None else True)
@@ -91,49 +92,41 @@ def verify_crossed_system(cs: CrossedSystem,
             wgh, wgh_i = cs.w(g, h), cs.w_inv(g, h)
             if not (R.eq(R.mul(wgh, wgh_i), R.one())
                     and R.eq(R.mul(wgh_i, wgh), R.one())):
-                rep.units_ok = False
-                rep.failures.append(f"omega({g},{h}) is not a unit")
+                rep.fail("units_ok", f"omega({g},{h}) is not a unit")
             gh = G.mul(g, h)
             for r in samples:
                 lhs = cs.act(g, cs.act(h, r))
                 rhs = R.mul(R.mul(wgh, cs.act(gh, r)), wgh_i)
                 if not R.eq(lhs, rhs):
-                    rep.cond1_ok = False
-                    rep.failures.append(f"condition (i) fails at ({g},{h})")
+                    rep.fail("cond1_ok", f"condition (i) fails at ({g},{h}), r = {show(r)}")
             for k in cs.elements:
                 lhs = R.mul(cs.w(g, h), cs.w(gh, k))
                 rhs = R.mul(cs.act(g, cs.w(h, k)), cs.w(g, G.mul(h, k)))
                 if not R.eq(lhs, rhs):
-                    rep.cond2_ok = False
-                    rep.failures.append(f"condition (ii) fails at ({g},{h},{k})")
+                    rep.fail("cond2_ok", f"condition (ii) fails at ({g},{h},{k})")
     for g in cs.elements:
         if not (R.eq(cs.w(g, e), R.one()) and R.eq(cs.w(e, g), R.one())):
-            rep.cond3_ok = False
-            rep.failures.append(f"condition (iii) fails at {g}")
+            rep.fail("cond3_ok", f"condition (iii) fails at {g}")
     for r in samples:
         if not R.eq(cs.act(e, r), r):
-            rep.cond3_ok = False
+            rep.fail("cond3_ok", f"condition (iii) fails: the identity moves r = {show(r)}")
     if cs.sigma is None:
         for g in cs.elements:
             for h in cs.elements:
                 for r in samples:
                     if not R.eq(R.mul(cs.w(g, h), r), R.mul(r, cs.w(g, h))):
-                        rep.central_ok = False
-                        rep.failures.append(f"omega({g},{h}) not central")
+                        rep.fail("central_ok", f"omega({g},{h}) not central, r = {show(r)}")
     else:
         for g in cs.elements:
             if not R.eq(cs.act(g, R.one()), R.one()):
-                rep.sigma_hom_ok = False
-                rep.failures.append(f"sigma_{g} does not fix 1")
+                rep.fail("sigma_hom_ok", f"sigma_{g} does not fix 1")
             for a in samples:
                 for b in samples:
                     sa, sb = cs.act(g, a), cs.act(g, b)
                     if not (R.eq(cs.act(g, R.add(a, b)), R.add(sa, sb))
                             and R.eq(cs.act(g, R.mul(a, b)), R.mul(sa, sb))):
-                        rep.sigma_hom_ok = False
-                        rep.failures.append(
-                            f"sigma_{g} is not a ring homomorphism at "
-                            f"({R.element_to_str(a)}, {R.element_to_str(b)})")
+                        rep.fail("sigma_hom_ok", f"sigma_{g} is not a ring homomorphism "
+                                                 f"at ({show(a)}, {show(b)})")
     return rep
 
 
@@ -351,12 +344,15 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
         components[g] = [unit(a, b) for a, b in labs]
     ring = EndoGraded(p, index, mring, components, unit_positions)
 
-    rep = EndoGradedReport(dimension_ok=(N == n * l), partition_ok=True,
-                           closure_ok=True, t1_diagonal_ok=True)
-    all_pairs = [(a, b) for g in elems for a, b in unit_positions[g]]
-    if (len(all_pairs) != N * N
-            or set(all_pairs) != {(a, b) for a in index for b in index}):
-        rep.partition_ok = False
+    rep = EndoGradedReport(True, True, True, True)
+    if N != n * l:
+        rep.fail("dimension_ok", f"total rank {N} is not n*l = {n * l}")
+    # labels lie in index x index: a partition puts each unit in one component
+    labels = Counter((a, b) for g in elems for a, b in unit_positions[g])
+    for a in pos:
+        for b in pos:
+            if labels[a, b] != 1:
+                rep.fail("partition_ok", f"unit {a}, {b} lies in {labels[a, b]} components")
     # Closure is decided from the labels, since e_ab e_cd = delta_bc e_ad.
     # That holds for the matrices when each one is the unit its label names,
     # read at the label's position, and one dense product per pair (g, h)
@@ -366,8 +362,7 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
         for (a, b), u in zip(unit_positions[g], components[g]):
             if ([(s, t) for s, row in enumerate(u.support) for t in row]
                     != [(pos[a], pos[b])] or not S.eq(u[pos[a], pos[b]], S.one())):
-                rep.closure_ok = False
-                rep.failures.append(f"T_{g} matrix labelled {a}, {b} is not that unit")
+                rep.fail("closure_ok", f"T_{g} matrix labelled {a}, {b} is not that unit")
             comp_of[(a, b)], matrix_of[(a, b)] = g, u
             starts[g].setdefault(a, []).append(b)
     for g in elems:
@@ -378,19 +373,17 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
                 for b2 in starts[h].get(b1, ()):
                     spot = spot or (a1, b1, b2)
                     if comp_of.get((a1, b2)) != gh:
-                        rep.closure_ok = False
-                        rep.failures.append(
-                            f"product of T_{g} and T_{h} units left T_{gh}")
+                        rep.fail("closure_ok", f"product of T_{g} and T_{h} units left "
+                                               f"T_{gh} at {a1}, {b1} times {b1}, {b2}")
             if spot:
                 a1, b1, b2 = spot
                 prod = mat_mul(matrix_of[(a1, b1)], matrix_of[(b1, b2)])
                 if not prod.eq(unit(a1, b2)):
-                    rep.closure_ok = False
-                    rep.failures.append(f"product of T_{g} and T_{h} units "
-                                        "is not the unit their labels name")
+                    rep.fail("closure_ok", f"product of T_{g} and T_{h} units "
+                                           "is not the unit their labels name")
     for (a, b) in unit_positions[e]:
         if a[0] != b[0]:
-            rep.t1_diagonal_ok = False
+            rep.fail("t1_diagonal_ok", f"T_{e} holds the off-diagonal unit {a}, {b}")
     # The strong-grading search runs on the labels; each witness it finds is
     # then summed from the matrices with mat_mul and must give the identity.
     one = S.one()
@@ -514,9 +507,10 @@ def psi_embedding_check(ring: WeylRing, samples: Sequence[dict],
         for i in idxs:
             if _window_mismatches(ring, one_img.row(x, i), {(x, i): ring.one()},
                                   comps, idxs):
-                rep.unital_ok = False
-        if any(y != x and one_img.block(x, y) is not None for y in comps):
-            rep.unital_ok = False
+                rep.fail("unital_ok", f"unitality fails at row ({x},{i})")
+        for y in comps:
+            if y != x and one_img.block(x, y) is not None:
+                rep.fail("unital_ok", f"Psi of 1 has a block at ({x},{y})")
 
     images = [_PsiImage(ring, s) for s in samples]
     for r, ri in zip(samples, images):
@@ -535,12 +529,13 @@ def psi_embedding_check(ring: WeylRing, samples: Sequence[dict],
                             _add_term(want_prod, key, ring.mul(v, w), ring)
                     if _window_mismatches(ring, sum_img.row(x, i), want_sum,
                                           comps, idxs):
-                        rep.additive_ok = False
+                        rep.fail("additive_ok", f"additivity fails at row ({x},{i}) on "
+                                 f"({ring.element_to_str(r)}, {ring.element_to_str(s)})")
                     bad += [(y, i, j) for y, j in _window_mismatches(
                         ring, prod_img.row(x, i), want_prod, comps, idxs)]
-                if bad:
-                    rep.multiplicative_ok = False
-                rep.failures += [f"multiplicativity fails at (({x},{i}),({y},{j}))"
-                                 for y, i, j in sorted(bad)]
+                for y, i, j in sorted(bad):
+                    rep.fail("multiplicative_ok",
+                             f"multiplicativity fails at (({x},{i}),({y},{j})) on "
+                             f"({ring.element_to_str(r)}, {ring.element_to_str(s)})")
             rep.pairs_checked += 1
     return rep

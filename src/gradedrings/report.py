@@ -5,7 +5,8 @@ A report is a list of (line, passed) rows, passed None for a row that
 counts rather than checks: one "label: pass/FAIL" row per (field, label)
 pair of CHECKS whose field is not None (a label may name other fields as
 "{self.field}"), then the rows of `_extra()`, then the `failures`
-messages.  `ok` holds when no row is False.
+messages.  `ok` holds when no row is False.  Check fields start True (or
+None, unchecked); `fail` alone turns one False, and says where.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ class Report:
     failures: list = field(default_factory=list, kw_only=True)
 
     CHECKS = ()
+
+    def fail(self, check: str, message: str) -> None:
+        """Mark the CHECKS field `check` FAIL and record where it failed."""
+        setattr(self, check, False)
+        self.failures.append(message)
 
     def _extra(self) -> list:
         return []

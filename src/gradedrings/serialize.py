@@ -175,6 +175,31 @@ def certificate_to_json(cert: RankCertificate) -> dict:
     }
 
 
+def check_json_object(data, kind: str, required: tuple, types: tuple,
+                      entries: tuple = ()) -> None:
+    """Refuse, with a message that names the kind read and the field, data
+    that is not a JSON object, lacks a required field, or holds a field of
+    the wrong JSON type.  types and entries list (fields, what, test): a
+    types test reads the field's value, an entries test each entry of the
+    list or object there, and its message names that entry."""
+    if not isinstance(data, dict):
+        raise ValueError(f"the file is not a JSON object, so not a {kind}")
+    for field in required:
+        if field not in data:
+            raise ValueError(f"{kind} is missing field {field!r}")
+    for fields, what, ok in types:
+        for field in fields:
+            if field in data and not ok(data[field]):
+                raise ValueError(f"{kind} field {field!r} is not {what}")
+    for fields, what, ok in entries:
+        for field in fields:
+            value = data.get(field, ())
+            for key, entry in (value.items() if isinstance(value, dict)
+                               else enumerate(value)):
+                if not ok(entry):
+                    raise ValueError(f"{kind} field {field!r} entry {key!r} is not {what}")
+
+
 def _check_certificate_data(data, translation: bool) -> None:
     """Refuse, with a message that names the kind read, data that is not a
     JSON object, a certificate of the other kind (a translation-ring
@@ -182,20 +207,13 @@ def _check_certificate_data(data, translation: bool) -> None:
     lacks a field both kinds have, or a field of the wrong JSON type."""
     kinds = ("rank certificate", "translation-ring certificate")
     kind, other = kinds[translation], kinds[not translation]
-    if not isinstance(data, dict):
-        raise ValueError(f"the file is not a JSON object, so not a {kind}")
-    if ("group" in data) != translation:
+    if isinstance(data, dict) and ("group" in data) != translation:
         has = "no" if translation else "a"
         raise ValueError(f"a {other} (it has {has} 'group' field), not a {kind}")
-    for field in ("ring", "n", "m", "A", "B"):
-        if field not in data:
-            raise ValueError(f"{kind} is missing field {field!r}")
-    for fields, what, ok in ((("ring", "group"), "a string", lambda v: isinstance(v, str)),
-                             ("nm", "an integer", lambda v: type(v) is int),
-                             ("AB", "a list of lists", _is_rows)):
-        for field in fields:
-            if field in data and not ok(data[field]):
-                raise ValueError(f"{kind} field {field!r} is not {what}")
+    check_json_object(data, kind, ("ring", "n", "m", "A", "B"),
+                      ((("ring", "group"), "a string", lambda v: isinstance(v, str)),
+                       ("nm", "an integer", lambda v: type(v) is int),
+                       ("AB", "a list of lists", _is_rows)))
 
 
 def _certificate_over(ring: Ring, data: dict) -> RankCertificate:

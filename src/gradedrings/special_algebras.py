@@ -198,8 +198,7 @@ def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
     for i in range(N):
         for j in range(N):
             if L.degree_terms(eps[i][j]) - {0}:
-                rep.degrees_ok = False
-                rep.failures.append(f"eps[{i+1}][{j+1}] not degree 0")
+                rep.fail("degrees_ok", f"eps[{i+1}][{j+1}] not degree 0")
     mul, eq, zero = L.mul, L.eq, L.zero()
     for i in range(N):
         for j in range(N):
@@ -208,13 +207,13 @@ def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
                 for m in range(N):
                     want = eps[i][m] if j == k else zero
                     if not eq(mul(left, eps[k][m]), want):
-                        rep.product_law_ok = False
-                        rep.failures.append(
-                            f"eps[{i+1}][{j+1}] eps[{k+1}][{m+1}] wrong")
+                        rep.fail("product_law_ok",
+                                 f"eps[{i+1}][{j+1}] eps[{k+1}][{m+1}] wrong")
     acc = L.zero()
     for i in range(N):
         acc = L.add(acc, eps[i][i])
-    rep.sum_identity_ok = L.eq(acc, L.one())
+    if not L.eq(acc, L.one()):
+        rep.fail("sum_identity_ok", f"sum eps_ii = {L.element_to_str(acc)}, not 1")
     # span_l sits inside span_{l+1}: alpha beta* = sum_i (alpha e_i)(beta e_i)*
     for alpha in words:
         for beta in words:
@@ -222,9 +221,8 @@ def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
             for i in range(1, n + 1):
                 rhs = L.add(rhs, L.monomial(alpha + (i,), beta + (i,)))
             if not L.eq(L.monomial(alpha, beta), rhs):
-                rep.chain_ok = False
-                rep.failures.append(f"chain: alpha={alpha} beta={beta}: alpha "
-                                    "beta* != sum_i (alpha e_i)(beta e_i)*")
+                rep.fail("chain_ok", f"chain: alpha={alpha} beta={beta}: alpha "
+                                     "beta* != sum_i (alpha e_i)(beta e_i)*")
     return eps, rep
 
 

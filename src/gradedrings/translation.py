@@ -20,7 +20,7 @@ from .amenability import (InjectionWitness, SubsetPredicate, verify_injection_wi
 from .groups import Group
 from .report import Report
 from .rings import (RankCertificate, Ring, RingMatrix, SparseRing, _add_term,
-                    _checked, support_eq, support_mul)
+                    _checked, _first_difference, support_eq, support_mul)
 
 
 class CoeffFn:
@@ -194,8 +194,6 @@ def tr_mul_oracle_entry(tring: TranslationRing, M: dict, N: dict, x, y):
 
 @dataclass
 class FiniteGroupIsoReport(Report):
-    group_name: str
-    ring_name: str
     shift_mult_ok: bool       # A_g A_h = A_{gh}, and G is closed
     diag_mult_ok: bool        # D_f D_f' = D_{ff'}
     # None when G is not closed, so A_g is not defined
@@ -235,7 +233,7 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     idx = {x: i for i, x in enumerate(elems)}
     R = ring
     one = R.one()
-    rep = FiniteGroupIsoReport(group.name, ring.name, True, True, True, True, True)
+    rep = FiniteGroupIsoReport(True, True, True, True, True)
 
     # every matrix below is in support form (RingMatrix.support)
     def D(f: dict) -> list:
@@ -248,11 +246,11 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
         {x: R.from_int(i + 1) for i, x in enumerate(elems)},
     ]
     D_of = [D(f) for f in samples]
-    for f1, D1 in zip(samples, D_of):
-        for f2, D2 in zip(samples, D_of):
+    for a, (f1, D1) in enumerate(zip(samples, D_of)):
+        for b, (f2, D2) in enumerate(zip(samples, D_of)):
             prod = {x: R.mul(f1[x], f2[x]) for x in elems}
             if not support_eq(R, support_mul(R, D1, D2), D(prod)):
-                rep.diag_mult_ok = False
+                rep.fail("diag_mult_ok", f"D_f D_f' != D_ff' at samples ({a}, {b})")
 
     e = group.identity()
     inverse = {g: group.inv(g) for g in elems}
@@ -263,8 +261,8 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
         f"product of ({g}, {h}) is not in G: {gh}"
         for (g, h), gh in table.items() if gh not in idx]
     if outside:
-        rep.failures += outside
-        rep.shift_mult_ok = False
+        for line in outside:
+            rep.fail("shift_mult_ok", line)
         rep.action_ok = rep.unital_ok = rep.bijective_ok = None
         return rep
 
@@ -276,17 +274,16 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
 
     for (g, h), gh in table.items():
         if not support_eq(R, support_mul(R, A_of[g], A_of[h]), A_of[gh]):
-            rep.shift_mult_ok = False
-            rep.failures.append(f"A_g A_h != A_gh at ({g}, {h})")
+            rep.fail("shift_mult_ok", f"A_g A_h != A_gh at ({g}, {h})")
     for g in elems:
-        for f, Df in zip(samples, D_of):
+        for a, (f, Df) in enumerate(zip(samples, D_of)):
             got = support_mul(R, support_mul(R, A_of[g], Df), A_of[inverse[g]])
             if not support_eq(R, got, [{i: f[y]} for i, y in enumerate(cols[g])]):
-                rep.action_ok = False
-                rep.failures.append(f"conjugation law fails at g = {g}")
+                rep.fail("action_ok", f"conjugation law fails at g = {g} on sample {a}")
     identity = [{i: one} for i in range(N)]
-    rep.unital_ok = (support_eq(R, A_of[e], identity)
-                     and support_eq(R, D_of[0], identity))
+    for name, M in ((f"A_{e}", A_of[e]), ("D_f of sample 0", D_of[0])):
+        if (at := _first_difference(R, M, identity)) is not None:
+            rep.fail("unital_ok", f"{name} != I at ({at[0] + 1}, {at[1] + 1})")
     # D_{delta_x} has the one row {i: one} at i = idx[x] and no other entry,
     # so D_{delta_x} A_g is that row times A_g, in row i
     units = set()
@@ -295,11 +292,13 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
             (row,) = support_mul(R, [{i: one}], A_of[g])
             nonzero = [(j, m) for j, m in row.items() if not R.is_zero(m)]
             if len(nonzero) != 1 or not R.eq(nonzero[0][1], one):
-                rep.bijective_ok = False
+                rep.fail("bijective_ok", f"D_delta_x A_g is not a matrix unit "
+                                         f"at (x, g) = ({elems[i]}, {g})")
             else:
                 units.add((i, nonzero[0][0]))
     if len(units) != N * N:
-        rep.bijective_ok = False
+        rep.fail("bijective_ok", f"the products D_delta_x A_g hit {len(units)} "
+                                 f"of the {N * N} matrix units")
     return rep
 
 
@@ -362,15 +361,14 @@ def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> Collapse
     # M^t M + N^t N is the block row (M^t N^t) times the block column (M; N)
     stacked = [{**mt, **{len(V) + i: x for i, x in nt.items()}}
                for mt, nt in zip(Mt, Nt)]
-    return CollapseResult(
-        M, N,
-        mmt_ok=support_eq(R, support_mul(R, Ms, Mt), I_V),
-        nnt_ok=support_eq(R, support_mul(R, Ns, Nt), I_V),
-        mnt_ok=support_eq(R, support_mul(R, Ms, Nt), Z_V),
-        nmt_ok=support_eq(R, support_mul(R, Ns, Mt), Z_V),
-        projection_ok=support_eq(R, support_mul(R, stacked, Ms + Ns), proj),
-        uncovered=[W[i] for i in range(len(W)) if i not in covered],
-    )
+    rep = CollapseResult(M, N, True, True, True, True, True,
+                         uncovered=[W[i] for i in range(len(W)) if i not in covered])
+    products = ((Ms, Mt, I_V), (Ns, Nt, I_V), (Ms, Nt, Z_V), (Ns, Mt, Z_V),
+                (stacked, Ms + Ns, proj))
+    for (check, label), (P, Q, want) in zip(CollapseResult.CHECKS, products):
+        if (at := _first_difference(R, support_mul(R, P, Q), want)) is not None:
+            rep.fail(check, f"{label} fails at entry ({at[0] + 1}, {at[1] + 1})")
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -491,7 +491,21 @@ def test_crossed_config(tmp_path):
     ({"group": "C(2)", "ring": "M2(Z)", "samples": ["1"]},
      "M2(Z) has no element parser"),
     ({"group": 2, "ring": "Z"}, "crossed-system config field 'group' is not a string"),
-], ids=["not-an-object", "no-group", "no-omega-inv", "no-parser", "group-not-a-string"])
+    ({"group": "C(2)", "ring": "prod(Z, Z)", "samples": [1]},
+     "crossed-system config field 'samples' entry 0 is not a string"),
+    ({"group": "C(2)", "ring": "Z", "omega": {"0; 0": "1", "1; 0": "1", "1; 1": "1"},
+      "omega_inv": {"0; 0": "1", "0; 1": "1", "1; 0": "1", "1; 1": "1"}},
+     "crossed-system config field 'omega' has no entry for the pair (0, 1)"),
+    ({"group": "C(2)", "ring": "Z", "omega": {"0": "1"}, "omega_inv": {"0": "1"}},
+     "crossed-system config field 'omega' key '0' is not of the form 'g; h'"),
+    ({"group": "C(1)", "ring": "Z", "omega": {"0; 0": 1}, "omega_inv": {"0; 0": "1"}},
+     "crossed-system config field 'omega' entry '0; 0' is not a string"),
+    ({"group": "C(1)", "ring": "prod(Z, Z)", "omega": {"0; 0": "(1; 1)"},
+      "omega_inv": {"0; 0": [1, 1]}},
+     "crossed-system config field 'omega_inv' entry '0; 0' is not a string"),
+], ids=["not-an-object", "no-group", "no-omega-inv", "no-parser", "group-not-a-string",
+        "sample-not-a-string", "omega-lacks-a-pair", "omega-key-not-a-pair",
+        "omega-value-an-int", "omega-inv-value-a-list"])
 def test_crossed_config_input_errors(config, message, tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     cfg.write_text(json.dumps(config))

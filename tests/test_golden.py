@@ -84,8 +84,9 @@ def test_cli_output(name, argv, stdin, code, monkeypatch, capsys):
 
 def report_lines() -> str:
     """lines() and ok of one report of each type, first as built, then with
-    checks forced to fail and a failure message attached to each type whose
-    builder records failure messages (all but the collapse and BS reports)."""
+    checks forced to fail and a failure message attached to each type but
+    the collapse and BS reports (the recorded text predates their builders'
+    failure messages)."""
     Z = IntegerRing()
     reports = []
     F2 = FreeGroup(2)

@@ -182,3 +182,71 @@ def test_every_method_is_reached():
     unread = unread_methods(sources)
     assert [d for d in unread if d[2] not in UNREAD_METHODS_ALLOWED] == []
     assert sorted(d[2] for d in unread) == sorted(UNREAD_METHODS_ALLOWED)
+
+
+def _true_or_none(node) -> bool:
+    """True, None, or a conditional expression choosing between them."""
+    if isinstance(node, ast.IfExp):
+        return _true_or_none(node.body) and _true_or_none(node.orelse)
+    return isinstance(node, ast.Constant) and (node.value is True or node.value is None)
+
+
+def false_check_writes(source: str) -> list:
+    """(line, name) of each write outside Report.fail that could turn a
+    check False: an attribute or a keyword argument named *_ok given
+    anything but True, None or a conditional between them, and any setattr
+    call."""
+    tree = ast.parse(source)
+    in_fail = {id(n) for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) and c.name == "Report"
+               for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "fail"
+               for n in ast.walk(f)}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in in_fail:
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if isinstance(node, ast.AnnAssign) and node.value is None:
+                continue
+            if isinstance(node, ast.AugAssign) or not _true_or_none(node.value):
+                out += [(node.lineno, n.attr) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Attribute) and n.attr.endswith("_ok")
+                        and isinstance(n.ctx, ast.Store)]
+        elif (isinstance(node, ast.keyword) and (node.arg or "").endswith("_ok")
+              and not _true_or_none(node.value)):
+            out.append((node.value.lineno, node.arg))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr"):
+            out.append((node.lineno, "setattr"))
+    return sorted(out)
+
+
+def test_false_check_writes_are_found():
+    source = """
+def build(rep, x):
+    rep.a_ok = x
+    rep.b_ok = rep.c_ok = None
+    rep.d_ok = True if x else None
+    rep.e_ok, rep.f = False, 1
+    rep.g_ok &= x
+    Report(h_ok=x == 1, i_ok=True, j_ok=None if x else True)
+    setattr(rep, "k_ok", False)
+
+class Other:
+    def fail(self, check, message):
+        setattr(self, check, False)
+
+class Report:
+    def fail(self, check, message):
+        setattr(self, check, False)
+"""
+    assert false_check_writes(source) == [(3, "a_ok"), (6, "e_ok"), (7, "g_ok"),
+                                          (8, "h_ok"), (9, "setattr"), (13, "setattr")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_checks_fail_only_through_report_fail(path):
+    """A check field starts True or None and turns False only through
+    Report.fail, so no row can read FAIL without a line saying where."""
+    assert false_check_writes(path.read_text()) == []

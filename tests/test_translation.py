@@ -161,8 +161,8 @@ class _BadMul(Cyclic):
 
 @pytest.mark.parametrize("group, failing, failures", [
     (_BadInv(3), {"action_ok"}, 6),
-    (_BadMul(3), {"shift_mult_ok", "action_ok", "bijective_ok"}, 8),
-    (_BadMul(4), {"shift_mult_ok", "action_ok", "bijective_ok"}, 15),
+    (_BadMul(3), {"shift_mult_ok", "action_ok", "bijective_ok"}, 9),
+    (_BadMul(4), {"shift_mult_ok", "action_ok", "bijective_ok"}, 16),
 ], ids=["bad-inv-3", "bad-mul-3", "bad-mul-4"])
 def test_finite_group_iso_reports_faulty_groups(group, failing, failures):
     rep = finite_group_iso(group, Z)
@@ -180,52 +180,74 @@ class _DoubledMul(IntegerRing):
 
 def test_finite_group_iso_needs_each_unit_to_be_one():
     """Every D_{delta_x} A_g hits a distinct position, but under a doubled
-    product its entry is 2: the unit check refuses bijectivity."""
+    product its entry is 2: the unit check refuses bijectivity, with one
+    line per (x, g) and one for the matrix-unit count."""
     rep = finite_group_iso(Cyclic(3), _DoubledMul())
     assert not rep.bijective_ok
+    assert [f for f in rep.failures if "D_delta_x A_g" in f] == [
+        f"D_delta_x A_g is not a matrix unit at (x, g) = ({x}, {g})"
+        for x in range(3) for g in range(3)] + [
+        "the products D_delta_x A_g hit 0 of the 9 matrix units"]
     assert rep == _finite_group_iso_reference(Cyclic(3), _DoubledMul())
+
+
+def _dense_first_difference(P, Q):
+    """The first row-major (i, j), 1-based, at which two dense matrices
+    differ entrywise, read with P[i, j] and the ring's eq; None if none."""
+    R = P.ring
+    for i in range(P.rows):
+        for j in range(P.cols):
+            if not R.eq(P[i, j], Q[i, j]):
+                return i + 1, j + 1
+    return None
 
 
 def _finite_group_iso_reference(group, ring):
     """finite_group_iso as dense products: every A_g and D_f an N x N
     RingMatrix, every law a dense triple-loop product compared with
     RingMatrix.eq.  An identity, inverse or product outside G is a failure
-    and leaves the laws built on A_g unevaluated."""
+    and leaves the laws built on A_g unevaluated.  Each failing law adds
+    the lines the library is meant to write, built here from the dense
+    products."""
     mul = _mat_mul_reference
     elems = group.elements()
     N, R = len(elems), ring
     idx = {x: i for i, x in enumerate(elems)}
-    rep = FiniteGroupIsoReport(group.name, ring.name, True, True, True, True, True)
-    e = group.identity()
-    if e not in idx:
-        rep.failures.append(f"identity {e} is not in G")
-    for g in elems:
-        if group.inv(g) not in idx:
-            rep.failures.append(f"inverse of {g} is not in G: {group.inv(g)}")
-    for g in elems:
-        for h in elems:
-            if group.mul(g, h) not in idx:
-                rep.failures.append(f"product of ({g}, {h}) is not in G: {group.mul(g, h)}")
+    rep = FiniteGroupIsoReport(True, True, True, True, True)
 
     def D(f):
         return RingMatrix.from_support_rows(R, N, [{i: f[x]} for x, i in idx.items()])
-
-    def A(g):
-        ginv = group.inv(g)
-        return RingMatrix.from_support_rows(
-            R, N, [{idx[group.mul(ginv, x)]: R.one()} for x in elems])
 
     samples = [
         {x: R.one() for x in elems},
         {x: (R.one() if x == elems[0] else R.zero()) for x in elems},
         {x: R.from_int(i + 1) for i, x in enumerate(elems)},
     ]
-    for f1 in samples:
-        for f2 in samples:
+    for a, f1 in enumerate(samples):
+        for b, f2 in enumerate(samples):
             prod = {x: R.mul(f1[x], f2[x]) for x in elems}
             if not mul(D(f1), D(f2)).eq(D(prod)):
                 rep.diag_mult_ok = False
-    if rep.failures:
+                rep.failures.append(f"D_f D_f' != D_ff' at samples ({a}, {b})")
+    e = group.identity()
+    outside = []
+    if e not in idx:
+        outside.append(f"identity {e} is not in G")
+    for g in elems:
+        if group.inv(g) not in idx:
+            outside.append(f"inverse of {g} is not in G: {group.inv(g)}")
+    for g in elems:
+        for h in elems:
+            if group.mul(g, h) not in idx:
+                outside.append(f"product of ({g}, {h}) is not in G: {group.mul(g, h)}")
+
+    def A(g):
+        ginv = group.inv(g)
+        return RingMatrix.from_support_rows(
+            R, N, [{idx[group.mul(ginv, x)]: R.one()} for x in elems])
+
+    if outside:
+        rep.failures += outside
         rep.shift_mult_ok = False
         rep.action_ok = rep.unital_ok = rep.bijective_ok = None
         return rep
@@ -236,13 +258,17 @@ def _finite_group_iso_reference(group, ring):
                 rep.failures.append(f"A_g A_h != A_gh at ({g}, {h})")
     for g in elems:
         ginv = group.inv(g)
-        for f in samples:
+        for a, f in enumerate(samples):
             moved = {x: f[group.mul(ginv, x)] for x in elems}
             if not mul(mul(A(g), D(f)), A(ginv)).eq(D(moved)):
                 rep.action_ok = False
-                rep.failures.append(f"conjugation law fails at g = {g}")
+                rep.failures.append(f"conjugation law fails at g = {g} on sample {a}")
     I = RingMatrix.identity(R, N)
-    rep.unital_ok = A(group.identity()).eq(I) and D(samples[0]).eq(I)
+    for name, M in ((f"A_{e}", A(e)), ("D_f of sample 0", D(samples[0]))):
+        at = _dense_first_difference(M, I)
+        if at is not None:
+            rep.unital_ok = False
+            rep.failures.append(f"{name} != I at {at}")
     units = set()
     for x in elems:
         delta = RingMatrix.from_support_rows(
@@ -253,10 +279,14 @@ def _finite_group_iso_reference(group, ring):
                        if not R.is_zero(M[i, j])]
             if len(support) != 1 or not R.eq(M[support[0]], R.one()):
                 rep.bijective_ok = False
+                rep.failures.append(
+                    f"D_delta_x A_g is not a matrix unit at (x, g) = ({x}, {g})")
             else:
                 units.add(support[0])
     if len(units) != N * N:
         rep.bijective_ok = False
+        rep.failures.append(f"the products D_delta_x A_g hit {len(units)} "
+                            f"of the {N * N} matrix units")
     return rep
 
 
@@ -321,14 +351,20 @@ def _collapse_reference(w, ring):
     covered = {widx[w.alpha[x]] for x in V} | {widx[w.beta[x]] for x in V}
     proj = RingMatrix.from_support_rows(
         R, len(W), [{i: R.one()} if i in covered else {} for i in range(len(W))])
-    return CollapseResult(
-        M, N,
-        mmt_ok=mul(M, M.transpose()).eq(I_V),
-        nnt_ok=mul(N, N.transpose()).eq(I_V),
-        mnt_ok=mul(M, N.transpose()).eq(Z_V),
-        nmt_ok=mul(N, M.transpose()).eq(Z_V),
-        projection_ok=mul(M.transpose(), M).add(mul(N.transpose(), N)).eq(proj),
-        uncovered=[W[i] for i in range(len(W)) if i not in covered])
+    rep = CollapseResult(M, N, True, True, True, True, True,
+                         uncovered=[W[i] for i in range(len(W)) if i not in covered])
+    for check, label, got, want in [
+            ("mmt_ok", "M M^t = I", mul(M, M.transpose()), I_V),
+            ("nnt_ok", "N N^t = I", mul(N, N.transpose()), I_V),
+            ("mnt_ok", "M N^t = 0", mul(M, N.transpose()), Z_V),
+            ("nmt_ok", "N M^t = 0", mul(N, M.transpose()), Z_V),
+            ("projection_ok", "M^t M + N^t N = projection onto the images",
+             mul(M.transpose(), M).add(mul(N.transpose(), N)), proj)]:
+        at = _dense_first_difference(got, want)
+        if at is not None:
+            setattr(rep, check, False)
+            rep.failures.append(f"{label} fails at entry {at}")
+    return rep
 
 
 def _same_collapse(got, want):
