@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .groups import BaumslagSolitar, Group, set_product
-from .report import Report, VerificationError
+from .report import Report, VerificationError, check
 
 
 class SubsetPredicate:
@@ -326,16 +326,10 @@ def verify_hall_violation(group: Group, V, W, K, A) -> bool:
 
 @dataclass
 class BSCheckReport(Report):
-    subset_ok: bool
-    disjoint_ok: bool
-    b_shift_ok: bool
     counts: dict  # sizes of the ball and of its parts in X and X0
-
-    CHECKS = (
-        ("subset_ok", "X0 and aX0 inside X (|X0 cap ball| = {self.counts[x0]})"),
-        ("disjoint_ok", "X0 disjoint from aX0"),
-        ("b_shift_ok", "b maps X into X0 (and b-preimages of X0 lie in X)"),
-    )
+    subset_ok: bool = check("X0 and aX0 inside X (|X0 cap ball| = {self.counts[x0]})")
+    disjoint_ok: bool = check("X0 disjoint from aX0")
+    b_shift_ok: bool = check("b maps X into X0 (and b-preimages of X0 lie in X)")
 
 
 def bs_example_check(k: int, r: int) -> BSCheckReport:
@@ -350,8 +344,7 @@ def bs_example_check(k: int, r: int) -> BSCheckReport:
     binv = G.inv(b)
     x0_ball = [x for x in ball if x in X0]
     x_ball = [x for x in ball if x in X]
-    rep = BSCheckReport(True, True, True, counts={"ball": len(ball), "x": len(x_ball),
-                                                  "x0": len(x0_ball)})
+    rep = BSCheckReport({"ball": len(ball), "x": len(x_ball), "x0": len(x0_ball)})
     text = G.element_to_str
     x0_set, ball_set = set(x0_ball), set(ball)
     for x in x0_ball:

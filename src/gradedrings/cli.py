@@ -135,9 +135,20 @@ def _injection_sets(args):
     return G, V, _parse_set(G, args.w), _parse_set(G, args.k)
 
 
+def _injection_search(G, V, W, K):
+    """The two-to-one injection search of paradox and collapse.  A Hall
+    violator is recounted before either command reports it; one that fails
+    its recount is an internal error, never a verified "no"."""
+    res = find_two_to_one_injection(G, V, W, K)
+    if not isinstance(res, InjectionWitness) and not verify_hall_violation(
+            G, V, W, K, res.violating_set):
+        raise VerificationError("Hall violator failed its recount")
+    return res
+
+
 def _cmd_paradox(args) -> int:
     G, V, W, K = _injection_sets(args)
-    res = find_two_to_one_injection(G, V, W, K)
+    res = _injection_search(G, V, W, K)
     s = G.element_to_str
     if isinstance(res, InjectionWitness):
         used = args.format == "json" or args.out  # text prints no payload
@@ -147,8 +158,6 @@ def _cmd_paradox(args) -> int:
         return _emit(args, [f"two-to-one injection found: |V| = {len(V)}, "
                             f"|W| = {len(W)}, translators in K of size {len(K)}"],
                      {"verdict": "witness", **data})
-    if not verify_hall_violation(G, V, W, K, res.violating_set):
-        raise VerificationError("Hall violator failed its recount")
     lines = [
         "infeasible: Hall condition fails",
         "A = {" + "; ".join(s(x) for x in res.violating_set) + "}",
@@ -162,7 +171,7 @@ def _cmd_paradox(args) -> int:
 def _cmd_collapse(args) -> int:
     G, V, W, K = _injection_sets(args)
     R = ring_from_spec(args.ring)
-    res = find_two_to_one_injection(G, V, W, K)
+    res = _injection_search(G, V, W, K)
     if not isinstance(res, InjectionWitness):
         return _emit(args, ["no two-to-one injection; collapse matrices not built"],
                      {"verdict": "infeasible"})

@@ -10,16 +10,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .groups import Group
-from .report import Report, VerificationError, check_row
+from .groups import Group, as_factor, split_top_level, strip_parens
+from .report import Report, VerificationError, check, check_row
 from .rings import MatrixRing, Ring, RingMatrix, SparseRing, _add_term, mat_mul
 from .special_algebras import WeylRing, weyl_component_basis, weyl_coordinates
 
 
 class CrossedSystem:
     """(G, R, sigma, omega): a finite group acting on a ring with a unit-
-    valued twisting.  sigma is a table g -> (map, inverse map); omega and
-    omega_inv are tables on pairs."""
+    valued twisting.  sigma is a table g -> map; omega and omega_inv are
+    tables on pairs."""
 
     def __init__(self, group: Group, ring: Ring, sigma: Optional[dict] = None,
                  omega: Optional[dict] = None, omega_inv: Optional[dict] = None):
@@ -35,7 +35,7 @@ class CrossedSystem:
     def act(self, g, r):
         if self.sigma is None:
             return r
-        return self.sigma[g][0](r)
+        return self.sigma[g](r)
 
     def w(self, g, h):
         if self.omega is None:
@@ -59,19 +59,17 @@ def twisted_system(group: Group, ring: Ring, omega: dict,
 
 @dataclass
 class CrossedSystemReport(Report):
-    cond1_ok: bool   # g.(h.r) = w(g,h) ((gh).r) w(g,h)^-1
-    cond2_ok: bool   # cocycle identity
-    cond3_ok: bool   # normalization w(g,1) = w(1,g) = 1, identity acts trivially
-    units_ok: bool   # w w^-1 = w^-1 w = 1
-    central_ok: Optional[bool]  # sampled centrality for trivial-sigma systems
-    sigma_hom_ok: Optional[bool]  # sampled ring laws of each sigma_g, if any
-
-    CHECKS = (("cond1_ok", "conjugation condition (i)"),
-              ("cond2_ok", "cocycle condition (ii)"),
-              ("cond3_ok", "normalization (iii)"),
-              ("units_ok", "omega values are units"),
-              ("central_ok", "omega centrality (sampled)"),
-              ("sigma_hom_ok", "sigma_g unital, additive and multiplicative (sampled)"))
+    # g.(h.r) = w(g,h) ((gh).r) w(g,h)^-1
+    cond1_ok: bool = check("conjugation condition (i)")
+    cond2_ok: bool = check("cocycle condition (ii)")
+    # w(g,1) = w(1,g) = 1, and the identity acts trivially
+    cond3_ok: bool = check("normalization (iii)")
+    units_ok: bool = check("omega values are units")  # w w^-1 = w^-1 w = 1
+    # sampled centrality, for trivial-sigma systems only
+    central_ok: Optional[bool] = check("omega centrality (sampled)", start=None)
+    # sampled ring laws of each sigma_g, if any
+    sigma_hom_ok: Optional[bool] = check(
+        "sigma_g unital, additive and multiplicative (sampled)", start=None)
 
 
 def verify_crossed_system(cs: CrossedSystem,
@@ -84,8 +82,7 @@ def verify_crossed_system(cs: CrossedSystem,
     if samples is None:
         samples = [R.zero(), R.one(), R.from_int(2), R.from_int(-3)]
     e, show = G.identity(), R.element_to_str
-    rep = CrossedSystemReport(True, True, True, True,
-                              central_ok=True if cs.sigma is None else None,
+    rep = CrossedSystemReport(central_ok=True if cs.sigma is None else None,
                               sigma_hom_ok=None if cs.sigma is None else True)
     for g in cs.elements:
         for h in cs.elements:
@@ -174,21 +171,23 @@ class CrossedProductRing(SparseRing):
         if not a:
             return "0"
         G, S = self.group, self.base
-        return " + ".join(f"{S.element_to_str(a[g])}*[{G.element_to_str(g)}]"
+        return " + ".join(f"{as_factor(S.element_to_str(a[g]))}*[{G.element_to_str(g)}]"
                           for g in sorted(a, key=G.element_key))
 
     def element_from_str(self, s):
+        """Terms 'coeff*[group element]' joined by "+" outside brackets; a
+        coefficient in parentheses is read without them."""
         s = s.strip()
         if s == "0":
             return {}
         out = self.zero()
-        for part in s.split("+"):
-            m = re.fullmatch(r"\s*(.*?)\s*\*\s*\[(.*?)\]\s*", part)
+        for part in split_top_level(s, "+"):
+            m = re.fullmatch(r"(.*)\*\s*\[(.*)\]", part)
             if not m:
                 raise ValueError(f"cannot parse term {part!r}; "
                                  "expected 'coeff*[group element]'")
-            out = self.add(out, self.term(self.base.element_from_str(m.group(1)),
-                                          self.group.element_from_str(m.group(2))))
+            coeff = self.base.element_from_str(strip_parens(m.group(1)))
+            out = self.add(out, self.term(coeff, self.group.element_from_str(m.group(2))))
         return out
 
 
@@ -291,16 +290,11 @@ class EndoGraded:
 
 @dataclass
 class EndoGradedReport(Report):
-    dimension_ok: bool
-    partition_ok: bool
-    closure_ok: bool
-    t1_diagonal_ok: bool
+    dimension_ok: bool = check("total rank equals n*l")
+    partition_ok: bool = check("components partition the matrix units")
+    closure_ok: bool = check("grading closure T_g T_h in T_gh")
+    t1_diagonal_ok: bool = check("identity component is block diagonal")
     strong: list = field(default_factory=list)
-
-    CHECKS = (("dimension_ok", "total rank equals n*l"),
-              ("partition_ok", "components partition the matrix units"),
-              ("closure_ok", "grading closure T_g T_h in T_gh"),
-              ("t1_diagonal_ok", "identity component is block diagonal"))
 
     def _extra(self):
         return [check_row(f"strong grading at {v.g}", v.found, v.witness)
@@ -344,7 +338,7 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
         components[g] = [unit(a, b) for a, b in labs]
     ring = EndoGraded(p, index, mring, components, unit_positions)
 
-    rep = EndoGradedReport(True, True, True, True)
+    rep = EndoGradedReport()
     if N != n * l:
         rep.fail("dimension_ok", f"total rank {N} is not n*l = {n * l}")
     # labels lie in index x index: a partition puts each unit in one component
@@ -386,21 +380,22 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
             rep.fail("t1_diagonal_ok", f"T_{e} holds the off-diagonal unit {a}, {b}")
     # The strong-grading search runs on the labels; each witness it finds is
     # then summed from the matrices with mat_mul and must give the identity.
-    one = S.one()
+    one, identity = S.one(), mring.one()
     labelled = {g: [{ab: one} for ab in unit_positions[g]] for g in elems}
-    rep.strong = strong_grading_check(_UnitLabelRing(S, index), labelled,
-                                      group.inv, elems)
-    identity = mring.one()
-    for v in rep.strong:
+    # one row per element, even where elements() repeats one
+    for v in strong_grading_check(_UnitLabelRing(S, index), labelled, group.inv,
+                                  list(dict.fromkeys(elems))):
         if not v.found:
-            continue
-        acc = mring.zero()
-        for ia, ib in v.terms:
-            acc = acc.add(mat_mul(components[v.g][ia], components[group.inv(v.g)][ib]))
-        if not acc.eq(identity):
-            v.found = False
-            rep.failures.append(f"strong grading witness at {v.g} does not "
-                                "sum to the identity matrix")
+            rep.fail(None, f"no strong-grading witness found at {v.g}")
+        else:
+            acc = mring.zero()
+            for ia, ib in v.terms:
+                acc = acc.add(mat_mul(components[v.g][ia], components[group.inv(v.g)][ib]))
+            if not acc.eq(identity):
+                rep.fail(None, f"strong grading witness at {v.g} does not "
+                               "sum to the identity matrix")
+                v = StrongGradingVerdict(v.g, False, "")
+        rep.strong.append(v)
     return ring, rep
 
 
@@ -410,14 +405,10 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
 
 @dataclass
 class PsiReport(Report):
-    unital_ok: bool
-    additive_ok: bool
-    multiplicative_ok: bool
-    pairs_checked: int
-
-    CHECKS = (("unital_ok", "unitality (Psi of 1 is the identity)"),
-              ("additive_ok", "additivity on samples"),
-              ("multiplicative_ok", "multiplicativity on {self.pairs_checked} pairs"))
+    pairs_checked: int = 0
+    unital_ok: bool = check("unitality (Psi of 1 is the identity)")
+    additive_ok: bool = check("additivity on samples")
+    multiplicative_ok: bool = check("multiplicativity on {self.pairs_checked} pairs")
 
     def to_json(self):
         return {**super().to_json(), "pairs_checked": self.pairs_checked}
@@ -500,7 +491,7 @@ def psi_embedding_check(ring: WeylRing, samples: Sequence[dict],
         else max(2, max((abs(d) for d in degs), default=0) + 1)
     comps = range(-cw, cw + 1)
     idxs = range(-window, window + 1)
-    rep = PsiReport(True, True, True, 0)
+    rep = PsiReport()
 
     one_img = _PsiImage(ring, ring.one())
     for x in comps:

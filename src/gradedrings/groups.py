@@ -18,13 +18,6 @@ DEFAULT_MAX_RADIUS = 8
 _GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _check_radius(r: int, max_radius: int) -> None:
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    if r > max_radius:
-        raise ValueError(f"radius {r} exceeds maximum {max_radius}")
-
-
 class Group:
     """Base class: a finitely generated group with a fixed generating set.
 
@@ -95,7 +88,10 @@ class Group:
         which is extended only when a larger radius is asked for, so each
         ball is a prefix of the next.
         """
-        _check_radius(r, max_radius)
+        if r < 0:
+            raise ValueError("radius must be non-negative")
+        if r > max_radius:
+            raise ValueError(f"radius {r} exceeds maximum {max_radius}")
         if self._walk is None:
             e = self.identity()
             self._walk = ([e], [0, 1], {e})
@@ -442,6 +438,24 @@ def split_top_level(text: str, sep: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
+def strip_parens(text: str) -> str:
+    """text, stripped, without one pair of parentheses around all of it."""
+    text, depth = text.strip(), 0
+    for i, ch in enumerate(text):
+        depth += (ch in "([") - (ch in ")]")
+        if not depth:
+            return text[1:-1] if ch == ")" and i == len(text) - 1 else text
+    return text
+
+
+def as_factor(text: str) -> str:
+    """text as one factor of a product: a number, or text in parentheses,
+    so that sums and words of a coefficient ring read back as one factor."""
+    if re.fullmatch(r"-?[\d/]+", text) or strip_parens(text) != text.strip():
+        return text
+    return f"({text})"
+
+
 def tuple_to_str(factors: Sequence, x: tuple) -> str:
     """"(a; b; ...)", each part printed by its factor, a group or a ring."""
     return "(" + "; ".join(f.element_to_str(a) for f, a in zip(factors, x)) + ")"
@@ -450,9 +464,7 @@ def tuple_to_str(factors: Sequence, x: tuple) -> str:
 def tuple_from_str(factors: Sequence, s: str, noun: str) -> tuple:
     """Parse tuple_to_str's form; the parentheses are optional, and noun
     names the parts in the error for a wrong count."""
-    s = s.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
+    s = strip_parens(s)
     parts = split_top_level(s, ";")
     if len(parts) != len(factors):
         raise ValueError(f"expected {len(factors)} {noun}: {s!r}")

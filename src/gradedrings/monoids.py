@@ -30,23 +30,6 @@ def cnk_normalize(n: int, k: int, lam: int) -> int:
     return n + ((lam - n) % k)
 
 
-def cnk_normalize_oracle(n: int, k: int, lam: int, bound: int = 200) -> int:
-    """Independent check: breadth-first closure of (n+k)a <-> na up to bound,
-    returning the smallest congruent coefficient."""
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in (v + k, v - k):
-                # the rewrite (n+k)a <-> na fires iff min(v, w) >= n
-                if min(v, w) >= n and w <= bound and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return min(seen)
-
-
 def cnk_leq(n: int, k: int, lam: int, mu: int) -> bool:
     """Decide lam*a <= mu*a in C(n,k): exists z with lam + z congruent to mu."""
     return cnk_leq_canonical(n, cnk_normalize(n, k, lam), cnk_normalize(n, k, mu))
@@ -65,15 +48,16 @@ def cnk_reach_oracle(n: int, k: int, bound: int):
     """Brute-force order oracle for a whole coefficient range at once.
 
     Returns (canon, reach): canon[v] is the BFS-minimal representative of v
-    (what cnk_normalize_oracle returns, found by walking each class once),
-    and reach[lam] the set of representatives of {lam + z : z >= 0}; the
-    range z <= n + 2k covers one full period beyond the transient part.
+    (the smallest value the rewrites reach from v, found by walking each
+    class once), and reach[lam] the set of representatives of
+    {lam + z : z >= 0}; the range z <= n + 2k covers one full period beyond
+    the transient part.
     """
     hi = bound + n + 2 * k + 1
     top = hi + k
-    # One walk per congruence class, with cnk_normalize_oracle's edge rule on
-    # 0..top; values are visited in increasing order, so the value a walk
-    # starts from is its class minimum.
+    # One walk per congruence class on 0..top, along the edges u <-> u + k
+    # with u >= n (the rewrite (n+k)a <-> na); values are visited in
+    # increasing order, so the value a walk starts from is its class minimum.
     canon = [None] * (top + 1)
     for v in range(hi + 1):
         if canon[v] is None:

@@ -2,21 +2,27 @@
 pass/FAIL text and the "pass"/"fail" JSON verdict.
 
 A report is a list of (line, passed) rows, passed None for a row that
-counts rather than checks: one "label: pass/FAIL" row per (field, label)
-pair of CHECKS whose field is not None (a label may name other fields as
-"{self.field}"), then the rows of `_extra()`, then the `failures`
-messages.  `ok` holds when no row is False.  Check fields start True (or
-None, unchecked); `fail` alone turns one False, and says where.
+counts rather than checks: one "label: pass/FAIL" row per check field, a
+field declared with check(label), whose value is not None (a label may
+name other fields as "{self.field}"), then the rows of `_extra()`, then
+the `failures` messages.  `ok` holds when no row is False.  Check fields
+start True (or None, unchecked); `fail` alone turns one False, and says
+where.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class VerificationError(Exception):
     """An independent re-check rejected a result the library was about to
     return: an internal fault, never a verdict about the input."""
+
+
+def check(label: str, start=True):
+    """A check field with its row label, keyword-only and starting at start."""
+    return field(default=start, kw_only=True, metadata={"label": label})
 
 
 def check_row(label: str, passed: bool, witness: str = "") -> tuple:
@@ -35,11 +41,17 @@ def verdict_of(*reports: "Report") -> str:
 class Report:
     failures: list = field(default_factory=list, kw_only=True)
 
-    CHECKS = ()
+    @classmethod
+    def check_fields(cls) -> list:
+        """The (field, label) pairs of the check fields, in row order."""
+        return [(f.name, f.metadata["label"]) for f in fields(cls)
+                if "label" in f.metadata]
 
-    def fail(self, check: str, message: str) -> None:
-        """Mark the CHECKS field `check` FAIL and record where it failed."""
-        setattr(self, check, False)
+    def fail(self, check: str | None, message: str) -> None:
+        """Mark the check field `check` FAIL and record where it failed;
+        check is None for an `_extra` row that holds its own verdict."""
+        if check is not None:
+            setattr(self, check, False)
         self.failures.append(message)
 
     def _extra(self) -> list:
@@ -47,7 +59,7 @@ class Report:
 
     def rows(self) -> list:
         rows = [check_row(label.format(self=self), passed)
-                for attr, label in self.CHECKS
+                for attr, label in self.check_fields()
                 if (passed := getattr(self, attr)) is not None]
         return rows + self._extra() + [(f, None) for f in self.failures]
 

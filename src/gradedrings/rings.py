@@ -432,7 +432,7 @@ class RingMatrix:
 
     def eq(self, other: "RingMatrix") -> bool:
         return ((self.rows, self.cols) == (other.rows, other.cols)
-                and support_eq(self.ring, self.support, other.support))
+                and first_difference(self.ring, self.support, other.support) is None)
 
     def reinterpret(self, ring: Ring) -> "RingMatrix":
         """Same entries viewed over another ring (e.g. the opposite ring)."""
@@ -468,7 +468,7 @@ def support_mul(R: Ring, P: list, Q: list) -> list:
     return out
 
 
-def _first_difference(R: Ring, P: list, Q: list):
+def first_difference(R: Ring, P: list, Q: list):
     """The first (i, j), 0-based and row-major, at which two matrices in
     support form differ, reading an absent entry as zero; None if none.
 
@@ -486,12 +486,6 @@ def _first_difference(R: Ring, P: list, Q: list):
         if bad:
             return i, min(bad)
     return None
-
-
-def support_eq(R: Ring, P: list, Q: list) -> bool:
-    """Entrywise R.eq of two matrices in support form with the same number
-    of rows; an absent entry reads as zero."""
-    return _first_difference(R, P, Q) is None
 
 
 def mat_mul(A: RingMatrix, B: RingMatrix) -> RingMatrix:
@@ -554,7 +548,7 @@ def verify_certificate(cert: RankCertificate):
     """
     R = cert.ring
     AB = support_mul(R, cert.A.support, cert.B.support)
-    at = _first_difference(R, AB, [{i: R.one()} for i in range(cert.m)])
+    at = first_difference(R, AB, [{i: R.one()} for i in range(cert.m)])
     if at is not None:
         return Invalid(position=(at[0] + 1, at[1] + 1))
     return Valid(bgn=cert.n < cert.m)

@@ -21,7 +21,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .report import Report, VerificationError
+from .groups import as_factor, strip_parens
+from .report import Report, VerificationError, check
 from .rings import (IntegerRing, RankCertificate, Ring, RingMatrix, SparseRing,
                     _add_term, _checked)
 
@@ -45,7 +46,7 @@ class _MonomialAlgebra(SparseRing):
         for key in sorted(a, key=lambda k: (len(self._factors(k)), k)):
             c = a[key]
             factors = self._factors(key)
-            cstr = S.element_to_str(c)
+            cstr = as_factor(S.element_to_str(c))
             if not factors:
                 parts.append(cstr)
             elif S.eq(c, S.one()):
@@ -159,24 +160,17 @@ def leavitt_rank_certificate(n: int, base: Optional[Ring] = None) -> RankCertifi
 
 @dataclass
 class MatrixUnitReport(Report):
-    product_law_ok: bool = True
-    sum_identity_ok: bool = True
-    degrees_ok: bool = True
-    chain_ok: bool = True
-
-    CHECKS = (
-        ("product_law_ok", "product law (eps_ij eps_km = delta_jk eps_im)"),
-        ("sum_identity_ok", "sum identity (sum eps_ii = 1)"),
-        ("degrees_ok", "all units homogeneous of degree 0"),
-        ("chain_ok", "chain containment span_l in span_{{l+1}}"),
-    )
+    product_law_ok: bool = check("product law (eps_ij eps_km = delta_jk eps_im)")
+    sum_identity_ok: bool = check("sum identity (sum eps_ii = 1)")
+    degrees_ok: bool = check("all units homogeneous of degree 0")
+    chain_ok: bool = check("chain containment span_l in span_{{l+1}}")
 
 
 MAX_MATRIX_UNITS = 64
 
 
-def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
-                         base: Optional[Ring] = None) -> tuple[list, MatrixUnitReport]:
+def leavitt_matrix_units(n: int, l: int,
+                         sigma: Optional[Sequence] = None) -> tuple[list, MatrixUnitReport]:
     """Build the matrix units eps_ij = sigma(i) sigma(j)* from length-l words
     and verify the matrix-unit laws exhaustively.
 
@@ -185,7 +179,7 @@ def leavitt_matrix_units(n: int, l: int, sigma: Optional[Sequence] = None,
     """
     if l < 1:
         raise ValueError("need l >= 1")
-    L = LeavittRing(n, base)
+    L = LeavittRing(n)
     N = n ** l
     if N > MAX_MATRIX_UNITS:
         raise ValueError(f"n^l = {N} exceeds bound {MAX_MATRIX_UNITS}")
@@ -420,32 +414,45 @@ def weyl_coordinates(ring: WeylRing, elem: dict, m: int) -> list:
 
 
 def _parse_sum(s: str, parse_factor, ring: Ring):
+    """A signed sum of products.  "+" and "-" split terms, and whitespace
+    and "*" split factors, only outside brackets.  A factor in parentheses
+    is a coefficient, read by the base ring without them, and the factor 0
+    is zero, whatever the base ring's text for its zero."""
     s = s.strip()
     if not s:
         raise ValueError("empty expression")
-    terms = []
-    sign = 1
-    tok = []
-    for ch in s:
+    terms, sign, factors, cur, depth = [], 1, [], [], 0
+    for ch in s + " ":
+        depth += (ch in "([") - (ch in ")]")
+        if depth or not (ch.isspace() or ch in "*+-"):
+            cur.append(ch)
+            continue
+        if cur:
+            factors.append("".join(cur))
+            cur = []
         if ch in "+-":
-            if tok and "".join(tok).strip():
-                terms.append((sign, "".join(tok).strip()))
-                tok = []
-                sign = 1
+            if factors:
+                terms.append((sign, factors))
+                factors, sign = [], 1
             if ch == "-":
                 sign = -sign
-        else:
-            tok.append(ch)
-    if "".join(tok).strip():
-        terms.append((sign, "".join(tok).strip()))
+    if factors:
+        terms.append((sign, factors))
     if not terms:
         raise ValueError(f"cannot parse expression: {s!r}")
+
+    def factor(f: str):
+        if f == "0":
+            return ring.zero()
+        if f.startswith("("):
+            return ring.scalar(ring.base.element_from_str(strip_parens(f)))
+        return parse_factor(f)
+
     total = ring.zero()
     for sgn, term in terms:
-        factors = [f for f in re.split(r"[\s*]+", term) if f]
         val = ring.one()
-        for f in factors:
-            val = ring.mul(val, parse_factor(f))
+        for f in term:
+            val = ring.mul(val, factor(f))
         if sgn < 0:
             val = ring.neg(val)
         total = ring.add(total, val)

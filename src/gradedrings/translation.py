@@ -18,9 +18,9 @@ from typing import Optional
 from .amenability import (InjectionWitness, SubsetPredicate, verify_injection_witness,
                           whole_group)
 from .groups import Group
-from .report import Report
+from .report import Report, check
 from .rings import (RankCertificate, Ring, RingMatrix, SparseRing, _add_term,
-                    _checked, _first_difference, support_eq, support_mul)
+                    _checked, first_difference, support_mul)
 
 
 class CoeffFn:
@@ -112,11 +112,8 @@ class TranslationRing(SparseRing):
     def fn(self, const, overrides: Optional[dict] = None) -> CoeffFn:
         return CoeffFn(self.base.base, const, overrides)
 
-    def diag(self, f: CoeffFn) -> dict:
-        return self.scalar(f)
-
     def diag_const(self, r) -> dict:
-        return self.diag(self.fn(r))
+        return self.scalar(self.fn(r))
 
     def term(self, g, f: CoeffFn) -> dict:
         self.group.check_element(g)
@@ -194,18 +191,13 @@ def tr_mul_oracle_entry(tring: TranslationRing, M: dict, N: dict, x, y):
 
 @dataclass
 class FiniteGroupIsoReport(Report):
-    shift_mult_ok: bool       # A_g A_h = A_{gh}, and G is closed
-    diag_mult_ok: bool        # D_f D_f' = D_{ff'}
+    shift_mult_ok: bool = check("shift multiplicativity")  # A_g A_h = A_gh, G closed
+    diag_mult_ok: bool = check("diagonal multiplicativity")  # D_f D_f' = D_ff'
     # None when G is not closed, so A_g is not defined
-    action_ok: Optional[bool]     # A_g D_f A_{g^-1} = D_{g.f}
-    unital_ok: Optional[bool]
-    bijective_ok: Optional[bool]  # {D_{delta_x} A_g} hits every matrix unit once
-
-    CHECKS = (("shift_mult_ok", "shift multiplicativity"),
-              ("diag_mult_ok", "diagonal multiplicativity"),
-              ("action_ok", "conjugation action law"),
-              ("unital_ok", "unitality"),
-              ("bijective_ok", "bijectivity (matrix-unit count)"))
+    action_ok: Optional[bool] = check("conjugation action law")  # A_g D_f A_g^-1 = D_g.f
+    unital_ok: Optional[bool] = check("unitality")
+    # {D_{delta_x} A_g} hits every matrix unit once
+    bijective_ok: Optional[bool] = check("bijectivity (matrix-unit count)")
 
 
 FINITE_ISO_MAX_ORDER = 12
@@ -233,7 +225,7 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     idx = {x: i for i, x in enumerate(elems)}
     R = ring
     one = R.one()
-    rep = FiniteGroupIsoReport(True, True, True, True, True)
+    rep = FiniteGroupIsoReport()
 
     # every matrix below is in support form (RingMatrix.support)
     def D(f: dict) -> list:
@@ -249,7 +241,7 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     for a, (f1, D1) in enumerate(zip(samples, D_of)):
         for b, (f2, D2) in enumerate(zip(samples, D_of)):
             prod = {x: R.mul(f1[x], f2[x]) for x in elems}
-            if not support_eq(R, support_mul(R, D1, D2), D(prod)):
+            if first_difference(R, support_mul(R, D1, D2), D(prod)) is not None:
                 rep.fail("diag_mult_ok", f"D_f D_f' != D_ff' at samples ({a}, {b})")
 
     e = group.identity()
@@ -273,16 +265,17 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
     A_of = {g: [{idx[y]: one} for y in cols[g]] for g in elems}
 
     for (g, h), gh in table.items():
-        if not support_eq(R, support_mul(R, A_of[g], A_of[h]), A_of[gh]):
+        if first_difference(R, support_mul(R, A_of[g], A_of[h]), A_of[gh]) is not None:
             rep.fail("shift_mult_ok", f"A_g A_h != A_gh at ({g}, {h})")
     for g in elems:
         for a, (f, Df) in enumerate(zip(samples, D_of)):
             got = support_mul(R, support_mul(R, A_of[g], Df), A_of[inverse[g]])
-            if not support_eq(R, got, [{i: f[y]} for i, y in enumerate(cols[g])]):
+            want = [{i: f[y]} for i, y in enumerate(cols[g])]
+            if first_difference(R, got, want) is not None:
                 rep.fail("action_ok", f"conjugation law fails at g = {g} on sample {a}")
     identity = [{i: one} for i in range(N)]
     for name, M in ((f"A_{e}", A_of[e]), ("D_f of sample 0", D_of[0])):
-        if (at := _first_difference(R, M, identity)) is not None:
+        if (at := first_difference(R, M, identity)) is not None:
             rep.fail("unital_ok", f"{name} != I at ({at[0] + 1}, {at[1] + 1})")
     # D_{delta_x} has the one row {i: one} at i = idx[x] and no other entry,
     # so D_{delta_x} A_g is that row times A_g, in row i
@@ -310,16 +303,12 @@ def finite_group_iso(group: Group, ring: Ring) -> FiniteGroupIsoReport:
 class CollapseResult(Report):
     M: RingMatrix
     N: RingMatrix
-    mmt_ok: bool
-    nnt_ok: bool
-    mnt_ok: bool
-    nmt_ok: bool
-    projection_ok: bool
     uncovered: list  # elements of W outside Im alpha union Im beta
-
-    CHECKS = (("mmt_ok", "M M^t = I"), ("nnt_ok", "N N^t = I"),
-              ("mnt_ok", "M N^t = 0"), ("nmt_ok", "N M^t = 0"),
-              ("projection_ok", "M^t M + N^t N = projection onto the images"))
+    mmt_ok: bool = check("M M^t = I")
+    nnt_ok: bool = check("N N^t = I")
+    mnt_ok: bool = check("M N^t = 0")
+    nmt_ok: bool = check("N M^t = 0")
+    projection_ok: bool = check("M^t M + N^t N = projection onto the images")
 
     def _extra(self):
         return [(f"uncovered targets: {len(self.uncovered)}", None)]
@@ -346,7 +335,7 @@ def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> Collapse
 
     if not V:
         empty = RingMatrix.zero(R, 1, max(len(W), 1))
-        return CollapseResult(empty, empty, True, True, True, True, True, list(W))
+        return CollapseResult(empty, empty, list(W))
 
     def slice_of(mapping) -> RingMatrix:
         return RingMatrix.from_support_rows(R, len(W), [{widx[mapping[x]]: R.one()}
@@ -361,13 +350,12 @@ def collapse_matrices(group: Group, w: InjectionWitness, ring: Ring) -> Collapse
     # M^t M + N^t N is the block row (M^t N^t) times the block column (M; N)
     stacked = [{**mt, **{len(V) + i: x for i, x in nt.items()}}
                for mt, nt in zip(Mt, Nt)]
-    rep = CollapseResult(M, N, True, True, True, True, True,
-                         uncovered=[W[i] for i in range(len(W)) if i not in covered])
+    rep = CollapseResult(M, N, [W[i] for i in range(len(W)) if i not in covered])
     products = ((Ms, Mt, I_V), (Ns, Nt, I_V), (Ms, Nt, Z_V), (Ns, Mt, Z_V),
                 (stacked, Ms + Ns, proj))
-    for (check, label), (P, Q, want) in zip(CollapseResult.CHECKS, products):
-        if (at := _first_difference(R, support_mul(R, P, Q), want)) is not None:
-            rep.fail(check, f"{label} fails at entry ({at[0] + 1}, {at[1] + 1})")
+    for (name, label), (P, Q, want) in zip(CollapseResult.check_fields(), products):
+        if (at := first_difference(R, support_mul(R, P, Q), want)) is not None:
+            rep.fail(name, f"{label} fails at entry ({at[0] + 1}, {at[1] + 1})")
     return rep
 
 

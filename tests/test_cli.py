@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import gradedrings
-from gradedrings.amenability import whole_group
+from gradedrings.amenability import Infeasible, whole_group
 from gradedrings.checks import _stack_twice
 from gradedrings.cli import EXIT_CODES, main
 from gradedrings.groups import FreeAbelian
@@ -196,6 +196,20 @@ def test_internal_error_is_not_a_verdict(monkeypatch, capsys):
                "--w", "ball:3", "--k", "{-1; 0; 1}") == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: VerificationError: Hall violator")
+
+
+@pytest.mark.parametrize("command", ["paradox", "collapse"])
+def test_a_violator_that_fails_its_recount_is_not_a_verdict(monkeypatch, capsys, command):
+    """A search that returns a false Hall violator, A = {e} with an empty
+    neighbourhood on F2, is caught by the recount in both commands: exit 3,
+    never the verified "no" of exit 1."""
+    monkeypatch.setattr("gradedrings.cli.find_two_to_one_injection",
+                        lambda G, V, W, K: Infeasible([V[0]], []))
+    assert run(command, "--group", "F2", "--v", "ball:1", "--w", "ball:2",
+               "--k", "ball:1") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: VerificationError: Hall violator failed its recount\n"
 
 
 def test_free_group_of_rank_27_is_input_error(capsys):

@@ -95,7 +95,7 @@ def report_lines() -> str:
     reports.append(bs_example_check(2, 3))
     swap = lambda r: (r[1], r[0])
     skew = CrossedSystem(Cyclic(2), ProductRing([Z, Z]),
-                         sigma={0: (lambda r: r, lambda r: r), 1: (swap, swap)})
+                         sigma={0: lambda r: r, 1: swap})
     reports.append(verify_crossed_system(skew, samples=[(1, 0), (0, 1), (2, -3)]))
     reports.append(endo_graded_construction(IntegerModRing(5), Cyclic(2), 2, 1)[1])
     weyl = WeylRing([1], [1])

@@ -46,7 +46,7 @@ def test_skew_system_with_product_swap():
     P = ProductRing([Z, Z])
     G = Cyclic(2)
     swap = lambda r: (r[1], r[0])
-    sigma = {0: (lambda r: r, lambda r: r), 1: (swap, swap)}
+    sigma = {0: lambda r: r, 1: swap}
     cs = CrossedSystem(G, P, sigma=sigma)
     rep = verify_crossed_system(cs, samples=[(1, 0), (0, 1), (2, -3)])
     assert rep.ok, rep.lines()
@@ -61,7 +61,7 @@ def test_sigma_that_is_no_ring_map_is_refused():
     associative: with x = 1*[1] and y = 2*[0], (xy)y = 9*[1] but
     x(yy) = 4*[1]."""
     sw = lambda r: {2: 3, 3: 2}.get(r, r)
-    cs = CrossedSystem(Cyclic(2), Z, sigma={0: (lambda r: r, lambda r: r), 1: (sw, sw)})
+    cs = CrossedSystem(Cyclic(2), Z, sigma={0: lambda r: r, 1: sw})
     rep = verify_crossed_system(cs)
     assert not rep.ok and rep.sigma_hom_ok is False
     assert (rep.cond1_ok, rep.cond2_ok, rep.cond3_ok, rep.units_ok) == (True,) * 4
@@ -74,14 +74,14 @@ def test_sigma_that_is_no_ring_map_is_refused():
 
 def test_sigma_that_moves_one_is_refused():
     neg = lambda r: -r
-    cs = CrossedSystem(Cyclic(2), Z, sigma={0: (lambda r: r, lambda r: r), 1: (neg, neg)})
+    cs = CrossedSystem(Cyclic(2), Z, sigma={0: lambda r: r, 1: neg})
     rep = verify_crossed_system(cs)
     assert rep.sigma_hom_ok is False and "sigma_1 does not fix 1" in rep.failures
 
 
 def test_sigma_row_only_for_skew_systems():
     assert verify_crossed_system(CrossedSystem(Cyclic(2), Z)).sigma_hom_ok is None
-    cs = CrossedSystem(Cyclic(2), Z, sigma={g: (lambda r: r, lambda r: r) for g in (0, 1)})
+    cs = CrossedSystem(Cyclic(2), Z, sigma={g: lambda r: r for g in (0, 1)})
     rep = verify_crossed_system(cs)
     assert rep.ok and rep.sigma_hom_ok is True and rep.central_ok is None
 
@@ -175,11 +175,16 @@ def test_endo_graded_closure_detects_a_wrong_group():
     """Closure is decided from the labels: the wrong inverse and the wrong
     product both leave a product of units outside T_gh.  The dense closure
     loop that the label check replaced gave the same 82 messages for the
-    wrong inverse and raised KeyError on the wrong product."""
+    wrong inverse and raised KeyError on the wrong product.  The wrong
+    inverse also leaves no strong-grading witness at 1 and 3, and each of
+    those FAIL rows has its own line."""
     _, rep = endo_graded_construction(Z, _WrongInverseC4(4), 3, 2)
     assert (rep.partition_ok, rep.closure_ok) == (True, False)
-    assert len(rep.failures) == 82
-    assert all(" units left T_" in f for f in rep.failures)
+    closure = [f for f in rep.failures if " units left T_" in f]
+    assert len(closure) == 82
+    assert [f for f in rep.failures if f not in closure] == [
+        "no strong-grading witness found at 1", "no strong-grading witness found at 3"]
+    assert [v.g for v in rep.strong if not v.found] == [1, 3]
     _, rep = endo_graded_construction(Z, _WrongProductC3(3), 2, 2)
     assert not rep.closure_ok and not rep.ok
     assert any(" units left T_" in f for f in rep.failures)

@@ -10,8 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gradedrings"
-# __init__.py imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -107,7 +106,7 @@ def assert_statements(source: str) -> list:
             if isinstance(n, ast.Assert)]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_in_library(path):
     """A soundness check must still run under python -O, which strips
     every assert statement."""
@@ -120,22 +119,20 @@ UNREAD_ALLOWED = {
     "twisted_system": "bench-bound: builds the rewrite workload's twisted ring",
     "injection_witness_from_json": "bench-bound: traced as a loader",
     "translation_certificate_to_json": "bench-bound: traced as a serializer",
-    "cnk_normalize_oracle": "test reference for cnk_normalize",
     "finite_subset": "planned caller: verify of Folner files (ROADMAP item 3)",
     "tr_transpose": "planned caller: whole-group certificates (ROADMAP item 6)",
 }
 
 
 def unread_definitions(sources: dict) -> list:
-    """(module, name) of each top-level function or class, outside
-    __init__.py, that no module reads as a Name or an Attribute."""
+    """(module, name) of each top-level function or class that no module
+    reads as a Name or an Attribute."""
     defined, read = [], set()
     for filename, source in sources.items():
         tree = ast.parse(source)
-        if filename != "__init__.py":
-            defined += [(filename, node.name) for node in tree.body
-                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                             ast.ClassDef))]
+        defined += [(filename, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef))]
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
@@ -250,3 +247,55 @@ def test_checks_fail_only_through_report_fail(path):
     """A check field starts True or None and turns False only through
     Report.fail, so no row can read FAIL without a line saying where."""
     assert false_check_writes(path.read_text()) == []
+
+
+def undeclared_checks(source: str) -> list:
+    """(class, name) of each *_ok field annotated in a class body with any
+    value but a check(...) call, and (class, "CHECKS") for each class that
+    assigns CHECKS: a check's label is declared with its field, once."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                names, value = [stmt.target.id], stmt.value
+            elif isinstance(stmt, ast.Assign):
+                names, value = [t.id for t in stmt.targets if isinstance(t, ast.Name)], None
+            else:
+                continue
+            out += [(node.name, "CHECKS") for name in names if name == "CHECKS"]
+            if not (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                    and value.func.id == "check"):
+                out += [(node.name, name) for name in names if name.endswith("_ok")]
+    return out
+
+
+def test_undeclared_checks_are_found():
+    source = """
+class A(Report):
+    a_ok: bool = check("a")
+    b_ok: bool = True
+    c_ok: bool
+    d: int = 0
+    e_ok = field(default=True)
+    CHECKS = (("a_ok", "a"),)
+"""
+    assert undeclared_checks(source) == [("A", "b_ok"), ("A", "c_ok"), ("A", "e_ok"),
+                                         ("A", "CHECKS")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_checks_are_declared_with_their_labels(path):
+    """Every check field is declared with check(label), which holds its row
+    label, and no class keeps a second table of the labels."""
+    assert undeclared_checks(path.read_text()) == []
+
+
+def test_package_root_defines_only_the_version():
+    """Each name has one import path, its module: the package root
+    re-exports nothing."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    body = [node for node in tree.body
+            if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+    assert [ast.unparse(node) for node in body] == ["__version__ = '0.1.0'"]

@@ -21,7 +21,7 @@ from gradedrings.special_algebras import (LeavittRing, MatrixUnitReport, WeylRin
 from gradedrings.translation import (CollapseResult, FiniteGroupIsoReport,
                                      FolnerInequalityError, collapse_matrices,
                                      finite_group_iso)
-from test_graded import _WrongProductC3, _bump_corner, _faulty_blocks
+from test_graded import _WrongInverseC4, _WrongProductC3, _bump_corner, _faulty_blocks
 from test_translation import _BadMul, _DoubledMul
 
 Z = IntegerRing()
@@ -111,7 +111,7 @@ def _negation_system():
     """sigma_0 = negation on Z over C(1): fails conditions (i), (ii) and
     (iii) and the ring laws of sigma_0."""
     neg = lambda r: -r
-    return CrossedSystem(Cyclic(1), Z, sigma={0: (neg, neg)})
+    return CrossedSystem(Cyclic(1), Z, sigma={0: neg})
 
 
 NEGATION_LINES = [
@@ -248,7 +248,9 @@ FAULTY = {
     "endo-wrong-product": (_endo(_WrongProductC3(3), 2, 2), EndoGradedReport,
                            {"partition_ok", "closure_ok"}),
     "endo-inverse-of-identity": (_endo(_InverseOfIdentityC2(2), 2, 1), EndoGradedReport,
-                                 {"t1_diagonal_ok"}),
+                                 {"t1_diagonal_ok", "strong"}),
+    "endo-wrong-inverse": (_endo(_WrongInverseC4(4), 3, 2), EndoGradedReport,
+                           {"closure_ok", "strong"}),
     "psi-identity-block": (_psi((0, 0), _bump_corner), PsiReport, {"unital_ok"}),
     "psi-bumped-corner": (_psi((1, 0), _bump_corner), PsiReport,
                           {"additive_ok", "multiplicative_ok"}),
@@ -278,10 +280,23 @@ FAULTY = {
 }
 
 
+def _failing_rows(rep) -> set:
+    """The check fields that read FAIL, and "strong" when a strong-grading
+    row does."""
+    failing = {name for name, _ in rep.check_fields() if getattr(rep, name) is False}
+    return failing | ({"strong"} if _failing_strong(rep) else set())
+
+
+def _failing_strong(rep) -> list:
+    return [v.g for v in getattr(rep, "strong", ()) if not v.found]
+
+
 @pytest.mark.parametrize("case", FAULTY)
 def test_every_fail_row_says_where(case, monkeypatch):
     """Each FAIL row has at least one Report.fail call, no two calls write
-    the same line, and the rows that read FAIL are exactly those failed."""
+    the same line, and the rows that read FAIL are exactly those failed.
+    A FAIL strong-grading row has exactly one call, with no check field,
+    whose line names its g."""
     build, kind, rows = FAULTY[case]
     calls, real = [], Report.fail
 
@@ -291,9 +306,12 @@ def test_every_fail_row_says_where(case, monkeypatch):
     monkeypatch.setattr(Report, "fail", fail)
     rep = build(monkeypatch)
     assert type(rep) is kind
-    failing = {name for name, _ in rep.CHECKS if getattr(rep, name) is False}
+    failing = _failing_rows(rep)
     assert rows <= failing
-    assert failing == {check for check, _ in calls}
+    assert failing - {"strong"} == {check for check, _ in calls if check is not None}
+    strong = [message for check, message in calls if check is None]
+    assert len(strong) == len(_failing_strong(rep))
+    assert all(f" at {g}" in m for g, m in zip(_failing_strong(rep), strong))
     messages = [message for _, message in calls]
     assert len(messages) == len(set(messages))
     assert [f for f in rep.failures if f in messages] == messages
@@ -302,14 +320,17 @@ def test_every_fail_row_says_where(case, monkeypatch):
 
 def test_faulty_inputs_cover_every_check_row():
     """The cases above fail every check row of every report type with check
-    fields; CriterionResult has none (its rows are its detail lines)."""
+    fields, and the strong-grading rows of the endo-graded report;
+    CriterionResult has none (its rows are its detail lines)."""
     covered = {}
     for _, kind, rows in FAULTY.values():
         covered.setdefault(kind, set()).update(rows)
     kinds = [CrossedSystemReport, EndoGradedReport, PsiReport, MatrixUnitReport,
              FiniteGroupIsoReport, CollapseResult, BSCheckReport]
-    assert {cls for cls in _report_types() if cls.CHECKS} == set(kinds)
-    assert covered == {cls: {name for name, _ in cls.CHECKS} for cls in kinds}
+    assert {cls for cls in _report_types() if cls.check_fields()} == set(kinds)
+    want = {cls: {name for name, _ in cls.check_fields()} for cls in kinds}
+    want[EndoGradedReport].add("strong")
+    assert covered == want
 
 
 def _report_types():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedrings import rings
 from gradedrings.amenability import whole_group
 from gradedrings.checks import _stack_twice
 from gradedrings.graded import CrossedProductRing, CrossedSystem, group_ring
@@ -16,7 +15,7 @@ from gradedrings.rings import (IntegerModRing, IntegerRing, Invalid,
                                RationalRing, RingMatrix, block_down_certificate,
                                block_up_certificate, extend_certificate,
                                hom_certificate, mat_mul, opposite_certificate,
-                               product_certificate, support_eq, support_mul,
+                               first_difference, product_certificate, support_mul,
                                truncate_certificate, verify_certificate)
 from gradedrings.special_algebras import (LeavittRing, WeylRing,
                                           leavitt_rank_certificate)
@@ -325,8 +324,8 @@ def test_mat_mul_keeps_the_order_of_each_product():
     op = L.opposite()
     assert L.eq(mat_mul(A.reinterpret(op), B.reinterpret(op))[0, 0], L.from_int(2))
     P, Q = A.support, B.support
-    assert support_eq(L, support_mul(L, P, Q), [{0: L.one()}])
-    assert support_eq(op, support_mul(op, P, Q), [{0: L.from_int(2)}])
+    assert first_difference(L, support_mul(L, P, Q), [{0: L.one()}]) is None
+    assert first_difference(op, support_mul(op, P, Q), [{0: L.from_int(2)}]) is None
 
 
 def _verify_reference(cert):
@@ -599,7 +598,8 @@ def _candidate(draw, ring, elements, P):
 def test_support_mul_and_eq_agree_with_mat_mul(ring, elements, data):
     """Over rectangular shapes, zero rows, zero columns and stored zeros,
     the support-form product has the entries of the dense triple loop
-    (mat_mul's reference), and support_eq answers as RingMatrix.eq does."""
+    (mat_mul's reference), and first_difference finds none exactly when
+    RingMatrix.eq holds."""
     A, B = data.draw(_mat_mul_pair(ring, elements))
     P, Q = data.draw(_with_stored_zeros(A)), data.draw(_with_stored_zeros(B))
     dense = _mat_mul_reference(A, B)
@@ -609,13 +609,13 @@ def test_support_mul_and_eq_agree_with_mat_mul(ring, elements, data):
     assert RingMatrix.from_support_rows(ring, B.cols, got).eq(dense)
     C = data.draw(_candidate(ring, elements, dense))
     want = dense.eq(C)
-    assert support_eq(ring, got, data.draw(_with_stored_zeros(C))) == want
-    assert support_eq(ring, data.draw(_with_stored_zeros(C)), got) == want
+    assert (first_difference(ring, got, data.draw(_with_stored_zeros(C))) is None) == want
+    assert (first_difference(ring, data.draw(_with_stored_zeros(C)), got) is None) == want
 
 
 def test_support_eq_refuses_a_row_count_mismatch():
     with pytest.raises(ValueError, match="row count mismatch"):
-        support_eq(Z, [{}], [{}, {}])
+        first_difference(Z, [{}], [{}, {}])
 
 
 def test_support_eq_reads_rows_that_are_not_equal_dicts_with_ring_eq():
@@ -623,8 +623,8 @@ def test_support_eq_reads_rows_that_are_not_equal_dicts_with_ring_eq():
     so residues 8 and 1 mod 7 agree although the dicts differ."""
     Z7 = IntegerModRing(7)
     assert [{0: 8}] != [{0: 1}]
-    assert support_eq(Z7, [{0: 8}], [{0: 1}])
-    assert not support_eq(Z7, [{0: 8}], [{0: 2}])
+    assert first_difference(Z7, [{0: 8}], [{0: 1}]) is None
+    assert first_difference(Z7, [{0: 8}], [{0: 2}]) == (0, 0)
 
 
 def test_first_difference_after_shared_rows_is_row_major():
@@ -632,9 +632,9 @@ def test_first_difference_after_shared_rows_is_row_major():
     shared = {0: 1, 2: 3}
     P = [shared, shared, {0: 8, 1: 2, 3: 5}, {0: 1}]
     Q = [shared, shared, {0: 1, 1: 2, 2: 0, 3: 4}, {0: 2}]
-    assert rings._first_difference(Z7, P, Q) == (2, 3)
-    assert rings._first_difference(Z7, Q, P) == (2, 3)
-    assert rings._first_difference(Z7, P[:2], Q[:2]) is None
+    assert first_difference(Z7, P, Q) == (2, 3)
+    assert first_difference(Z7, Q, P) == (2, 3)
+    assert first_difference(Z7, P[:2], Q[:2]) is None
 
 
 def test_verify_certificate_after_identity_rows_keeps_the_failing_position():
@@ -714,8 +714,8 @@ def _sparse_rings():
     for C in (RG, tw):
         out.append((C, [C.term(C.base.one(), g) for g in range(4)]))
     one = T.base.one()
-    out.append((T, [T.term(a, one), T.term(F2.inv(b), one), T.diag(T.fn(0, {a: 2})),
-                    T.diag(T.fn(2, {(): 1}))]))
+    out.append((T, [T.term(a, one), T.term(F2.inv(b), one), T.scalar(T.fn(0, {a: 2})),
+                    T.scalar(T.fn(2, {(): 1}))]))
     return out
 
 

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedrings.amenability import (InjectionWitness, bs_X,
                                      find_two_to_one_injection, folner_search,
@@ -86,6 +87,73 @@ def test_certificate_round_trip(tmp_path):
     assert back.ring == cert.ring
     assert back.A.eq(cert.A) and back.B.eq(cert.B)
     assert verify_certificate(back)
+
+
+def _nested_specs(children):
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=2).map(lambda ps: f"prod({', '.join(ps)})"),
+        children.map(lambda s: f"L(1,2;{s})"),
+        children.map(lambda s: f"group({s}, C(2))"))
+
+
+_ATOMS = st.sampled_from(["Z", "Z/5"])
+_DEPTH_1 = _nested_specs(_ATOMS)
+NESTED_SPECS = st.one_of(_ATOMS, _DEPTH_1, _nested_specs(st.one_of(_ATOMS, _DEPTH_1)))
+
+
+def _elements(R):
+    """Elements of a ring built by NESTED_SPECS."""
+    if isinstance(R, IntegerModRing):
+        return st.integers(0, R.m - 1)
+    if isinstance(R, IntegerRing):
+        return st.integers(-3, 3)
+    if isinstance(R, ProductRing):
+        return st.tuples(*[_elements(f) for f in R.factors])
+    words = st.lists(st.integers(1, 2), max_size=2).map(tuple)
+    if isinstance(R, LeavittRing):
+        terms = st.lists(st.tuples(words, words, _elements(R.base)), max_size=3)
+        return terms.map(lambda ts: _sum(R, [R.monomial(a, b, c) for a, b, c in ts]))
+    terms = st.lists(st.tuples(_elements(R.base), st.sampled_from([0, 1])), max_size=3)
+    return terms.map(lambda ts: _sum(R, [R.term(c, g) for c, g in ts]))
+
+
+def _sum(R, xs):
+    out = R.zero()
+    for x in xs:
+        out = R.add(out, x)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_element_text_round_trips_over_nested_rings(data):
+    """An element's text reads back as the element over rings nested two
+    deep: a coefficient prints as one factor, a number or text in
+    parentheses, and the parsers split only outside brackets."""
+    R = ring_from_spec(data.draw(NESTED_SPECS, label="spec"))
+    x = data.draw(_elements(R), label="element")
+    assert R.eq(R.element_from_str(R.element_to_str(x)), x)
+
+
+@pytest.mark.parametrize("spec, make_x, text", [
+    ("group(L(1,2), C(2))", lambda R: R.term(R.base.add(R.base.gen(1), R.base.gen(2)), 1),
+     "(e1 + e2)*[1]"),
+    ("L(1,2;prod(Z, Z))", lambda R: R.monomial((1,), (1,), (1, -1)), "(1; -1) e1 e1'"),
+], ids=["group-ring-over-leavitt", "leavitt-over-product"])
+def test_nested_ring_certificates_verify_from_their_files(spec, make_x, text, tmp_path,
+                                                          capsys):
+    """A = [[1, x], [0, 1]] and B = [[1, -x], [0, 1]]: the file the library
+    writes reads back, and cert verify accepts it."""
+    R = ring_from_spec(spec)
+    x = make_x(R)
+    A = RingMatrix.from_rows(R, [[R.one(), x], [R.zero(), R.one()]])
+    B = RingMatrix.from_rows(R, [[R.one(), R.neg(x)], [R.zero(), R.one()]])
+    path = str(tmp_path / "cert.json")
+    data = certificate_to_json(RankCertificate(R, 2, 2, A, B))
+    assert data["A"][0][1] == text
+    dump_json(data, path)
+    assert main(["cert", "verify", path]) == 0
+    assert capsys.readouterr().out == "valid: AB = I_2, BGN False\n"
 
 
 def test_translation_certificate_round_trip():

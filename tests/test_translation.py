@@ -46,7 +46,7 @@ def test_entry_rule():
 
 def test_mul_matches_convolution_oracle():
     G, T = _zring()
-    M = T.add(T.term((1,), T.fn(1, {(0,): 3})), T.diag(T.fn(2)))
+    M = T.add(T.term((1,), T.fn(1, {(0,): 3})), T.scalar(T.fn(2)))
     N = T.add(T.term((-1,), T.fn(4)), T.term((2,), T.fn(1, {(1,): -2})))
     P = T.mul(M, N)
     for x in range(-3, 4):
@@ -125,7 +125,7 @@ def test_ring_equality_follows_the_subset_not_its_name():
 
 def test_transpose_is_entry_swap():
     G, T = _zring()
-    M = T.add(T.term((2,), T.fn(1, {(0,): 7})), T.diag(T.fn(0, {(1,): 1})))
+    M = T.add(T.term((2,), T.fn(1, {(0,): 7})), T.scalar(T.fn(0, {(1,): 1})))
     Mt = tr_transpose(T, M)
     for x in range(-3, 4):
         for y in range(-3, 4):
@@ -167,7 +167,7 @@ class _BadMul(Cyclic):
 def test_finite_group_iso_reports_faulty_groups(group, failing, failures):
     rep = finite_group_iso(group, Z)
     assert not rep.ok
-    assert {name for name, _ in rep.CHECKS if not getattr(rep, name)} == failing
+    assert {name for name, _ in rep.check_fields() if not getattr(rep, name)} == failing
     assert len(rep.failures) == failures
 
 
@@ -213,7 +213,7 @@ def _finite_group_iso_reference(group, ring):
     elems = group.elements()
     N, R = len(elems), ring
     idx = {x: i for i, x in enumerate(elems)}
-    rep = FiniteGroupIsoReport(True, True, True, True, True)
+    rep = FiniteGroupIsoReport()
 
     def D(f):
         return RingMatrix.from_support_rows(R, N, [{i: f[x]} for x, i in idx.items()])
@@ -351,8 +351,7 @@ def _collapse_reference(w, ring):
     covered = {widx[w.alpha[x]] for x in V} | {widx[w.beta[x]] for x in V}
     proj = RingMatrix.from_support_rows(
         R, len(W), [{i: R.one()} if i in covered else {} for i in range(len(W))])
-    rep = CollapseResult(M, N, True, True, True, True, True,
-                         uncovered=[W[i] for i in range(len(W)) if i not in covered])
+    rep = CollapseResult(M, N, [W[i] for i in range(len(W)) if i not in covered])
     for check, label, got, want in [
             ("mmt_ok", "M M^t = I", mul(M, M.transpose()), I_V),
             ("nnt_ok", "N N^t = I", mul(N, N.transpose()), I_V),
@@ -370,7 +369,7 @@ def _collapse_reference(w, ring):
 def _same_collapse(got, want):
     for M, M0 in ((got.M, want.M), (got.N, want.N)):
         assert (M.rows, M.cols) == (M0.rows, M0.cols) and M.eq(M0)
-    for name, _ in CollapseResult.CHECKS:
+    for name, _ in CollapseResult.check_fields():
         assert getattr(got, name) == getattr(want, name), name
     assert got.uncovered == want.uncovered
     assert got.failures == want.failures
@@ -402,7 +401,8 @@ def test_collapse_identities_fail_where_the_dense_products_fail(
     w = _unchecked_witness(alpha, beta, _V1, _W1)
     got = collapse_matrices(FreeAbelian(1), w, ring)
     _same_collapse(got, _collapse_reference(w, ring))
-    assert {name for name, _ in CollapseResult.CHECKS if not getattr(got, name)} == failing
+    checks = CollapseResult.check_fields()
+    assert {name for name, _ in checks if not getattr(got, name)} == failing
 
 
 @settings(max_examples=60, deadline=None)
@@ -496,8 +496,8 @@ def _leavitt_shifted_tcert(G, n, shifts, flip, cls=TranslationRing):
         pts = [flip] if flip is not None and i == 1 else []
         fa = T.fn(L.gen_star(i), {x: L.neg(L.gen_star(i)) for x in pts})
         fb = T.fn(L.gen(i), {x: L.neg(L.gen(i)) for x in pts})
-        A.append(T.mul(T.term(s, T.base.one()), T.diag(fa)))
-        B.append(T.mul(T.diag(fb), T.term(G.inv(s), T.base.one())))
+        A.append(T.mul(T.term(s, T.base.one()), T.scalar(fa)))
+        B.append(T.mul(T.scalar(fb), T.term(G.inv(s), T.base.one())))
     return T, RankCertificate(T, 1, n, RingMatrix(T, n, 1, A), RingMatrix(T, 1, n, B))
 
 
@@ -658,8 +658,8 @@ def test_window_check_calls_grow_with_the_support(shifts, monkeypatch):
 def test_finite_group_eq_compares_entries():
     G = Cyclic(2)
     T = TranslationRing(G, whole_group(G), Z)
-    assert T.eq(T.diag(T.fn(0, {0: 1, 1: 1})), T.one())
-    assert not T.eq(T.diag(T.fn(0, {0: 1})), T.one())
+    assert T.eq(T.scalar(T.fn(0, {0: 1, 1: 1})), T.one())
+    assert not T.eq(T.scalar(T.fn(0, {0: 1})), T.one())
 
 
 @pytest.mark.parametrize("G", [Cyclic(3), DirectProduct([Cyclic(2), Cyclic(2)])],
