@@ -8,6 +8,7 @@ a value carrying the evidence, never an exception.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,10 +106,13 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
 
     F runs over the balls of radius 0..r_max, sliced one at a time from the
     group's one breadth-first walk (Group.ball), so that an early witness
-    stops the search and each radius is walked once per group object, and
-    counted one sphere at a time (_ball_counts).  Returns the first
-    FolnerWitness found, re-verified by an independent recount, else a
-    FolnerFailure with the exact ratio for every radius.
+    stops the search and each radius is walked once per group object.
+    When K is itself a ball B_R, KF = B_{r+R} is read off the walk at
+    radius r + R and nothing is multiplied (_shifted_counts); any other K
+    is multiplied by one sphere at a time (_ball_counts).  Returns the
+    first FolnerWitness found, re-verified by an independent recount that
+    multiplies K by F, else a FolnerFailure with the exact ratio for every
+    radius.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -118,14 +122,19 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
         raise ValueError("K must be nonempty")
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
-    counts = _ball_counts(group, X, K, (group.ball(r, max_radius=r)
-                                        for r in range(r_max + 1)))
+    read = []  # the balls _ball_radius walks, so the counts walk them once
+    R = _ball_radius(group, K, read)
+    balls = itertools.chain(read, _balls(group, len(read)))
+    if R is None:
+        counts = _ball_counts(group, X, K, itertools.islice(balls, r_max + 1))
+    else:
+        counts = _shifted_counts(X, R, itertools.islice(balls, r_max + R + 1))
     ratios = []
     for idx, (F, kf_count, f_count) in enumerate(counts):
         ratio = Fraction(kf_count, f_count) if f_count else None
         ratios.append((idx, kf_count, f_count, ratio))
         if f_count and kf_count < (1 + eps) * f_count:
-            counts.close()  # drop the running KF before _recount builds one
+            counts.close()  # drop the running KF or walk before _recount
             w = FolnerWitness(K=K, eps=eps, F=F, kf_count=kf_count, f_count=f_count)
             if _recount(group, X, w) != (kf_count, f_count):
                 raise VerificationError("Folner witness failed its recount")
@@ -133,11 +142,55 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
     return FolnerFailure(eps=eps, r_max=r_max, ratios=ratios)
 
 
+def _balls(group: Group, start: int = 0):
+    """B_start, B_start+1, ... sliced from the group's one walk: one
+    Group.ball call per radius, except B_0 = {e}, which needs no walk."""
+    for q in itertools.count(start):
+        yield group.ball(q, max_radius=q) if q else [group.identity()]
+
+
+def _ball_radius(group: Group, K: Sequence, read: Optional[list] = None):
+    """R if set(K) is the ball B_R over the symmetric generators, else None.
+
+    Reads B_0, B_1, ... until |B_R| >= |set(K)|, or until a ball stops
+    growing (then K holds more than a finite group), and appends each ball
+    it reads to read.  So it reads at most |K| radii, and a fresh walk
+    costs at most |gens| |K| products."""
+    K = set(K)
+    if group.identity() not in K:
+        return None
+    read = [] if read is None else read
+    for R, B in enumerate(_balls(group)):
+        read.append(B)
+        if len(B) >= len(K):
+            return R if set(B) == K else None
+        if R and len(B) == len(read[-2]):
+            return None
+
+
+def _shifted_counts(X: SubsetPredicate, R: int, balls: Iterable):
+    """Yield (B_r, |B_R B_r cap X|, |B_r cap X|) for r = 0, 1, ... from
+    the balls B_0, B_1, ..., each a prefix of the next.
+
+    B_R B_r = B_{r+R}, since B_R holds the identity and a word of length
+    at most r + R is a word of length at most R times one of length at
+    most r.  So the first count is the second one at radius r + R: each
+    sphere is counted in X once, and nothing is multiplied."""
+    sizes, f = [0], [0]  # sizes[q + 1] = |B_q|, f[q + 1] = |B_q cap X|
+    for q, B in enumerate(balls):
+        f.append(f[-1] + sum(1 for x in B[sizes[-1]:] if x in X))
+        sizes.append(len(B))
+        if q >= R:
+            r = q - R
+            yield B[:sizes[r + 1]], f[q + 1], f[r + 1]
+
+
 def _ball_counts(group: Group, X: SubsetPredicate, K: Sequence, balls: Iterable):
     """Yield (B, |KB cap X|, |B cap X|) for nested balls B, each a prefix of
     the next (Group.ball).  Since K(A u S) = KA u KS, each step multiplies
     K only by the new sphere S and counts in X only the products not seen
-    before."""
+    before.  This is the path for a K that is not a ball; a ball K takes
+    _shifted_counts, which multiplies nothing."""
     kf = set()
     kf_count = f_count = prev = 0
     for B in balls:
@@ -151,7 +204,9 @@ def _ball_counts(group: Group, X: SubsetPredicate, K: Sequence, balls: Iterable)
 
 
 def _recount(group: Group, X: SubsetPredicate, w: FolnerWitness):
-    kf = {group.mul(k, f) for k in w.K for f in w.F}
+    """Count KF cap X and F cap X from scratch, multiplying K by F whatever
+    path found the witness, so a ball witness cross-checks B_R B_r = B_{r+R}."""
+    kf = set_product(group, w.K, w.F)
     return (len([g for g in kf if g in X]), len([f for f in w.F if f in X]))
 
 
@@ -303,10 +358,11 @@ def verify_injection_witness(group: Group, w: InjectionWitness):
         return False, "images not disjoint"
     wset = set(w.W)
     for x in w.V:
+        x_inv = group.inv(x)
         for val, nm in ((w.alpha[x], "alpha"), (w.beta[x], "beta")):
             if val not in wset:
                 return False, f"{nm}({x}) outside W"
-            if group.mul(val, group.inv(x)) not in Kset:
+            if group.mul(val, x_inv) not in Kset:
                 return False, f"translator of {nm}({x}) outside K"
     return True, "ok"
 

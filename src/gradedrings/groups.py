@@ -226,11 +226,12 @@ class FreeAbelian(Group):
             raise ValueError(f"not an element of {self.name}: {x!r}")
 
     def element_key(self, x):
-        length = sum(abs(a) for a in x)
-        word = []
-        for i, a in enumerate(x):
-            word.extend([2 * i + (a < 0)] * abs(a))
-        return (length, tuple(word))
+        # The order of (|x|_1, sorted word over e1 < e1^-1 < e2 < ...): for
+        # sorted words of equal length, the one with more of the smallest
+        # letter where their counts first differ comes first, so the
+        # negated letter counts give the same order in O(d).
+        return (sum(map(abs, x)),
+                tuple(v for a in x for v in (-a if a > 0 else 0, a if a < 0 else 0)))
 
     def element_to_str(self, x):
         if self.rank == 1:

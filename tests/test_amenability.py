@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradedrings
-
+from gradedrings import amenability
 from gradedrings.amenability import (FolnerFailure, FolnerWitness, Infeasible,
                                      InjectionWitness, bs_X, bs_X0,
                                      bs_example_check,
@@ -101,9 +101,10 @@ def test_zd_rows_are_consecutive_ball_sizes(d, r_max):
 
 
 def test_folner_search_walks_each_radius_once(monkeypatch):
-    """A failing search multiplies each element of B_r by each generator
-    once (the walk) and by each k in K once (the sphere counts); a second
-    search on the same group object reuses the walk."""
+    """With K = B_1 a failing search multiplies each element of B_r by each
+    generator once, to walk on to radius r + 1, and multiplies nothing by
+    K; a second search on the same group object reuses the walk and makes
+    no group product at all."""
     G, r_max = FreeAbelian(2), 20
     K = G.ball(1)
     calls = [0]
@@ -114,13 +115,86 @@ def test_folner_search_walks_each_radius_once(monkeypatch):
         return true_mul(self, x, y)
 
     monkeypatch.setattr(FreeAbelian, "mul", counting_mul)
-    ball_size = _zd_ball_size(2, r_max)
-    for bound in ((len(G.symmetric_generators()) + len(K)) * ball_size,
-                  len(K) * ball_size):
+    for bound in (len(G.symmetric_generators()) * _zd_ball_size(2, r_max), 0):
         calls[0] = 0
         res = folner_search(G, whole_group(G), K, Fraction(1, 100), r_max)
         assert isinstance(res, FolnerFailure)
         assert calls[0] <= bound
+
+
+# ---------------------------------------------------------------------------
+# K = B_R: the counts read B_{r+R} off the walk, since B_R B_r = B_{r+R}
+
+
+def _lemma_cases():
+    BS2, BS3 = BaumslagSolitar(2), BaumslagSolitar(3)
+    groups = [(FreeAbelian(1), 8), (FreeAbelian(3), 4), (FreeGroup(2), 4),
+              (FreeGroup(3), 3), (Cyclic(7), 5),
+              (DirectProduct([Cyclic(3), FreeGroup(2)]), 3),
+              (DirectProduct([FreeAbelian(1), BaumslagSolitar(2)]), 3)]
+    cases = [pytest.param(G, whole_group(G), r_max, id=G.name)
+             for G, r_max in groups]
+    for BS in (BS2, BS3):
+        for X in (whole_group(BS), bs_X(BS), bs_X0(BS)):
+            cases.append(pytest.param(BS, X, 4, id=f"{BS.name}-{X.name}"))
+    return cases
+
+
+@pytest.mark.parametrize("R", [0, 1, 2])
+@pytest.mark.parametrize("group, X, r_max", _lemma_cases())
+def test_shifted_counts_match_the_product_counts(group, X, r_max, R):
+    K = group.ball(R, max_radius=R)
+    assert amenability._ball_radius(group, K) == R
+    balls = [group.ball(q, max_radius=q) for q in range(r_max + R + 1)]
+    got = list(amenability._shifted_counts(X, R, iter(balls)))
+    want = []
+    for r in range(r_max + 1):
+        F = group.ball(r, max_radius=r)
+        want.append((F, sum(1 for g in set_product(group, K, F) if g in X),
+                     sum(1 for f in F if f in X)))
+    assert got == want
+
+
+def _non_ball_cases():
+    Z, F2 = FreeAbelian(1), FreeGroup(2)
+    return [pytest.param(F2, [(), (1,), (2,)], 4, id="F2-e-a-b"),
+            pytest.param(F2, [(1,), (-1,), (2,), (-2,)], 4, id="F2-a-A-b-B"),
+            pytest.param(Z, [(0,), (1,)], 4, id="Z-0-1")]
+
+
+@pytest.mark.parametrize("group, K, r_max", _non_ball_cases())
+def test_a_k_that_is_not_a_ball_multiplies_by_each_sphere(monkeypatch, group, K,
+                                                          r_max):
+    assert amenability._ball_radius(group, K) is None
+
+    def no_shift(*args):
+        raise AssertionError("a K that is not a ball read the walk shifted")
+
+    monkeypatch.setattr(amenability, "_shifted_counts", no_shift)
+    X = whole_group(group)
+    res = folner_search(group, X, K, Fraction(1, 100), r_max)
+    want = []
+    for r in range(r_max + 1):
+        F = group.ball(r, max_radius=r)
+        kf = len(set_product(group, K, F))
+        want.append((r, kf, len(F), Fraction(kf, len(F))))
+    assert res.ratios == want
+
+
+def test_ball_radius_refuses_without_walking_forever():
+    """K larger than a finite group, or K without the identity, is not a
+    ball; the search for R stops (here in a child process with a timeout)."""
+    script = textwrap.dedent("""
+        from gradedrings.amenability import _ball_radius
+        from gradedrings.groups import Cyclic, FreeGroup
+        C3, F2 = Cyclic(3), FreeGroup(2)
+        print(_ball_radius(C3, [0, 1, 2, 7]), _ball_radius(C3, [1, 2]),
+              _ball_radius(F2, F2.ball(2)[1:]), _ball_radius(C3, [0, 1, 2]))
+    """)
+    src = str(Path(gradedrings.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None None None 1\n", "")
 
 
 def test_z3_witness_radius_follows_the_closed_form():

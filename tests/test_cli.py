@@ -147,6 +147,26 @@ def test_folner_bs_subset_off_bs_is_input_error(group, subset, name, capsys):
                    f"not on {group}\n")
 
 
+def test_folner_failure_with_a_non_ball_k_prints_its_ratios(capsys):
+    """K = {1, a, b} in F2 is not a ball, so each radius multiplies K by a
+    sphere; the ratios are pinned byte for byte."""
+    assert run("folner", "--group", "F2", "--k", "{1; a; b}", "--eps", "1",
+               "--r-max", "3") == 1
+    assert capsys.readouterr().out == (
+        "no witness among balls of radius 0..3\n"
+        "  radius 0: |KF cap X| / |F cap X| = 3/1 = 3\n"
+        "  radius 1: |KF cap X| / |F cap X| = 11/5 = 11/5\n"
+        "  radius 2: |KF cap X| / |F cap X| = 35/17 = 35/17\n"
+        "  radius 3: |KF cap X| / |F cap X| = 107/53 = 107/53\n"
+        "best ratio: 107/53\n")
+    assert run("folner", "--group", "F2", "--k", "{1; a; b}", "--eps", "1",
+               "--r-max", "3", "--format", "json") == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "no-witness", "r_max": 3, "best_ratio": "107/53",
+        "ratios": [[0, 3, 1, "3"], [1, 11, 5, "11/5"], [2, 35, 17, "35/17"],
+                   [3, 107, 53, "107/53"]]}
+
+
 def test_paradox(capsys, tmp_path):
     out = tmp_path / "w.json"
     assert run("paradox", "--group", "F2", "--v", "ball:1", "--w", "ball:2",

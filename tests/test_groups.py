@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,22 @@ def test_z2_ball_is_l1_ball():
     B2 = Z2.ball(2)
     assert set(B2) == {(i, j) for i in range(-2, 3) for j in range(-2, 3)
                        if abs(i) + abs(j) <= 2}
+
+
+def _zd_word_key(x):
+    """The reference order for Z^d: length, then the sorted word over the
+    letters e1 < e1^-1 < e2 < e2^-1 < ..., compared letter by letter."""
+    word = []
+    for i, a in enumerate(x):
+        word.extend([2 * i + (a < 0)] * abs(a))
+    return (len(word), tuple(word))
+
+
+@pytest.mark.parametrize("d, r", [(1, 30), (2, 12), (3, 6), (4, 3)])
+def test_zd_sort_key_orders_like_the_sorted_word(d, r):
+    G = FreeAbelian(d)
+    box = list(itertools.product(range(-r, r + 1), repeat=d))
+    assert sorted(box, key=G.element_key) == sorted(box, key=_zd_word_key)
 
 
 def test_ball_deterministic_order():
