@@ -122,9 +122,8 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
         raise ValueError("K must be nonempty")
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
-    read = []  # the balls _ball_radius walks, so the counts walk them once
-    R = _ball_radius(group, K, read)
-    balls = itertools.chain(read, _balls(group, len(read)))
+    R = _ball_radius(group, K)
+    balls = (group.ball(q, max_radius=q) for q in itertools.count())
     if R is None:
         counts = _ball_counts(group, X, K, itertools.islice(balls, r_max + 1))
     else:
@@ -142,30 +141,21 @@ def folner_search(group: Group, X: SubsetPredicate, K: Sequence,
     return FolnerFailure(eps=eps, r_max=r_max, ratios=ratios)
 
 
-def _balls(group: Group, start: int = 0):
-    """B_start, B_start+1, ... sliced from the group's one walk: one
-    Group.ball call per radius, except B_0 = {e}, which needs no walk."""
-    for q in itertools.count(start):
-        yield group.ball(q, max_radius=q) if q else [group.identity()]
-
-
-def _ball_radius(group: Group, K: Sequence, read: Optional[list] = None):
+def _ball_radius(group: Group, K: Sequence):
     """R if set(K) is the ball B_R over the symmetric generators, else None.
 
-    Reads B_0, B_1, ... until |B_R| >= |set(K)|, or until a ball stops
-    growing (then K holds more than a finite group), and appends each ball
-    it reads to read.  So it reads at most |K| radii, and a fresh walk
-    costs at most |gens| |K| products."""
+    Reads B_0, B_1, ... until |B_R| >= |set(K)|, so at most |set(K)|
+    radii: each ball holds at least one element more than the last until
+    the balls stop growing, and then K holds more than any ball.  A fresh
+    walk costs at most |gens| |K| products."""
     K = set(K)
     if group.identity() not in K:
         return None
-    read = [] if read is None else read
-    for R, B in enumerate(_balls(group)):
-        read.append(B)
+    for R in range(len(K)):
+        B = group.ball(R, max_radius=R)
         if len(B) >= len(K):
             return R if set(B) == K else None
-        if R and len(B) == len(read[-2]):
-            return None
+    return None
 
 
 def _shifted_counts(X: SubsetPredicate, R: int, balls: Iterable):

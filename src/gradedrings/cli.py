@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import checks
@@ -28,7 +29,7 @@ from .graded import (CrossedProductRing, CrossedSystem,
 from .groups import (DEFAULT_MAX_RADIUS, BaumslagSolitar, Group,
                      group_from_spec, split_top_level)
 from .monoids import (DEFAULT_CLOSURE_DEPTH, MnklParams, cnk_leq,
-                      cnk_normalize, mnkl_leq)
+                      cnk_normalize, mnkl_leq, mnkl_vector)
 from .report import VerificationError, verdict_of
 from .rings import (IntegerModRing, IntegerRing, block_down_certificate,
                     block_up_certificate, extend_certificate, hom_certificate,
@@ -46,9 +47,13 @@ from .translation import (CompressionInput, FolnerInequalityError,
 # parsing helpers
 
 
+def _parse_list(parse, text: str) -> list:
+    """Elements separated by ";" (some element forms hold commas), read by parse."""
+    return [parse(p) for p in split_top_level(text, ";")]
+
+
 def _parse_set(group: Group, text: str) -> list:
-    """A finite subset: "ball:r", or elements separated by ";" (braces
-    optional).  Semicolons because some element forms contain commas."""
+    """A finite subset: "ball:r", or a ";"-separated list (braces optional)."""
     text = text.strip()
     m = re.fullmatch(r"ball:(\d+)", text)
     if m:
@@ -56,7 +61,11 @@ def _parse_set(group: Group, text: str) -> list:
         return group.ball(r, max_radius=r)
     if text.startswith("{") and text.endswith("}"):
         text = text[1:-1]
-    return [group.element_from_str(p) for p in split_top_level(text, ";")]
+    return _parse_list(group.element_from_str, text)
+
+
+def _weyl_ring(a: str, b: str) -> WeylRing:
+    return WeylRing([int(v) for v in a.split(",")], [int(v) for v in b.split(",")])
 
 
 def _subset(group: Group, name: str):
@@ -306,7 +315,7 @@ def _parse_c_side(text: str) -> int:
 
 
 def _parse_m_side(params: MnklParams, text: str) -> tuple:
-    vec = [0] * (1 + 2 * params.l)
+    u, x, y = 0, Counter(), Counter()
     for term in text.split("+"):
         term = term.strip()
         if term == "0":
@@ -316,20 +325,21 @@ def _parse_m_side(params: MnklParams, text: str) -> tuple:
             raise ValueError(f"cannot parse monoid term {term!r}")
         c = int(m.group(1)) if m.group(1) else 1
         if m.group(2) == "u":
-            vec[0] += c
+            u += c
         else:
             i = int(m.group(3) or m.group(4))
             if not 1 <= i <= params.l:
                 raise ValueError(f"index in {term!r} out of range 1..{params.l}")
-            vec[i if m.group(3) else params.l + i] += c
-    return tuple(vec)
+            (x if m.group(3) else y)[i] += c
+    return mnkl_vector(params, u, x, y)
 
 
 # the fields a crossed-system config may have, with their JSON types, and
 # the fields whose entries are ring elements written as strings
 _CROSSED_FIELDS = ((("group", "ring"), "a string", lambda v: isinstance(v, str)),
                    (("omega", "omega_inv"), "an object", lambda v: isinstance(v, dict)),
-                   (("samples",), "a list", lambda v: isinstance(v, list)))
+                   (("samples",), "a nonempty list",
+                    lambda v: isinstance(v, list) and bool(v)))
 _CROSSED_ENTRIES = ((("omega", "omega_inv", "samples"), "a string",
                      lambda v: isinstance(v, str)),)
 
@@ -379,11 +389,8 @@ def _cmd_endo_graded(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    a = [int(v) for v in args.a.split(",")]
-    b = [int(v) for v in args.b.split(",")]
-    ring = WeylRing(a, b)
-    samples = [ring.element_from_str(s)
-               for s in split_top_level(args.samples, ";")]
+    ring = _weyl_ring(args.a, args.b)
+    samples = _parse_list(ring.element_from_str, args.samples)
     rep = psi_embedding_check(ring, samples, window=args.window,
                               component_window=args.component_window)
     return _emit(args, rep.lines(), rep.to_json())
@@ -405,12 +412,7 @@ def _algebra_from_spec(spec: str):
         return LeavittRing(int(m.group(1)))
     m = re.fullmatch(r"weyl(?::a=([\d,-]+);b=([\d,-]+))?", spec)
     if m:
-        if m.group(1):
-            a = [int(v) for v in m.group(1).split(",")]
-            b = [int(v) for v in m.group(2).split(",")]
-        else:
-            a, b = [1], [1]
-        return WeylRing(a, b)
+        return _weyl_ring(m.group(1) or "1", m.group(2) or "1")
     raise ValueError(f"unknown algebra spec {spec!r} "
                      "(use leavitt:n=N or weyl[:a=..;b=..])")
 
@@ -422,8 +424,8 @@ def _cmd_bs_check(args) -> int:
 
 def _cmd_rosenblatt(args) -> int:
     G = BaumslagSolitar(args.k)
-    u = tuple(G.element_from_str(s) for s in split_top_level(args.u, ";"))
-    v = tuple(G.element_from_str(s) for s in split_top_level(args.v, ";"))
+    u = tuple(_parse_list(G.element_from_str, args.u))
+    v = tuple(_parse_list(G.element_from_str, args.v))
     res = rosenblatt_find(args.k, u, v)
     return _emit(args, [
         f"g = {G.element_to_str(res.g)}",
@@ -567,7 +569,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a reader that closed early raises here, not at exit
         return code
-    except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # not a verdict; devnull takes the flush at exit

@@ -8,11 +8,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .groups import Group, as_factor, split_top_level, strip_parens
 from .report import Report, VerificationError, check, check_row
-from .rings import MatrixRing, Ring, RingMatrix, SparseRing, _add_term, mat_mul
+from .rings import Ring, RingMatrix, SparseRing, _add_term, mat_mul
 from .special_algebras import WeylRing, weyl_component_basis, weyl_coordinates
 
 
@@ -76,11 +77,14 @@ def verify_crossed_system(cs: CrossedSystem,
                           samples: Optional[Sequence] = None) -> CrossedSystemReport:
     """Check the three crossed-system conditions, and that each sigma_g is
     a ring homomorphism; group parts exhaustive, ring parts on the sample
-    list (default: 0, 1, 2, -3) and every pair of samples."""
+    list (default: 0, 1, 2, -3) and every pair of samples.  An empty sample
+    list is refused: the ring parts would pass with nothing checked."""
     R = cs.ring
     G = cs.group
     if samples is None:
         samples = [R.zero(), R.one(), R.from_int(2), R.from_int(-3)]
+    if not samples:
+        raise ValueError("samples is empty: no ring element to check")
     e, show = G.identity(), R.element_to_str
     rep = CrossedSystemReport(central_ok=True if cs.sigma is None else None,
                               sigma_hom_ok=None if cs.sigma is None else True)
@@ -213,9 +217,16 @@ def group_ring_augmentation(ring: CrossedProductRing, a: dict):
 @dataclass
 class StrongGradingVerdict:
     g: object
-    found: bool
-    witness: str
-    terms: list = field(default_factory=list)   # (ia, ib): 1 = sum a[ia] b[ib]
+    terms: list  # (ia, ib): 1 = sum a[ia] b[ib]; empty when none was found
+
+    @property
+    def found(self) -> bool:
+        return bool(self.terms)
+
+    @property
+    def witness(self) -> str:
+        pairs = " + ".join(f"a[{ia}] b[{ib}]" for ia, ib in self.terms)
+        return f"1 = {pairs}" if pairs else ""
 
 
 def strong_grading_check(ring: Ring, components: dict, inv: Callable,
@@ -242,12 +253,8 @@ def strong_grading_check(ring: Ring, components: dict, inv: Callable,
         acc = ring.zero()
         for _, _, p in chosen:
             acc = ring.add(acc, p)
-        if chosen and ring.eq(acc, one):
-            pairs = " + ".join(f"a[{ia}] b[{ib}]" for ia, ib, _ in chosen)
-            out.append(StrongGradingVerdict(g, True, f"1 = {pairs}",
-                                            [(ia, ib) for ia, ib, _ in chosen]))
-        else:
-            out.append(StrongGradingVerdict(g, False, ""))
+        out.append(StrongGradingVerdict(
+            g, [(ia, ib) for ia, ib, _ in chosen] if ring.eq(acc, one) else []))
     return out
 
 
@@ -283,9 +290,7 @@ class _UnitLabelRing(SparseRing):
 class EndoGraded:
     p: int
     index: list          # (x, i) pairs, block-major in group element order
-    matrix_ring: MatrixRing
-    components: dict     # g -> list of matrix units (as matrix_ring elements)
-    unit_positions: dict  # g -> list of ((x,i),(y,j)) labels, same order
+    unit_positions: dict  # g -> list of ((x,i),(y,j)) labels: T_g's matrix units
 
 
 @dataclass
@@ -322,21 +327,19 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
     index = [(x, i) for x in elems for i in range(ranks[x])]
     N = len(index)
     pos = {lab: t for t, lab in enumerate(index)}
-    mring = MatrixRing(S, N)
 
+    @cache  # each dense unit a check reads is built once
     def unit(a, b) -> RingMatrix:
         return RingMatrix.from_support_rows(
             S, N, [{pos[b]: S.one()} if t == pos[a] else {} for t in range(N)])
 
-    components, unit_positions = {}, {}
+    unit_positions = {}
     for g in elems:
         ginv = group.inv(g)
-        labs = [((x, i), (group.mul(ginv, x), j))
-                for x in elems for i in range(ranks[x])
-                for j in range(ranks[group.mul(ginv, x)])]
-        unit_positions[g] = labs
-        components[g] = [unit(a, b) for a, b in labs]
-    ring = EndoGraded(p, index, mring, components, unit_positions)
+        unit_positions[g] = [((x, i), (group.mul(ginv, x), j))
+                             for x in elems for i in range(ranks[x])
+                             for j in range(ranks[group.mul(ginv, x)])]
+    ring = EndoGraded(p, index, unit_positions)
 
     rep = EndoGradedReport()
     if N != n * l:
@@ -347,17 +350,13 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
         for b in pos:
             if labels[a, b] != 1:
                 rep.fail("partition_ok", f"unit {a}, {b} lies in {labels[a, b]} components")
-    # Closure is decided from the labels, since e_ab e_cd = delta_bc e_ad.
-    # That holds for the matrices when each one is the unit its label names,
-    # read at the label's position, and one dense product per pair (g, h)
-    # checks the rule on mat_mul itself.
-    comp_of, matrix_of, starts = {}, {}, {g: {} for g in elems}
+    # Closure is decided from the labels, since e_ab e_cd = delta_bc e_ad;
+    # one dense product per pair (g, h) checks that rule on the units the
+    # labels name and on mat_mul itself.
+    comp_of, starts = {}, {g: {} for g in elems}
     for g in elems:
-        for (a, b), u in zip(unit_positions[g], components[g]):
-            if ([(s, t) for s, row in enumerate(u.support) for t in row]
-                    != [(pos[a], pos[b])] or not S.eq(u[pos[a], pos[b]], S.one())):
-                rep.fail("closure_ok", f"T_{g} matrix labelled {a}, {b} is not that unit")
-            comp_of[(a, b)], matrix_of[(a, b)] = g, u
+        for a, b in unit_positions[g]:
+            comp_of[(a, b)] = g
             starts[g].setdefault(a, []).append(b)
     for g in elems:
         for h in elems:
@@ -371,16 +370,15 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
                                                f"T_{gh} at {a1}, {b1} times {b1}, {b2}")
             if spot:
                 a1, b1, b2 = spot
-                prod = mat_mul(matrix_of[(a1, b1)], matrix_of[(b1, b2)])
-                if not prod.eq(unit(a1, b2)):
+                if not mat_mul(unit(a1, b1), unit(b1, b2)).eq(unit(a1, b2)):
                     rep.fail("closure_ok", f"product of T_{g} and T_{h} units "
                                            "is not the unit their labels name")
     for (a, b) in unit_positions[e]:
         if a[0] != b[0]:
             rep.fail("t1_diagonal_ok", f"T_{e} holds the off-diagonal unit {a}, {b}")
     # The strong-grading search runs on the labels; each witness it finds is
-    # then summed from the matrices with mat_mul and must give the identity.
-    one, identity = S.one(), mring.one()
+    # then summed from dense units with mat_mul and must give the identity.
+    one = S.one()
     labelled = {g: [{ab: one} for ab in unit_positions[g]] for g in elems}
     # one row per element, even where elements() repeats one
     for v in strong_grading_check(_UnitLabelRing(S, index), labelled, group.inv,
@@ -388,13 +386,14 @@ def endo_graded_construction(S: Ring, group: Group, n: int, l: int):
         if not v.found:
             rep.fail(None, f"no strong-grading witness found at {v.g}")
         else:
-            acc = mring.zero()
+            left, right = unit_positions[v.g], unit_positions[group.inv(v.g)]
+            acc = RingMatrix.zero(S, N, N)
             for ia, ib in v.terms:
-                acc = acc.add(mat_mul(components[v.g][ia], components[group.inv(v.g)][ib]))
-            if not acc.eq(identity):
+                acc = acc.add(mat_mul(unit(*left[ia]), unit(*right[ib])))
+            if not acc.eq(RingMatrix.identity(S, N)):
                 rep.fail(None, f"strong grading witness at {v.g} does not "
                                "sum to the identity matrix")
-                v = StrongGradingVerdict(v.g, False, "")
+                v = StrongGradingVerdict(v.g, [])
         rep.strong.append(v)
     return ring, rep
 
@@ -486,6 +485,8 @@ def psi_embedding_check(ring: WeylRing, samples: Sequence[dict],
     both factor of every pair; sums and products get an image per pair."""
     if window < 0 or (component_window is not None and component_window < 0):
         raise ValueError("window and component_window must be non-negative")
+    if not samples:
+        raise ValueError("samples is empty: no pair to check")
     degs = {d for s in samples for d in _homogeneous_parts(ring, s)}
     cw = component_window if component_window is not None \
         else max(2, max((abs(d) for d in degs), default=0) + 1)

@@ -303,10 +303,13 @@ class BaumslagSolitar(Group):
         return f"({x[0]}, {x[1]})"
 
     def element_from_str(self, s):
-        m = re.fullmatch(r"\(\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+)\s*\)", s.strip())
+        """"(t, m)" with t an integer or a fraction p/q; q must be a power of k."""
+        m = re.fullmatch(r"\(\s*(-?\d+(?:/0*[1-9]\d*)?)\s*,\s*(-?\d+)\s*\)", s.strip())
         if not m:
             raise ValueError(f"cannot parse BS element: {s!r}")
-        return (Fraction(m.group(1)), int(m.group(2)))
+        x = (Fraction(m.group(1)), int(m.group(2)))
+        self.check_element(x)
+        return x
 
 
 class Cyclic(Group):

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .report import VerificationError
+
 DEFAULT_CLOSURE_DEPTH = 10
 
 
@@ -200,7 +202,8 @@ def mnkl_leq(params: MnklParams, s: tuple, t: tuple,
              depth: int = DEFAULT_CLOSURE_DEPTH):
     """Decide s <= t in M(n,k,l), i.e. whether some z >= 0 has s + z = t.
 
-    Yes comes with an explicit z and the rewrite chain from t to s + z.
+    Yes comes with an explicit z and the rewrite chain from t to s + z,
+    replayed step by step before it is returned (_replay_chain).
     No comes with a separator certificate: either phi (the C(n,k) image
     already refutes order) or a psi_j (phi forces any candidate z to involve
     only x generators, pure-x vectors admit no rewrites, and the x_j count
@@ -231,7 +234,9 @@ def mnkl_leq(params: MnklParams, s: tuple, t: tuple,
     for v in sorted(closure):
         if all(vc >= sc for vc, sc in zip(v, s)):
             z = tuple(vc - sc for vc, sc in zip(v, s))
-            return Yes(z=z, chain=_chain_to(closure, v))
+            chain = _chain_to(closure, v)
+            _replay_chain(params, s, t, z, chain)
+            return Yes(z=z, chain=chain)
     return Unknown(reason=f"no witness within closure depth {depth}")
 
 
@@ -244,6 +249,25 @@ def _chain_to(closure: dict, v: tuple) -> list:
         cur = parent
     chain.reverse()
     return chain
+
+
+def _replay_chain(params: MnklParams, s: tuple, t: tuple, z: tuple, chain: list):
+    """Raise VerificationError unless chain runs from t to s + z with z >= 0,
+    each step firing the relation it names once, in either direction, on a
+    vector that holds the side it removes (so no coordinate goes negative)."""
+    rels = _relations(params)
+    cur = t
+    for parent, rel, child in chain:
+        if parent != cur or not any(
+                rel == f"relation {ridx}" and all(p >= a for p, a in zip(parent, old))
+                and child == tuple(p - a + b for p, a, b in zip(parent, old, new))
+                for ridx, (lhs, rhs) in enumerate(rels)
+                for old, new in ((lhs, rhs), (rhs, lhs))):
+            raise VerificationError(f"chain step {parent} --{rel}--> {child} "
+                                    f"does not follow from {cur} by one relation")
+        cur = child
+    if min(z) < 0 or cur != tuple(a + b for a, b in zip(s, z)):
+        raise VerificationError(f"chain ends at {cur}, not at s + z = {s} + {z}")
 
 
 def mnkl_homomorphisms_well_defined(params: MnklParams) -> bool:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import gradedrings
+from gradedrings import monoids
 from gradedrings.amenability import Infeasible, whole_group
 from gradedrings.checks import _stack_twice
 from gradedrings.cli import EXIT_CODES, main
@@ -230,6 +231,36 @@ def test_a_violator_that_fails_its_recount_is_not_a_verdict(monkeypatch, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: VerificationError: Hall violator failed its recount\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["paradox", "--group", "BS(1,2)", "--v", "(1/3, 0)", "--w", "ball:1", "--k", "ball:1"],
+    ["folner", "--group", "BS(1,2)", "--k", "{(0, 0); (1/3, 0)}", "--eps", "1",
+     "--r-max", "1"],
+], ids=["paradox", "folner"])
+def test_bs_text_outside_the_group_is_input_error(argv, capsys):
+    """(1/3, 0) is not in BS(1,2); a search over it would print a verified
+    "no" (exit 1) about an element the group does not hold."""
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: denominator of 1/3 is not a power of 2\n"
+
+
+def test_a_program_key_error_is_internal(monkeypatch, capsys):
+    """No input reaches a KeyError, since the loaders name missing fields,
+    so one is a fault in the program: exit 3, not the input error of exit 2."""
+    def broken(*args):
+        raise KeyError("x")
+    monkeypatch.setattr("gradedrings.cli.bs_example_check", broken)
+    assert run("bs-check", "--k", "2", "--r", "2") == 3
+    assert capsys.readouterr().err == "internal error: KeyError: 'x'\n"
+
+
+def test_malformed_json_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"group": "C(2)",')
+    assert run("crossed", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith("error: Expecting property name")
 
 
 def test_free_group_of_rank_27_is_input_error(capsys):
@@ -497,6 +528,21 @@ def test_monoid_verdicts(capsys):
     assert run("monoid", "gibberish") == 2
 
 
+def test_monoid_yes_that_fails_its_replay_is_internal_error(monkeypatch, capsys):
+    """A closure step that is no relation firing makes "yes" an internal
+    error (exit 3), never a printed verdict."""
+    closure = monoids.mnkl_closure
+
+    def corrupted(*args, **kwargs):
+        out = closure(*args, **kwargs)
+        out[(0, 1, 1)] = ((1, 0, 0), "relation 0")   # the firing is relation 1
+        return out
+    monkeypatch.setattr(monoids, "mnkl_closure", corrupted)
+    assert run("monoid", "x1 <= u in M(2,1,1)") == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: VerificationError: chain step")
+
+
 @pytest.mark.parametrize("expression", ["2*a <= a in C(2,0)", "2*a <= a in C(0,1)"])
 def test_monoid_cnk_needs_positive_parameters(expression, capsys):
     assert run("monoid", expression) == 2
@@ -527,6 +573,8 @@ def test_crossed_config(tmp_path):
     ({"group": 2, "ring": "Z"}, "crossed-system config field 'group' is not a string"),
     ({"group": "C(2)", "ring": "prod(Z, Z)", "samples": [1]},
      "crossed-system config field 'samples' entry 0 is not a string"),
+    ({"group": "C(2)", "ring": "Z", "samples": []},
+     "crossed-system config field 'samples' is not a nonempty list"),
     ({"group": "C(2)", "ring": "Z", "omega": {"0; 0": "1", "1; 0": "1", "1; 1": "1"},
       "omega_inv": {"0; 0": "1", "0; 1": "1", "1; 0": "1", "1; 1": "1"}},
      "crossed-system config field 'omega' has no entry for the pair (0, 1)"),
@@ -538,8 +586,8 @@ def test_crossed_config(tmp_path):
       "omega_inv": {"0; 0": [1, 1]}},
      "crossed-system config field 'omega_inv' entry '0; 0' is not a string"),
 ], ids=["not-an-object", "no-group", "no-omega-inv", "no-parser", "group-not-a-string",
-        "sample-not-a-string", "omega-lacks-a-pair", "omega-key-not-a-pair",
-        "omega-value-an-int", "omega-inv-value-a-list"])
+        "sample-not-a-string", "samples-empty", "omega-lacks-a-pair",
+        "omega-key-not-a-pair", "omega-value-an-int", "omega-inv-value-a-list"])
 def test_crossed_config_input_errors(config, message, tmp_path, capsys):
     cfg = tmp_path / "sys.json"
     cfg.write_text(json.dumps(config))
@@ -559,6 +607,14 @@ def test_endo_graded(capsys):
 
 def test_psi(capsys):
     assert run("psi", "--samples", "x1; y", "--window", "3") == 0
+
+
+@pytest.mark.parametrize("samples", ["", " ; "])
+def test_psi_empty_samples_is_input_error(samples, capsys):
+    """No sample means no pair checked, so it must not print a pass."""
+    assert run("psi", "--samples", samples) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: samples is empty: no pair to check\n"
 
 
 @pytest.mark.parametrize("windows", [["--window", "-1"],

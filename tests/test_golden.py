@@ -111,7 +111,7 @@ def report_lines() -> str:
         if not isinstance(rep, (CollapseResult, BSCheckReport)):
             rep.failures.append("a recorded failure")
         if hasattr(rep, "strong"):
-            rep.strong[-1].found = False
+            rep.strong[-1].terms = []
         out += [f"ok {rep.ok}"] + rep.lines()
     return "\n".join(out) + "\n"
 

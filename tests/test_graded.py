@@ -6,7 +6,8 @@ from gradedrings.graded import (CrossedProductRing, CrossedSystem,
                                 group_ring_augmentation, psi_embedding_check,
                                 strong_grading_check, verify_crossed_system)
 from gradedrings.groups import Cyclic, DirectProduct
-from gradedrings.rings import IntegerModRing, IntegerRing, ProductRing, RingMatrix
+from gradedrings.rings import (IntegerModRing, IntegerRing, MatrixRing, ProductRing,
+                               RingMatrix)
 from gradedrings.special_algebras import LeavittRing, WeylRing
 
 Z = IntegerRing()
@@ -191,13 +192,13 @@ def test_endo_graded_closure_detects_a_wrong_group():
 
 
 @pytest.mark.parametrize("attr, fault, message", [
-    ("RingMatrix", _TransposedUnits, " is not that unit"),
+    ("RingMatrix", _TransposedUnits, " is not the unit their labels name"),
     ("mat_mul", lambda A, B: rings.mat_mul(B, A), " is not the unit their labels name"),
 ], ids=["transposed-units", "reversed-products"])
 def test_endo_graded_closure_detects_misplaced_units(monkeypatch, attr, fault,
                                                      message):
-    """Each component matrix is read at its label's position, and one dense
-    product per pair (g, h) is checked against the unit its labels name."""
+    """One dense product per pair (g, h), of the units two labels name, must
+    be the unit their product's label names."""
     monkeypatch.setattr(graded, attr, fault)
     _, rep = endo_graded_construction(Z, Cyclic(3), 2, 2)
     assert not rep.closure_ok
@@ -215,8 +216,12 @@ def test_endo_graded_strong_verdicts_match_the_dense_search(group, n, l):
     N = n*l products e_ab e_ba, one for each row label a."""
     S = IntegerModRing(5) if n * l < 6 else Z
     ring, rep = endo_graded_construction(S, group, n, l)
-    dense = strong_grading_check(ring.matrix_ring, ring.components, group.inv,
-                                 group.elements())
+    N, pos = n * l, {lab: t for t, lab in enumerate(ring.index)}
+    units = {g: [RingMatrix.from_support_rows(
+                 S, N, [{pos[b]: S.one()} if t == pos[a] else {} for t in range(N)])
+                 for a, b in labs]
+             for g, labs in ring.unit_positions.items()}
+    dense = strong_grading_check(MatrixRing(S, N), units, group.inv, group.elements())
     assert ([(v.g, v.found, v.witness, v.terms) for v in rep.strong]
             == [(v.g, v.found, v.witness, v.terms) for v in dense])
     assert all(v.found for v in rep.strong)
@@ -260,6 +265,18 @@ def test_psi_embedding_refuses_a_negative_window(window, component_window):
     with pytest.raises(ValueError, match="must be non-negative"):
         psi_embedding_check(W, [W.x(1)], window=window,
                             component_window=component_window)
+
+
+def test_empty_sample_lists_are_refused():
+    """An empty sample list would pass the sampled checks with nothing
+    checked; None still means the default samples."""
+    W = WeylRing([1], [1])
+    with pytest.raises(ValueError, match="samples is empty"):
+        psi_embedding_check(W, [])
+    cs = CrossedSystem(Cyclic(2), Z)
+    with pytest.raises(ValueError, match="samples is empty"):
+        verify_crossed_system(cs, samples=[])
+    assert verify_crossed_system(cs).ok
 
 
 def test_psi_embedding_two_generators():

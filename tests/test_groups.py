@@ -156,6 +156,20 @@ def test_bs_normal_form_and_inverse():
         G.check_element((Fraction(1, 3), 0))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(1/3, 0)", "denominator of 1/3 is not a power of 2"),
+    ("(5/12, -1)", "denominator of 5/12 is not a power of 2"),
+    ("(1/0, 0)", "cannot parse BS element"),
+])
+def test_bs_parser_refuses_text_outside_the_group(text, message):
+    """The parser checks what it reads, so no command sees an element of
+    Q x Z that BS(1,k) does not hold."""
+    G = BaumslagSolitar(2)
+    with pytest.raises(ValueError, match=message):
+        G.element_from_str(text)
+    assert G.element_from_str("(3/04, -2)") == (Fraction(3, 4), -2)
+
+
 @given(st.integers(-20, 20), st.integers(-20, 20))
 def test_cyclic_and_product(x, y):
     G = DirectProduct([Cyclic(4), Cyclic(6)])

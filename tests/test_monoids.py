@@ -8,6 +8,7 @@ from gradedrings.monoids import (MnklParams, cnk_generating_number, cnk_leq,
                                  cnk_leq_canonical, cnk_normalize, cnk_reach_oracle,
                                  mnkl_homomorphisms_well_defined, mnkl_leq,
                                  mnkl_phi, mnkl_psi, mnkl_vector)
+from gradedrings.report import VerificationError
 
 small = st.integers(1, 6)
 
@@ -173,6 +174,24 @@ def test_yes_with_chain():
         assert parent == cur
         cur = child
     assert all(z >= 0 for z in res.z)
+
+
+@pytest.mark.parametrize("s, t, closure", [
+    # the step from u to x_1 + y_1 is relation 1, not relation 0
+    ((0, 1, 0), (1, 0, 0), {(1, 0, 0): None, (0, 1, 1): ((1, 0, 0), "relation 0")}),
+    # no relation takes u to 2 x_1 + y_1
+    ((0, 1, 0), (1, 0, 0), {(1, 0, 0): None, (0, 2, 1): ((1, 0, 0), "relation 1")}),
+    # 3u + 3x_1 -> 2u + 2x_1 fired on 2u + 2x_1, which does not hold 3u + 3x_1
+    ((1, 1, 0), (2, 2, 0), {(2, 2, 0): None, (1, 1, 0): ((2, 2, 0), "relation 0")}),
+    # a chain whose first step does not start at t
+    ((0, 1, 0), (1, 0, 0), {(0, 0, 0): None, (0, 1, 1): ((0, 0, 0), "relation 1")}),
+], ids=["wrong-relation", "no-relation", "goes-negative", "wrong-start"])
+def test_a_yes_is_replayed_before_it_is_returned(monkeypatch, s, t, closure):
+    """mnkl_leq replays the chain from t to s + z step by step; a corrupted
+    closure raises VerificationError instead of returning Yes."""
+    monkeypatch.setattr(monoids, "mnkl_closure", lambda params, vec, depth: closure)
+    with pytest.raises(VerificationError, match="chain step"):
+        mnkl_leq(MnklParams(2, 1, 1), s, t)
 
 
 def _count_closures(monkeypatch) -> list:
